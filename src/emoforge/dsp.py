@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fftpack import dct
+from scipy.fft import dct
 
 from .errors import FormatError, InvalidInputError, ShapeError
 

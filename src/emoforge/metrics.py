@@ -49,33 +49,40 @@ def edit_distance(ref, hyp):
     counts. When several alignments reach the minimum, substitutions are
     preferred over deletions over insertions, so the counts (not just the
     distance) are deterministic.
+
+    The DP runs row by row over two flat int lists per row: the distance,
+    and the counts packed as S*B^2 + D*B + I with B = n + m + 1 (no count
+    can reach B, so the packing is exact). Each cell takes the diagonal
+    (match or substitution) first; the cell above (deletion), then the cell
+    to the left (insertion), replace it only when strictly closer. That is
+    the S > D > I preference above.
     """
     n, m = len(ref), len(hyp)
-    # dp[i][j] = (distance, S, D, I) for ref[:i] vs hyp[:j]
-    dp = [[None] * (m + 1) for _ in range(n + 1)]
-    dp[0][0] = (0, 0, 0, 0)
-    for i in range(1, n + 1):
-        d = dp[i - 1][0]
-        dp[i][0] = (d[0] + 1, d[1], d[2] + 1, d[3])
-    for j in range(1, m + 1):
-        d = dp[0][j - 1]
-        dp[0][j] = (d[0] + 1, d[1], d[2], d[3] + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            diag = dp[i - 1][j - 1]
-            up = dp[i - 1][j]
-            left = dp[i][j - 1]
-            hit = ref[i - 1] == hyp[j - 1]
-            # candidate order encodes the tie-break preference
-            cands = [
-                (diag[0] + (0 if hit else 1), diag[1] + (0 if hit else 1), diag[2], diag[3]),
-                (up[0] + 1, up[1], up[2] + 1, up[3]),
-                (left[0] + 1, left[1], left[2], left[3] + 1),
-            ]
-            best = min(c[0] for c in cands)
-            dp[i][j] = next(c for c in cands if c[0] == best)
-    _, s, d, ins = dp[n][m]
-    return EditOps(substitutions=s, deletions=d, insertions=ins)
+    base = n + m + 1
+    sub, dele = base * base, base
+    # row 0: j insertions
+    prev_dist = list(range(m + 1))
+    prev_ops = list(range(m + 1))
+    for i, r in enumerate(ref, 1):
+        # column 0: i deletions
+        left_dist, left_ops = i, i * dele
+        cur_dist, cur_ops = [left_dist], [left_ops]
+        for j, h in enumerate(hyp):
+            if r == h:
+                best_dist, best_ops = prev_dist[j], prev_ops[j]
+            else:
+                best_dist, best_ops = prev_dist[j] + 1, prev_ops[j] + sub
+            if prev_dist[j + 1] + 1 < best_dist:
+                best_dist, best_ops = prev_dist[j + 1] + 1, prev_ops[j + 1] + dele
+            if left_dist + 1 < best_dist:
+                best_dist, best_ops = left_dist + 1, left_ops + 1
+            cur_dist.append(best_dist)
+            cur_ops.append(best_ops)
+            left_dist, left_ops = best_dist, best_ops
+        prev_dist, prev_ops = cur_dist, cur_ops
+    ops = prev_ops[m]
+    return EditOps(substitutions=ops // sub, deletions=ops // dele % base,
+                   insertions=ops % base)
 
 
 _KEEP = re.compile(r"[^a-z0-9' ]+")
@@ -115,7 +122,17 @@ def dtw_align(a, b):
 
     Returns the monotone path of (i, j) index pairs from (0, 0) to
     (T_a-1, T_b-1) minimizing the summed per-pair Euclidean cost, with
-    steps {(1,0), (0,1), (1,1)}.
+    steps {(1,0), (0,1), (1,1)}. Features must be finite.
+
+    The accumulated cost acc[i, j] = cost[i, j] + min(acc[i-1, j-1],
+    acc[i-1, j], acc[i, j-1]) is filled one anti-diagonal (i + j = d) at a
+    time: the cells of a diagonal depend only on the two before it, so each
+    is one vectorized step over strided views of a (T_a+1)x(T_b+1) buffer
+    whose +inf border stands in for the missing neighbours of row and
+    column 0. Every cell is the same single add of an exact minimum as in a
+    cell-by-cell loop, so acc and the path do not depend on the fill order.
+    The backtrack prefers the diagonal, then up, then left on ties, which
+    fixes the path shape (the cost is the same for every tied path).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -123,29 +140,44 @@ def dtw_align(a, b):
         raise ShapeError("dtw_align needs two non-empty 2-D sequences")
     if a.shape[1] != b.shape[1]:
         raise ShapeError("feature dims differ: %d vs %d" % (a.shape[1], b.shape[1]))
-    cost = cdist(a, b)
-    ta, tb = cost.shape
-    acc = np.empty((ta, tb))
-    acc[0, 0] = cost[0, 0]
-    for i in range(1, ta):
-        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-    for j in range(1, tb):
-        acc[0, j] = acc[0, j - 1] + cost[0, j]
-    for i in range(1, ta):
-        for j in range(1, tb):
-            acc[i, j] = cost[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInputError("dtw_align needs finite features")
+    ta, tb = a.shape[0], b.shape[0]
+    # acc[i + 1, j + 1] holds cell (i, j); acc[0, 0] = 0 starts the path
+    cols = tb + 1
+    acc = np.empty((ta + 1, cols))
+    acc[0, :] = np.inf
+    acc[1:, 0] = np.inf
+    acc[0, 0] = 0.0
+    acc[1:, 1:] = cdist(a, b)
+    flat = acc.reshape(-1)
+    # consecutive cells of an anti-diagonal lie cols - 1 apart in flat;
+    # their diagonal, up and left neighbours lie cols + 1, cols and 1 before
+    step = cols - 1
+    for d in range(ta + tb - 1):
+        i0, i1 = max(0, d - tb + 1), min(d, ta - 1)
+        start = cols + d + 1 + i0 * step
+        stop = start + (i1 - i0) * step + 1
+        best = np.minimum(flat[start - cols - 1:stop - cols - 1:step],
+                          flat[start - cols:stop - cols:step])
+        np.minimum(best, flat[start - 1:stop - 1:step], out=best)
+        flat[start:stop:step] += best
     path = [(ta - 1, tb - 1)]
     i, j = ta - 1, tb - 1
-    while (i, j) != (0, 0):
+    while i or j:
         if i == 0:
             j -= 1
         elif j == 0:
             i -= 1
         else:
-            # prefer the diagonal on ties (path shape only; cost is unaffected)
-            moves = [(acc[i - 1, j - 1], i - 1, j - 1), (acc[i - 1, j], i - 1, j), (acc[i, j - 1], i, j - 1)]
-            best = min(m[0] for m in moves)
-            _, i, j = next(m for m in moves if m[0] == best)
+            # cells (i-1, j-1), (i-1, j), (i, j-1) in padded coordinates
+            diag, up, left = acc[i, j], acc[i, j + 1], acc[i + 1, j]
+            if diag <= up and diag <= left:
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
         path.append((i, j))
     path.reverse()
     return path
@@ -169,8 +201,8 @@ def mcd(ref, syn):
     cb = mel_cepstra(mel_spectrogram(syn), _MCD_COEFFS)[:, 1:]
     if ca.tobytes() > cb.tobytes():
         ca, cb = cb, ca
-    path = dtw_align(ca, cb)
-    diffs = np.array([ca[i] - cb[j] for i, j in path])
+    ii, jj = np.array(dtw_align(ca, cb)).T
+    diffs = ca[ii] - cb[jj]
     per_pair = (10.0 / np.log(10.0)) * np.sqrt(2.0 * np.sum(diffs ** 2, axis=1))
     return float(np.mean(per_pair))
 

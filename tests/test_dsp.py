@@ -225,6 +225,15 @@ def test_mel_cepstra_matches_direct_dct_sum():
             assert abs(got[t, k] - ref) < 1e-10
 
 
+def test_mel_cepstra_bits_match_legacy_fftpack_dct():
+    # MCD golden values rest on these bits; a scipy change to either DCT shows here
+    from scipy.fftpack import dct as legacy_dct
+
+    frames = mel_spectrogram(_noise_wave("cepstra")).frames
+    assert np.array_equal(mel_cepstra(frames, n_coeffs=N_MELS),
+                          legacy_dct(frames, type=2, norm="ortho", axis=1))
+
+
 def test_mel_cepstra_rejects_too_many_coeffs():
     m = MelSpectrogram(frames=np.zeros((3, 40)), sample_rate=16000, hop=128)
     with pytest.raises(ShapeError):

@@ -1,17 +1,22 @@
 """Tests for the evaluation metrics.
 
 Edit distance and DTW are checked against brute-force oracles written
-independently in this file (plain recursion over all alignments / paths);
-MOS arithmetic is checked against hand-derived t-interval values.
+independently in this file (plain recursion over all alignments / paths),
+and against cell-by-cell reference DPs that pin the exact tie-breaks (path
+shape, S/D/I split). MOS arithmetic is checked against hand-derived
+t-interval values.
 """
 
+import hashlib
 import math
 import re
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from emoforge.datagen import render_reference
 from emoforge.dsp import Waveform
 from emoforge.errors import (
     InsufficientDataError,
@@ -77,6 +82,61 @@ def path_cost(path, a, b):
     return sum(np.linalg.norm(a[i] - b[j]) for i, j in path)
 
 
+def reference_edit_counts(ref, hyp):
+    # cell-by-cell DP over (distance, S, D, I); candidate order is the tie-break
+    n, m = len(ref), len(hyp)
+    dp = [[None] * (m + 1) for _ in range(n + 1)]
+    dp[0][0] = (0, 0, 0, 0)
+    for i in range(1, n + 1):
+        d = dp[i - 1][0]
+        dp[i][0] = (d[0] + 1, d[1], d[2] + 1, d[3])
+    for j in range(1, m + 1):
+        d = dp[0][j - 1]
+        dp[0][j] = (d[0] + 1, d[1], d[2], d[3] + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            diag, up, left = dp[i - 1][j - 1], dp[i - 1][j], dp[i][j - 1]
+            hit = ref[i - 1] == hyp[j - 1]
+            cands = [
+                (diag[0] + (0 if hit else 1), diag[1] + (0 if hit else 1), diag[2], diag[3]),
+                (up[0] + 1, up[1], up[2] + 1, up[3]),
+                (left[0] + 1, left[1], left[2], left[3] + 1),
+            ]
+            best = min(c[0] for c in cands)
+            dp[i][j] = next(c for c in cands if c[0] == best)
+    return dp[n][m][1:]
+
+
+def reference_dtw_path(a, b):
+    # cell-by-cell accumulated cost, then a diagonal-first backtrack
+    cost = cdist(a, b)
+    ta, tb = cost.shape
+    acc = np.empty((ta, tb))
+    acc[0, 0] = cost[0, 0]
+    for i in range(1, ta):
+        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
+    for j in range(1, tb):
+        acc[0, j] = acc[0, j - 1] + cost[0, j]
+    for i in range(1, ta):
+        for j in range(1, tb):
+            acc[i, j] = cost[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+    path = [(ta - 1, tb - 1)]
+    i, j = ta - 1, tb - 1
+    while (i, j) != (0, 0):
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            moves = [(acc[i - 1, j - 1], i - 1, j - 1), (acc[i - 1, j], i - 1, j),
+                     (acc[i, j - 1], i, j - 1)]
+            best = min(m[0] for m in moves)
+            _, i, j = next(m for m in moves if m[0] == best)
+        path.append((i, j))
+    path.reverse()
+    return path
+
+
 # -- edit distance -----------------------------------------------------------
 
 def test_edit_distance_identical():
@@ -110,6 +170,21 @@ def test_edit_distance_matches_brute_force():
         ref = [alphabet[k] for k in rng.integers(0, 4, rng.integers(0, 9))]
         hyp = [alphabet[k] for k in rng.integers(0, 4, rng.integers(0, 9))]
         assert edit_distance(ref, hyp).distance == brute_edit_distance(ref, hyp)
+
+
+def test_edit_distance_counts_match_reference_dp():
+    # small alphabets make many tied alignments; the S/D/I split must not move
+    rng = rng_stream(7, "editcounts")
+    cases = [([], []), ([], list("ab")), (list("ab"), []), (list("aab"), list("abb"))]
+    for k in range(400):
+        size = 3 if k % 2 else 2
+        cases.append(([int(t) for t in rng.integers(0, size, rng.integers(0, 16))],
+                      [int(t) for t in rng.integers(0, size, rng.integers(0, 16))]))
+    cases.append((list("the quick brown fox jumps"), list("a quick brown fax jumped over")))
+    for ref, hyp in cases:
+        ops = edit_distance(ref, hyp)
+        assert (ops.substitutions, ops.deletions, ops.insertions) == \
+            reference_edit_counts(ref, hyp), (ref, hyp)
 
 
 def test_edit_distance_is_a_metric():
@@ -192,6 +267,29 @@ def test_dtw_matches_exhaustive_search():
         assert abs(path_cost(path, a, b) - brute_dtw_cost(cost)) < 1e-9
 
 
+def test_dtw_path_matches_reference_dp():
+    # integer-valued features tie often, which pins the diagonal-first path shape
+    rng = rng_stream(7, "dtwpath")
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 17), (17, 2), (40, 40), (40, 33)]
+    shapes += [tuple(int(t) for t in rng.integers(1, 41, 2)) for _ in range(60)]
+    for k, (ta, tb) in enumerate(shapes):
+        dim = 1 + k % 3
+        if k % 3 == 2:
+            a, b = rng.standard_normal((ta, dim)), rng.standard_normal((tb, dim))
+        else:
+            a = rng.integers(0, 3, (ta, dim)).astype(np.float64)
+            b = rng.integers(0, 3, (tb, dim)).astype(np.float64)
+        assert dtw_align(a, b) == reference_dtw_path(a, b), (ta, tb, dim)
+
+
+def test_dtw_rejects_non_finite_features():
+    for bad in (np.array([[0.0], [np.nan], [1.0]]), np.array([[0.0], [np.inf]])):
+        with pytest.raises(InvalidInputError):
+            dtw_align(bad, np.zeros((4, 1)))
+        with pytest.raises(InvalidInputError):
+            dtw_align(np.zeros((4, 1)), bad)
+
+
 def test_dtw_diagonal_upper_bound():
     rng = rng_stream(7, "dtwbound")
     a = rng.standard_normal((6, 4))
@@ -232,6 +330,29 @@ def test_mcd_symmetric():
     b = _noise_wave("mcdsymb")
     assert abs(mcd(a, b) - mcd(b, a)) < 1e-12
     assert mcd(a, b) > 0.0
+
+
+# (ref text, hyp text, (emotion, speaker) of the reference, of the synthesis)
+_GOLDEN_PAIRS = (
+    ("the quick brown fox jumps over the lazy dog.",
+     "the quick brown fox jumps over a lazy dog.", (0, 0), (2, 1)),
+    ("pack my box with five dozen jugs.", "pack my box with dozen jugs.", (1, 2), (3, 0)),
+    ("how vexingly quick daft zebras jump.",
+     "how vexingly quick daft zebras jump high.", (4, 3), (1, 3)),
+)
+
+
+def test_eval_report_bits_are_pinned():
+    # recorded with the cell-by-cell DTW and tuple-DP Levenshtein kernels;
+    # any change to the kernels' arithmetic or tie-breaks moves these bits
+    rows = [utterance_metrics("pair_%d" % k, render_reference(ref, *r), render_reference(hyp, *h),
+                              ref, hyp)
+            for k, (ref, hyp, r, h) in enumerate(_GOLDEN_PAIRS)]
+    assert [m["mcd"].hex() for m in rows] == [
+        "0x1.366d145c58061p+7", "0x1.38cf0e547d5f8p+8", "0x1.596d71785a2a6p+6"]
+    blob = aggregate_report(rows).to_json().encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "917cb84d285dc488b9ea150b2a214ef499cacc8886cd679951381dd0d62116a6"
 
 
 def test_mcd_rejects_rate_mismatch():
