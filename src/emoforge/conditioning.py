@@ -1,39 +1,21 @@
-"""Emotion conditioning mechanisms for the synthesis pipeline.
+"""Emotion conditioning blocks of the synthesis pipeline.
 
-Three interchangeable ways to inject an emotion embedding (and a speaker
-embedding) into acoustic features:
+Two of the three synthesizer variants inject the emotion embedding (and a
+speaker embedding) through a learned block built here on the autodiff
+Tensor graph; `tts` keeps the blocks' weights in its own parameter layout:
 
-  * an invertible affine coupling flow whose scale/shift come from a gated
-    conditioner network fed with the emotion vector,
-  * single-head cross-attention against a fused condition token,
-  * plain per-frame concatenation.
+  * "vits": an invertible affine coupling flow whose scale/shift come from
+    a gated conditioner network fed with the emotion vector,
+  * "fastspeech": a learned condition bias on the encoder state,
+    h + W_v c with the fused condition token c = W_c [u_emo; u_spk].
 
-All forwards are built on the autodiff Tensor graph; the public functions
-wrap numpy arrays in constants, so training and inference share one code
-path.
+The third variant, "tacotron", concatenates the condition onto every frame
+in `tts._condition_graph` and has no weights of its own.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .autodiff import ParamLayout, concat, constant, log_softmax_rows
-from .errors import InvalidInputError, ShapeError
-from .numeric import rng_stream
+from .autodiff import concat
 
 LOG_S_LIMIT = 5.0
-
-
-@dataclass
-class ConditionVector:
-    u_emo: np.ndarray  # unit norm
-    u_spk: np.ndarray
-
-    def __post_init__(self):
-        self.u_emo = np.asarray(self.u_emo, dtype=np.float64)
-        self.u_spk = np.asarray(self.u_spk, dtype=np.float64)
-        if abs(np.linalg.norm(self.u_emo) - 1.0) > 1e-6:
-            raise InvalidInputError("u_emo must be unit norm")
 
 
 # ---------------------------------------------------------------------------
@@ -53,25 +35,6 @@ def coupling_block_shapes(d, cond_dim, gate):
     }
 
 
-@dataclass
-class CouplingParams:
-    theta: np.ndarray
-    layout: ParamLayout
-    d: int
-    cond_dim: int
-    gate: int
-
-
-def init_coupling(d, cond_dim, gate=16, seed=42):
-    if d % 2:
-        raise ShapeError("coupling dim must be even, got %d" % d)
-    layout = ParamLayout(coupling_block_shapes(d, cond_dim, gate))
-    scales = {name: (0.0 if name.startswith("ewn_b") else 1.0 / np.sqrt(shape[0]))
-              for name, shape in layout.shapes.items()}
-    theta = layout.init(lambda name: rng_stream(seed, "coupling:" + name), scales)
-    return CouplingParams(theta=theta, layout=layout, d=d, cond_dim=cond_dim, gate=gate)
-
-
 def ewn_graph(blocks, x_t):
     """Gated conditioner: z = tanh(Wf x) * sigmoid(Wg x); Wo z splits into
     (log_s, b). log_s is clamped so exp() stays tame either direction."""
@@ -87,8 +50,9 @@ def ewn_graph(blocks, x_t):
 def coupling_graph(blocks, h_t, u_t, inverse=False):
     """Affine coupling on Tensors. The first half of the channels (h0) passes
     through untouched and, shifted by the projected emotion vector, drives
-    the scale/shift applied to the second half. Returns (h_out, log_det);
-    log_det is meaningful for the forward direction."""
+    the scale/shift applied to the second half: h1' = exp(log_s) * h1 + b,
+    and with inverse=True h1 = (h1' - b) * exp(-log_s). Returns
+    (h_out, log_det); log_det is meaningful for the forward direction."""
     d = h_t.data.shape[1]
     half = d // 2
     h0 = h_t[:, :half]
@@ -103,130 +67,25 @@ def coupling_graph(blocks, h_t, u_t, inverse=False):
     return concat([h0, h1_out], axis=1), log_det
 
 
-def _check_coupling_inputs(h, u_emo, params):
-    h = np.asarray(h, dtype=np.float64)
-    u = np.asarray(u_emo, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != params.d:
-        raise ShapeError("expected frames of width %d, got %s" % (params.d, h.shape))
-    if params.d % 2:
-        raise ShapeError("coupling dim must be even, got %d" % params.d)
-    if u.ndim != 1 or u.size != params.cond_dim:
-        raise ShapeError("condition must be 1-D of dim %d, got %s" % (params.cond_dim, u.shape))
-    return h, u[None, :]
-
-
-def coupling_forward(h, u_emo, params):
-    """h' = [h0, exp(log_s) * h1 + b]; returns (h', log_det)."""
-    h, u = _check_coupling_inputs(h, u_emo, params)
-    blocks = params.layout.unpack(constant(params.theta))
-    out, log_det = coupling_graph(blocks, constant(h), constant(u))
-    return out.data, float(log_det.data)
-
-
-def coupling_inverse(h_prime, u_emo, params):
-    """Exact inverse: h1 = (h1' - b) * exp(-log_s), with (log_s, b) recomputed
-    from the untouched h0 half."""
-    h, u = _check_coupling_inputs(h_prime, u_emo, params)
-    blocks = params.layout.unpack(constant(params.theta))
-    out, _ = coupling_graph(blocks, constant(h), constant(u), inverse=True)
-    return out.data
-
-
-def ewn(x, params):
-    """Run just the conditioner: returns (log_s, b) as arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    half = params.d // 2
-    if x.ndim != 2 or x.shape[1] != half:
-        raise ShapeError("expected conditioner input of width %d, got %s" % (half, x.shape))
-    blocks = params.layout.unpack(constant(params.theta))
-    log_s, b = ewn_graph(blocks, constant(x))
-    return log_s.data, b.data
-
-
 # ---------------------------------------------------------------------------
-# Conditional cross-attention
+# Condition bias (the fastspeech variant)
 # ---------------------------------------------------------------------------
 
 def attention_block_shapes(d, cond_dim):
     return {
-        "att_wq": (d, d),
-        "att_wk": (d, d),
         "att_wv": (d, d),
         "att_cproj": (cond_dim, d),
     }
 
 
-@dataclass
-class AttentionParams:
-    theta: np.ndarray
-    layout: ParamLayout
-    d: int
-    cond_dim: int  # dim(u_emo) + dim(u_spk)
-
-
-def init_attention(d, cond_dim, seed=42):
-    layout = ParamLayout(attention_block_shapes(d, cond_dim))
-    scales = {name: 1.0 / np.sqrt(shape[0]) for name, shape in layout.shapes.items()}
-    theta = layout.init(lambda name: rng_stream(seed, "attention:" + name), scales)
-    return AttentionParams(theta=theta, layout=layout, d=d, cond_dim=cond_dim)
-
-
 def build_condition_graph(blocks, u_emo_t, u_spk_t):
+    """Fuse emotion and speaker vectors into one condition token c (1 x d)."""
     return concat([u_emo_t, u_spk_t], axis=1) @ blocks["att_cproj"]
 
 
-def build_condition(u_emo, u_spk, params):
-    """Fuse emotion and speaker vectors into one condition token c (dim d)."""
-    u_e = np.asarray(u_emo, dtype=np.float64)
-    u_s = np.asarray(u_spk, dtype=np.float64)
-    if u_e.ndim != 1 or u_s.ndim != 1 or u_e.size + u_s.size != params.cond_dim:
-        raise ShapeError("condition parts must be 1-D with dims summing to %d, got %s + %s"
-                         % (params.cond_dim, u_e.shape, u_s.shape))
-    blocks = params.layout.unpack(constant(params.theta))
-    return build_condition_graph(blocks, constant(u_e[None, :]), constant(u_s[None, :])).data[0]
-
-
 def attention_graph(blocks, h_t, c_t):
-    """Q from the frames, K/V from the condition token(s); residual output.
+    """Residual value of the single condition token: h + broadcast(W_v c).
 
-    With a single condition token the softmax over keys is exactly 1, so the
-    output is h + broadcast(W_v c)."""
-    d = h_t.data.shape[1]
-    q = h_t @ blocks["att_wq"].T
-    k = c_t @ blocks["att_wk"].T
-    v = c_t @ blocks["att_wv"].T
-    scores = (q @ k.T) * (1.0 / np.sqrt(d))
-    weights = log_softmax_rows(scores).exp()
-    return weights @ v + h_t
-
-
-def cond_cross_attention(h, c, params):
-    """Attend the frame sequence h (T x d) over the condition c.
-
-    c may be one vector (the usual fused token) or a matrix of several
-    condition tokens (e.g. emotion and speaker as separate keys).
-    """
-    h = np.asarray(h, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] != params.d:
-        raise ShapeError("expected non-empty frames of width %d, got %s" % (params.d, h.shape))
-    c2 = c[None, :] if c.ndim == 1 else c
-    if c2.ndim != 2 or c2.shape[1] != params.d:
-        raise ShapeError("condition tokens must have width %d, got %s" % (params.d, c.shape))
-    blocks = params.layout.unpack(constant(params.theta))
-    return attention_graph(blocks, constant(h), constant(c2)).data
-
-
-# ---------------------------------------------------------------------------
-# Concat conditioning
-# ---------------------------------------------------------------------------
-
-def concat_condition(h_lg, u_emo, u_spk):
-    """Append the emotion and speaker vectors to every frame: T x (L+E+S)."""
-    h = np.asarray(h_lg, dtype=np.float64)
-    u_e = np.asarray(u_emo, dtype=np.float64)
-    u_s = np.asarray(u_spk, dtype=np.float64)
-    if h.ndim != 2:
-        raise ShapeError("expected T x L frames, got %s" % (h.shape,))
-    t = h.shape[0]
-    return np.hstack([h, np.tile(u_e, (t, 1)), np.tile(u_s, (t, 1))])
+    This is cross-attention from the frames onto one key, whose softmax
+    weight is exactly 1, so no query or key projection enters the output."""
+    return h_t + c_t @ blocks["att_wv"].T

@@ -122,31 +122,6 @@ def wav_read(path):
 
 
 # ---------------------------------------------------------------------------
-# Mel dump (debug format shared with the synthesis pipeline)
-# ---------------------------------------------------------------------------
-
-def mel_write(path, m):
-    """Binary mel dump: <II header (T, n_mels), then <f4 frames, row-major."""
-    t, n = m.frames.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", t, n))
-        f.write(m.frames.astype("<f4").tobytes())
-
-
-def mel_read(path, sample_rate=SAMPLE_RATE, hop=HOP):
-    with open(path, "rb") as f:
-        head = f.read(8)
-        if len(head) < 8:
-            raise FormatError("truncated mel dump header", offset=len(head))
-        t, n = struct.unpack("<II", head)
-        body = f.read(4 * t * n)
-        if len(body) < 4 * t * n:
-            raise FormatError("truncated mel dump payload", offset=8 + len(body))
-    frames = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, n)
-    return MelSpectrogram(frames=frames, sample_rate=sample_rate, hop=hop)
-
-
-# ---------------------------------------------------------------------------
 # STFT / ISTFT
 # ---------------------------------------------------------------------------
 

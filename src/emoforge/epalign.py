@@ -428,6 +428,11 @@ def load_epalign(path):
         if theta.shape != (layout.size,):
             raise FormatError("checkpoint theta has %d values, layout wants %d"
                               % (theta.size, layout.size))
+        if not np.isfinite(theta).all():
+            raise FormatError("checkpoint %s has non-finite parameters" % path)
+        for mu in [payload["anchor"], *payload["modalities"]]:
+            if mu not in MODALITIES:
+                raise FormatError("checkpoint %s names unknown modality %r" % (path, mu))
         return EpAlignParams(theta=theta, layout=layout, dims=dims,
                              n_classes=int(payload["n_classes"]), anchor=payload["anchor"],
                              modalities=tuple(payload["modalities"]), seed=int(payload["seed"]))

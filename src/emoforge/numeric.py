@@ -10,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError, ShapeError
+from .errors import DegenerateInputError, ShapeError
 
 
 def as_matrix(m, name="matrix"):
@@ -19,20 +19,6 @@ def as_matrix(m, name="matrix"):
     if a.ndim != 2 or a.size == 0:
         raise ShapeError("%s must be a non-empty 2-D array, got shape %s" % (name, a.shape))
     return a
-
-
-def softmax_rows(m):
-    """Row-wise softmax with max-subtraction for numerical stability.
-
-    Each output row sums to 1 (within 1e-12) and every entry lies in (0, 1].
-    Raises InvalidInputError if any entry is not finite.
-    """
-    a = as_matrix(m)
-    if not np.isfinite(a).all():
-        raise InvalidInputError("softmax_rows requires finite entries")
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def l2_normalize_rows(m):

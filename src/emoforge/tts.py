@@ -6,7 +6,7 @@ vocoder.  The three variants differ only in where the emotion/speaker
 condition enters:
 
   "vits"        affine coupling flow applied to the decoded mel frames
-  "fastspeech"  cross-attention from the text features onto the condition
+  "fastspeech"  learned condition bias on the text features, h + W_v c
   "tacotron"    plain concatenation of condition onto the text features
 
 All variants share the same base weights for a given seed (each block is
@@ -21,7 +21,6 @@ import numpy as np
 
 from .autodiff import ParamLayout, AdamState, adam_step, constant, concat, grad
 from .conditioning import (
-    ConditionVector,
     attention_block_shapes,
     attention_graph,
     build_condition_graph,
@@ -192,8 +191,8 @@ def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, frame_index):
 
 
 def _check_condition(u_emo, u_spk, params):
-    ConditionVector(u_emo=np.asarray(u_emo, dtype=np.float64),
-                    u_spk=np.asarray(u_spk, dtype=np.float64))
+    if abs(np.linalg.norm(u_emo) - 1.0) > 1e-6:
+        raise InvalidInputError("u_emo must be unit norm")
     if len(u_emo) != params.dims["embed"]:
         raise InvalidInputError("emotion embedding has dim %d, model expects %d"
                                 % (len(u_emo), params.dims["embed"]))
@@ -203,30 +202,6 @@ def _check_condition(u_emo, u_spk, params):
 
 
 # -- public operations -------------------------------------------------------
-
-def text_encode(text, params):
-    """Embed normalized characters and apply the position-wise transform."""
-    ids = _char_ids(text)
-    blocks = params.layout.unpack(params.theta)
-    return _text_graph({k: constant(v) for k, v in blocks.items()}, ids).data
-
-
-def condition_text(h_lg, u_emo, u_spk, params):
-    """Apply the variant's text-side conditioning step (identity for vits)."""
-    h_lg = np.asarray(h_lg, dtype=np.float64)
-    u_emo = np.asarray(u_emo, dtype=np.float64)
-    u_spk = np.asarray(u_spk, dtype=np.float64)
-    _check_condition(u_emo, u_spk, params)
-    blocks = {k: constant(v) for k, v in params.layout.unpack(params.theta).items()}
-    return _condition_graph(blocks, constant(h_lg), u_emo, u_spk, params.variant).data
-
-
-def predict_durations(h_cond, params):
-    """Per-character frame counts: linear head + softplus, rounded into [1, 20]."""
-    blocks = {k: constant(v) for k, v in params.layout.unpack(params.theta).items()}
-    raw = _duration_graph(blocks, constant(np.asarray(h_cond, dtype=np.float64))).data
-    return np.clip(np.rint(raw[:, 0]), 1, MAX_FRAMES_PER_CHAR).astype(int)
-
 
 def synthesize(text, u_emo, u_spk, params, gl_iters=32):
     """Full path from text to waveform; deterministic given params and inputs."""
@@ -353,13 +328,18 @@ def load_tts(path):
         raise FormatError("bad checkpoint magic (want %s)" % CKPT_MAGIC)
     if payload.get("variant") not in VARIANTS:
         raise FormatError("unknown variant %r in checkpoint" % (payload.get("variant"),))
-    d = payload["dims"]
-    params = init_tts(payload["variant"], embed=d["embed"], n_speakers=d["n_speakers"],
-                      seed=payload["seed"], char_dim=d["char_dim"],
-                      dec_hidden=d["dec_hidden"], gate=d["gate"])
-    theta = np.asarray(payload["theta"], dtype=np.float64)
+    try:
+        d = payload["dims"]
+        params = init_tts(payload["variant"], embed=d["embed"], n_speakers=d["n_speakers"],
+                          seed=payload["seed"], char_dim=d["char_dim"],
+                          dec_hidden=d["dec_hidden"], gate=d["gate"])
+        theta = np.asarray(payload["theta"], dtype=np.float64)
+    except KeyError as e:
+        raise FormatError("checkpoint %s missing field %s" % (path, e))
     if theta.shape != params.theta.shape:
         raise FormatError("checkpoint has %d parameters, layout wants %d"
                           % (theta.size, params.theta.size))
+    if not np.isfinite(theta).all():
+        raise FormatError("checkpoint %s has non-finite parameters" % path)
     params.theta = theta
     return params

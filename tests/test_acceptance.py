@@ -13,18 +13,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from emoforge.autodiff import constant, finite_diff_check
+from emoforge.autodiff import ParamLayout, constant, finite_diff_check
 from emoforge.cli import main as cli_main
-from emoforge.conditioning import (
-    attention_graph,
-    coupling_forward,
-    coupling_graph,
-    coupling_inverse,
-    init_attention,
-    init_coupling,
-)
+from emoforge.conditioning import attention_graph, build_condition_graph, coupling_graph
 from emoforge.datagen import CorpusConfig, _TEXT_POOL, gen_corpus, render_reference
 from emoforge.dsp import (
+    N_MELS,
     SAMPLE_RATE,
     Waveform,
     hann_window,
@@ -45,7 +39,7 @@ from emoforge.epalign import (
 )
 from emoforge.metrics import dtw_align, edit_distance, mcd, mos_aggregate, secs
 from emoforge.numeric import rng_stream
-from emoforge.tts import TtsConfig, speaker_one_hot, synthesize, train_tts
+from emoforge.tts import TtsConfig, init_tts, speaker_one_hot, synthesize, train_tts
 
 
 @pytest.fixture
@@ -96,16 +90,26 @@ def tts_model(corpus, align_split):
 
 # -- 1: flow invertibility ----------------------------------------------------
 
+def _block_set(params, prefix):
+    """One named block set of a synthesizer, as its own flat vector."""
+    arrays = {k[len(prefix):]: np.array(v)
+              for k, v in params.layout.unpack(params.theta).items() if k.startswith(prefix)}
+    layout = ParamLayout({k: v.shape for k, v in arrays.items()})
+    return layout, layout.pack(arrays)
+
+
 def test_criterion_01_flow_invertibility(verdict):
-    params = init_coupling(16, 32, gate=16, seed=42)
+    layout, theta = _block_set(init_tts("vits", embed=32, n_speakers=4, seed=42), "flow_a_")
+    blocks = {k: constant(v) for k, v in layout.unpack(theta).items()}
     rng = rng_stream(42, "acceptance:flow")
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        h = rng.standard_normal((8, 16))
-        u = rng.standard_normal(32)
-        out, _ = coupling_forward(h, u, params)
-        worst = max(worst, np.max(np.abs(coupling_inverse(out, u, params) - h)))
+        h = rng.standard_normal((8, N_MELS))
+        u = constant(rng.standard_normal((1, 32 + 4)))
+        out, _ = coupling_graph(blocks, constant(h), u)
+        back, _ = coupling_graph(blocks, out, u, inverse=True)
+        worst = max(worst, np.max(np.abs(back.data - h)))
     elapsed = time.perf_counter() - t0
     verdict(1, "1000 coupling round trips, max err %.2e (< 1e-9), %.2f s (< 5 s)"
              % (worst, elapsed), worst < 1e-9 and elapsed < 5.0)
@@ -133,23 +137,26 @@ def test_criterion_02_gradient_fidelity(verdict):
             lambda t: _batch_loss_graph(t, p, feats, labels), p.theta, epsilon=eps)
         worst["contrastive"] = max(worst["contrastive"], rep.max_rel_error)
 
-        cp = init_coupling(6, 4, gate=8, seed=seed)
-        h = constant(rng.standard_normal((4, 6)))
-        u = constant(rng.standard_normal((1, 4)))
+        cl, ct = _block_set(init_tts("vits", embed=3, n_speakers=1, gate=8, seed=seed),
+                            "flow_a_")
+        h = constant(rng.standard_normal((4, N_MELS)))
+        u = constant(rng.standard_normal((1, 3 + 1)))
         rep = finite_diff_check(
-            lambda t: coupling_graph(cp.layout.unpack(t), h, u)[1], cp.theta,
-            epsilon=eps)
+            lambda t: coupling_graph(cl.unpack(t), h, u)[1], ct, epsilon=eps)
         worst["log_det"] = max(worst["log_det"], rep.max_rel_error)
 
-        ap = init_attention(4, 5, seed=seed)
+        al, at = _block_set(init_tts("fastspeech", embed=3, n_speakers=2, char_dim=4,
+                                     seed=seed), "att_")
         ah = constant(rng.standard_normal((3, 4)))
-        ac = constant(rng.standard_normal((2, 4)))
+        u_emo = constant(rng.standard_normal((1, 3)))
+        u_spk = constant(rng.standard_normal((1, 2)))
 
         def att_loss(t):
-            out = attention_graph(ap.layout.unpack(t), ah, ac)
+            blocks = {"att_" + k: v for k, v in al.unpack(t).items()}
+            out = attention_graph(blocks, ah, build_condition_graph(blocks, u_emo, u_spk))
             return (out * out).sum()
 
-        rep = finite_diff_check(att_loss, ap.theta, epsilon=eps)
+        rep = finite_diff_check(att_loss, at, epsilon=eps)
         worst["attention"] = max(worst["attention"], rep.max_rel_error)
 
     ok = all(v < 1e-4 for v in worst.values())

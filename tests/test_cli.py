@@ -149,6 +149,47 @@ def test_synth_deterministic(workdir, tts_ckpt, tmp_path):
     assert outs[0] == outs[1]
 
 
+def _synth_exit(tts_path, align_path, out):
+    return main(["synth", "--ckpt", str(tts_path), "--align-ckpt", str(align_path),
+                 "--text", "pack my box.", "--emotion", "sad", "--out", str(out)])
+
+
+def _edited(src, dst, edit):
+    payload = json.loads(src.read_text())
+    edit(payload)
+    dst.write_text(json.dumps(payload))
+    return dst
+
+
+def test_synth_rejects_tts_checkpoint_missing_fields(workdir, tts_ckpt, tmp_path, capsys):
+    edits = [lambda p, k=k: p.pop(k) for k in ("dims", "seed", "theta")]
+    edits += [lambda p, k=k: p["dims"].pop(k)
+              for k in ("embed", "n_speakers", "char_dim", "dec_hidden", "gate")]
+    for edit in edits:
+        bad = _edited(tts_ckpt, tmp_path / "tts.json", edit)
+        assert _synth_exit(bad, workdir["align"], tmp_path / "x.wav") == 2
+        assert "missing field" in capsys.readouterr().err
+
+
+def test_synth_rejects_nonfinite_checkpoints(workdir, tts_ckpt, tmp_path, capsys):
+    def poison(p):
+        p["theta"][0] = float("nan")
+
+    bad_tts = _edited(tts_ckpt, tmp_path / "tts.json", poison)
+    bad_align = _edited(workdir["align"], tmp_path / "align.json", poison)
+    for tts_path, align_path in ((bad_tts, workdir["align"]), (tts_ckpt, bad_align)):
+        assert _synth_exit(tts_path, align_path, tmp_path / "x.wav") == 2
+        assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
+def test_synth_rejects_unknown_alignment_anchor(workdir, tts_ckpt, tmp_path, capsys):
+    for change in ({"anchor": "zzz"}, {"modalities": ["vis", "zzz"]}):
+        bad = _edited(workdir["align"], tmp_path / "align.json", lambda p: p.update(change))
+        assert _synth_exit(tts_ckpt, bad, tmp_path / "x.wav") == 2
+        assert "zzz" in capsys.readouterr().err
+
+
 def test_eval_reports_metrics(workdir, tmp_path, capsys):
     wav_dir = workdir["data"] / "wav"
     names = sorted(os.listdir(wav_dir))[:3]

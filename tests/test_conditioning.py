@@ -1,235 +1,213 @@
-"""Tests for the three conditioning mechanisms."""
+"""Tests for the conditioning blocks, on the weights `init_tts` builds."""
 
 import numpy as np
 import pytest
 
-from emoforge.autodiff import constant, finite_diff_check
+from emoforge.autodiff import ParamLayout, constant, finite_diff_check
 from emoforge.conditioning import (
-    AttentionParams,
-    ConditionVector,
-    CouplingParams,
     attention_graph,
-    build_condition,
-    concat_condition,
-    cond_cross_attention,
-    coupling_forward,
+    build_condition_graph,
     coupling_graph,
-    coupling_inverse,
-    ewn,
-    init_attention,
-    init_coupling,
+    ewn_graph,
 )
-from emoforge.errors import InvalidInputError, ShapeError
+from emoforge.dsp import N_MELS
+from emoforge.errors import InvalidInputError
 from emoforge.numeric import rng_stream
+from emoforge.tts import _check_condition, _condition_graph, init_tts
+
+EMBED, N_SPK = 8, 2
+COND = EMBED + N_SPK
+HALF = N_MELS // 2
+EWN = ("ewn_wf", "ewn_bf", "ewn_wg", "ewn_bg", "ewn_wo", "ewn_bo")
 
 
-def _zero_ewn_params(d=4, cond_dim=3, bo=None):
-    p = init_coupling(d, cond_dim, gate=4, seed=7)
-    arrays = {name: np.zeros(shape) for name, shape in p.layout.shapes.items()}
-    if bo is not None:
-        arrays["ewn_bo"] = np.asarray(bo, dtype=np.float64)
-    p.theta = p.layout.pack(arrays)
-    return p
+def _sub_blocks(params, prefix):
+    return {k[len(prefix):]: np.array(v) for k, v in params.layout.unpack(params.theta).items()
+            if k.startswith(prefix)}
+
+
+def _flow(prefix="flow_a_", seed=42, zero=(), **arrays):
+    """One coupling block set of a vits model, as Tensor constants."""
+    blocks = _sub_blocks(init_tts("vits", embed=EMBED, n_speakers=N_SPK, seed=seed), prefix)
+    for name in zero:
+        blocks[name] = np.zeros_like(blocks[name])
+    blocks.update(arrays)
+    return {k: constant(v) for k, v in blocks.items()}
+
+
+def _att(seed=42, char_dim=32, embed=EMBED, n_speakers=N_SPK, **arrays):
+    """The condition-bias blocks of a fastspeech model, as Tensor constants."""
+    p = init_tts("fastspeech", embed=embed, n_speakers=n_speakers, seed=seed, char_dim=char_dim)
+    blocks = _sub_blocks(p, "att_")
+    blocks.update(arrays)
+    return {"att_" + k: constant(v) for k, v in blocks.items()}
+
+
+def _run(blocks, h, u, inverse=False):
+    out, log_det = coupling_graph(blocks, constant(h), constant(np.asarray(u)[None, :]),
+                                  inverse=inverse)
+    return out.data, float(log_det.data)
+
+
+def _fd_layout(params, prefix):
+    """A flat vector over one block set, for finite-difference checks."""
+    arrays = _sub_blocks(params, prefix)
+    layout = ParamLayout({k: v.shape for k, v in arrays.items()})
+    return layout, layout.pack(arrays)
 
 
 # -- coupling flow -------------------------------------------------------------
 
 def test_zero_ewn_is_identity_flow():
-    p = _zero_ewn_params()
-    rng = rng_stream(7, "cplid")
-    h = rng.standard_normal((6, 4))
-    out, log_det = coupling_forward(h, np.ones(3), p)
+    blocks = _flow(zero=EWN)
+    h = rng_stream(7, "cplid").standard_normal((6, N_MELS))
+    out, log_det = _run(blocks, h, np.ones(COND))
     assert np.array_equal(out, h)
     assert log_det == 0.0
-    assert np.array_equal(coupling_inverse(h, np.ones(3), p), h)
+    assert np.array_equal(_run(blocks, h, np.ones(COND), inverse=True)[0], h)
 
 
 def test_coupling_hand_case():
-    # constant conditioner output: log_s = ln 2, b = 1
-    p = _zero_ewn_params(d=2, cond_dim=1, bo=[np.log(2.0), 1.0])
-    h = np.array([[3.0, 5.0]])
-    out, log_det = coupling_forward(h, np.zeros(1), p)
-    assert np.allclose(out, [[3.0, 11.0]], atol=1e-12)
-    assert abs(log_det - np.log(2.0)) < 1e-12
-    back = coupling_inverse(np.array([[3.0, 11.0]]), np.zeros(1), p)
-    assert np.allclose(back, [[3.0, 5.0]], atol=1e-12)
+    # constant conditioner output: log_s = ln 2, b = 1 on every channel
+    bo = np.concatenate([np.full(HALF, np.log(2.0)), np.ones(HALF)])
+    blocks = _flow(zero=EWN, ewn_bo=bo)
+    h = np.concatenate([np.full(HALF, 3.0), np.full(HALF, 5.0)])[None, :]
+    out, log_det = _run(blocks, h, np.zeros(COND))
+    want = np.concatenate([np.full(HALF, 3.0), np.full(HALF, 11.0)])[None, :]
+    assert np.allclose(out, want, atol=1e-12)
+    assert abs(log_det - HALF * np.log(2.0)) < 1e-12
+    back, _ = _run(blocks, want, np.zeros(COND), inverse=True)
+    assert np.allclose(back, h, atol=1e-12)
 
 
 def test_ewn_clamps_log_s():
-    p = _zero_ewn_params(d=2, cond_dim=1, bo=[40.0, 0.0])
-    log_s, b = ewn(np.zeros((3, 1)), p)
-    assert np.all(log_s == 5.0)
-    assert np.all(b == 0.0)
+    bo = np.concatenate([np.full(HALF, 40.0), np.zeros(HALF)])
+    log_s, b = ewn_graph(_flow(zero=EWN, ewn_bo=bo), constant(np.zeros((3, HALF))))
+    assert np.all(log_s.data == 5.0)
+    assert np.all(b.data == 0.0)
 
 
 def test_coupling_invertibility_random():
     rng = rng_stream(7, "cplinv")
-    p = init_coupling(16, 32, gate=16, seed=3)
+    flows = [_flow("flow_a_", seed=3), _flow("flow_b_", seed=3)]
     worst = 0.0
-    for _ in range(200):
-        h = rng.standard_normal((8, 16))
-        u = rng.standard_normal(32)
-        out, _ = coupling_forward(h, u, p)
-        back = coupling_inverse(out, u, p)
-        worst = max(worst, np.max(np.abs(back - h)))
+    for i in range(200):
+        blocks = flows[i % 2]
+        h = rng.standard_normal((8, N_MELS))
+        u = rng.standard_normal(COND)
+        out, _ = _run(blocks, h, u)
+        worst = max(worst, np.max(np.abs(_run(blocks, out, u, inverse=True)[0] - h)))
         # and the other direction: forward(inverse(h)) = h
-        round2 = coupling_forward(coupling_inverse(h, u, p), u, p)[0]
+        round2 = _run(blocks, _run(blocks, h, u, inverse=True)[0], u)[0]
         worst = max(worst, np.max(np.abs(round2 - h)))
     assert worst < 1e-9
 
 
 def test_coupling_leaves_h0_untouched():
-    p = init_coupling(8, 4, seed=5)
+    blocks = _flow(seed=5)
     rng = rng_stream(7, "cplh0")
-    h = rng.standard_normal((5, 8))
-    u1, u2 = rng.standard_normal(4), rng.standard_normal(4)
-    out1, _ = coupling_forward(h, u1, p)
-    out2, _ = coupling_forward(h, u2, p)
-    assert np.array_equal(out1[:, :4], h[:, :4])
-    assert np.array_equal(out2[:, :4], h[:, :4])
+    h = rng.standard_normal((5, N_MELS))
+    out1, _ = _run(blocks, h, rng.standard_normal(COND))
+    out2, _ = _run(blocks, h, rng.standard_normal(COND))
+    assert np.array_equal(out1[:, :HALF], h[:, :HALF])
+    assert np.array_equal(out2[:, :HALF], h[:, :HALF])
     # the condition changes the transformed half only
-    assert not np.allclose(out1[:, 4:], out2[:, 4:])
+    assert not np.allclose(out1[:, HALF:], out2[:, HALF:])
 
 
 def test_coupling_log_det_equals_log_s_sum():
-    p = init_coupling(8, 4, seed=5)
+    blocks = _flow(seed=5)
     rng = rng_stream(7, "cplld")
-    h = rng.standard_normal((5, 8))
-    u = rng.standard_normal(4)
-    _, log_det = coupling_forward(h, u, p)
-    proj = p.layout.unpack(p.theta)["cond_proj"]
-    log_s, _ = ewn(h[:, :4] + u @ proj, p)
-    assert abs(log_det - log_s.sum()) < 1e-12
-
-
-def test_coupling_shape_errors():
-    with pytest.raises(ShapeError):
-        init_coupling(5, 4)
-    p = init_coupling(8, 4, seed=5)
-    with pytest.raises(ShapeError):
-        coupling_forward(np.zeros((3, 6)), np.zeros(4), p)
-    with pytest.raises(ShapeError):
-        coupling_forward(np.zeros((3, 8)), np.zeros(7), p)
+    h = rng.standard_normal((5, N_MELS))
+    u = rng.standard_normal(COND)
+    _, log_det = _run(blocks, h, u)
+    log_s, _ = ewn_graph(blocks, constant(h[:, :HALF] + u @ blocks["cond_proj"].data))
+    assert abs(log_det - log_s.data.sum()) < 1e-12
 
 
 def test_coupling_log_det_gradient():
-    p = init_coupling(6, 4, gate=8, seed=9)
+    layout, theta = _fd_layout(init_tts("vits", embed=3, n_speakers=1, gate=4, seed=9),
+                               "flow_a_")
     rng = rng_stream(7, "cplgrad")
-    h = constant(rng.standard_normal((4, 6)))
+    h = constant(rng.standard_normal((4, N_MELS)))
     u = constant(rng.standard_normal((1, 4)))
 
-    def loss(theta):
-        blocks = p.layout.unpack(theta)
-        _, log_det = coupling_graph(blocks, h, u)
-        return log_det
+    def loss(t):
+        return coupling_graph(layout.unpack(t), h, u)[1]
 
-    assert finite_diff_check(loss, p.theta).max_rel_error < 1e-4
+    assert finite_diff_check(loss, theta).max_rel_error < 1e-4
 
 
-# -- cross-attention --------------------------------------------------------------
+# -- condition bias (fastspeech) -------------------------------------------------
 
 def test_attention_single_token_weight_is_one():
-    p = init_attention(6, 5, seed=3)
+    blocks = _att(seed=3)
     rng = rng_stream(7, "attone")
-    h = rng.standard_normal((4, 6))
-    c = rng.standard_normal(6)
-    out = cond_cross_attention(h, c, p)
-    w_v = p.layout.unpack(p.theta)["att_wv"]
-    v = c @ w_v.T
-    assert np.array_equal(out, v[None, :] + h)
+    h = rng.standard_normal((4, 32))
+    c = rng.standard_normal((1, 32))
+    out = attention_graph(blocks, constant(h), constant(c)).data
+    assert np.array_equal(out, c @ blocks["att_wv"].data.T + h)
 
 
 def test_attention_zero_wv_is_residual_passthrough():
-    p = init_attention(6, 5, seed=3)
-    arrays = p.layout.unpack(p.theta.copy())
-    arrays = {k: np.array(v) for k, v in arrays.items()}
-    arrays["att_wv"] = np.zeros((6, 6))
-    p.theta = p.layout.pack(arrays)
+    blocks = _att(seed=3, wv=np.zeros((32, 32)))
     rng = rng_stream(7, "attres")
-    h = rng.standard_normal((4, 6))
-    out = cond_cross_attention(h, rng.standard_normal(6), p)
+    h = rng.standard_normal((4, 32))
+    out = attention_graph(blocks, constant(h), constant(rng.standard_normal((1, 32)))).data
     assert np.array_equal(out, h)
 
 
-def test_attention_two_tokens_match_brute_force():
-    d = 4
-    p = init_attention(d, 5, seed=11)
-    rng = rng_stream(7, "attbrute")
-    h = rng.standard_normal((3, d))
-    c = rng.standard_normal((2, d))
-    out = cond_cross_attention(h, c, p)
-    blocks = p.layout.unpack(p.theta)
-    q = h @ blocks["att_wq"].T
-    k = c @ blocks["att_wk"].T
-    v = c @ blocks["att_wv"].T
-    for t in range(3):
-        scores = q[t] @ k.T / np.sqrt(d)
-        e = np.exp(scores - scores.max())
-        w = e / e.sum()
-        want = w @ v + h[t]
-        assert np.max(np.abs(out[t] - want)) < 1e-12
-
-
 def test_attention_gradient():
-    p = init_attention(4, 5, seed=13)
+    p = init_tts("fastspeech", embed=3, n_speakers=2, char_dim=4, seed=13)
+    layout, theta = _fd_layout(p, "att_")
     rng = rng_stream(7, "attgrad")
     h = constant(rng.standard_normal((3, 4)))
-    c = constant(rng.standard_normal((2, 4)))
+    u_emo = constant(rng.standard_normal((1, 3)))
+    u_spk = constant(rng.standard_normal((1, 2)))
 
-    def loss(theta):
-        blocks = p.layout.unpack(theta)
-        out = attention_graph(blocks, h, c)
+    def loss(t):
+        blocks = {"att_" + k: v for k, v in layout.unpack(t).items()}
+        out = attention_graph(blocks, h, build_condition_graph(blocks, u_emo, u_spk))
         return (out * out).sum()
 
-    assert finite_diff_check(loss, p.theta).max_rel_error < 1e-4
-
-
-def test_attention_shape_errors():
-    p = init_attention(4, 5, seed=3)
-    with pytest.raises(ShapeError):
-        cond_cross_attention(np.zeros((3, 5)), np.zeros(4), p)
-    with pytest.raises(ShapeError):
-        cond_cross_attention(np.zeros((3, 4)), np.zeros(5), p)
-    with pytest.raises(ShapeError):
-        cond_cross_attention(np.zeros((0, 4)), np.zeros(4), p)
+    assert finite_diff_check(loss, theta).max_rel_error < 1e-4
 
 
 # -- condition fusion ---------------------------------------------------------------
 
-def test_build_condition_zero_identity_and_hand_case():
-    p = init_attention(5, 5, seed=3)
-    arrays = {k: np.array(v) for k, v in p.layout.unpack(p.theta.copy()).items()}
-    arrays["att_cproj"] = np.zeros((5, 5))
-    p.theta = p.layout.pack(arrays)
-    assert np.array_equal(build_condition(np.ones(3), np.ones(2), p), np.zeros(5))
+def _fuse(blocks, u_emo, u_spk):
+    return build_condition_graph(blocks, constant(np.asarray(u_emo)[None, :]),
+                                 constant(np.asarray(u_spk)[None, :])).data[0]
 
-    arrays["att_cproj"] = np.eye(5)
-    p.theta = p.layout.pack(arrays)
-    got = build_condition(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]), p)
+
+def test_build_condition_zero_identity_and_hand_case():
+    dims = dict(char_dim=5, embed=3, n_speakers=2)
+    blocks = _att(cproj=np.zeros((5, 5)), **dims)
+    assert np.array_equal(_fuse(blocks, np.ones(3), np.ones(2)), np.zeros(5))
+
+    blocks = _att(cproj=np.eye(5), **dims)
+    got = _fuse(blocks, np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]))
     assert np.array_equal(got, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
 
-    p2 = init_attention(2, 2, seed=3)
-    arrays2 = {k: np.array(v) for k, v in p2.layout.unpack(p2.theta.copy()).items()}
-    arrays2["att_cproj"] = np.array([[1.0, 2.0], [3.0, 4.0]])
-    p2.theta = p2.layout.pack(arrays2)
-    got2 = build_condition(np.array([5.0]), np.array([6.0]), p2)
+    blocks = _att(char_dim=2, embed=1, n_speakers=1, cproj=np.array([[1.0, 2.0], [3.0, 4.0]]))
+    got2 = _fuse(blocks, np.array([5.0]), np.array([6.0]))
     assert np.allclose(got2, np.array([5 * 1 + 6 * 3, 5 * 2 + 6 * 4]))
-
-    with pytest.raises(ShapeError):
-        build_condition(np.ones(3), np.ones(3), p)
 
 
 def test_concat_condition():
-    got = concat_condition(np.array([[2.0]]), np.array([3.0]), np.array([4.0]))
+    # tacotron's text-side conditioning appends the condition to every frame
+    got = _condition_graph({}, constant(np.array([[2.0]])), np.array([3.0]), np.array([4.0]),
+                           "tacotron").data
     assert np.array_equal(got, np.array([[2.0, 3.0, 4.0]]))
 
     h = rng_stream(7, "cc").standard_normal((4, 3))
-    out = concat_condition(h, np.array([1.0, 2.0]), np.array([]))
+    out = _condition_graph({}, constant(h), np.array([1.0, 2.0]), np.array([]), "tacotron").data
     assert out.shape == (4, 5)
     assert np.array_equal(out[:, :3], h)
 
 
 def test_condition_vector_validates_norm():
-    ConditionVector(u_emo=np.array([0.6, 0.8]), u_spk=np.zeros(2))
+    p = init_tts("tacotron", embed=2, n_speakers=2)
+    _check_condition(np.array([0.6, 0.8]), np.zeros(2), p)
     with pytest.raises(InvalidInputError):
-        ConditionVector(u_emo=np.array([1.0, 1.0]), u_spk=np.zeros(2))
+        _check_condition(np.array([1.0, 1.0]), np.zeros(2), p)

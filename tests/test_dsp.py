@@ -21,10 +21,8 @@ from emoforge.dsp import (
     istft,
     mel_cepstra,
     mel_filterbank,
-    mel_read,
     mel_spectrogram,
     mel_to_linear,
-    mel_write,
     stft,
     wav_read,
     wav_write,
@@ -96,22 +94,6 @@ def test_wav_rejects_truncated(tmp_path):
     with pytest.raises(FormatError) as e:
         wav_read(path)
     assert e.value.offset is not None
-
-
-# -- mel dump --------------------------------------------------------------
-
-def test_mel_dump_round_trip(tmp_path):
-    rng = rng_stream(7, "meldump")
-    m = MelSpectrogram(frames=rng.standard_normal((17, 40)), sample_rate=16000, hop=128)
-    path = tmp_path / "m.mel"
-    mel_write(path, m)
-    back = mel_read(path)
-    assert back.frames.shape == (17, 40)
-    assert np.array_equal(back.frames, m.frames.astype(np.float32).astype(np.float64))
-
-    path.write_bytes(path.read_bytes()[:30])
-    with pytest.raises(FormatError):
-        mel_read(path)
 
 
 # -- STFT / ISTFT ----------------------------------------------------------
