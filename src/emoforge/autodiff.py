@@ -5,6 +5,11 @@ its parents and a closure that routes the output gradient back to them.
 `grad` differentiates a scalar loss with respect to a flat parameter vector,
 `finite_diff_check` verifies any such gradient against central differences,
 and `adam_step` is the optimizer used by all trainers in this package.
+
+Constants (`constant()` leaves, wrapped raw values and ops on constants
+only) record no tape and never receive a gradient. No closure refers to its
+own output node, so a graph holds no reference cycle and is freed by
+reference counting as soon as its last node is dropped.
 """
 
 from dataclasses import dataclass
@@ -25,17 +30,25 @@ def _unbroadcast(g, shape):
 
 
 class Tensor:
-    """One node of the tape. Wraps a float64 array; never mutate `.data`."""
+    """One node of the tape. Wraps a float64 array; never mutate `.data`.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    `const` marks a node that takes no gradient: a `constant()` leaf, a
+    wrapped raw value, or an op whose parents are all constant. Such an op
+    keeps neither its parents nor its backward closure.
+    """
+
+    __slots__ = ("data", "grad", "const", "_parents", "_backward")
 
     # Keep numpy from silently consuming Tensors in ufunc expressions; the
     # supported op set is exactly what the methods below define.
     __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data, parents=(), backward=None, const=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        if parents and all(p.const for p in parents):
+            const, parents, backward = True, (), None
+        self.const = const
         self._parents = parents
         self._backward = backward
 
@@ -44,25 +57,25 @@ class Tensor:
         return self.data.shape
 
     def _accum(self, g):
+        if self.const:
+            return
         self.grad = g if self.grad is None else self.grad + g
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         other = _wrap(other)
-        out = Tensor(self.data + other.data, (self, other))
         def back(g):
-            self._accum(_unbroadcast(g, self.data.shape))
-            other._accum(_unbroadcast(g, other.data.shape))
-        out._backward = back
-        return out
+            if not self.const:
+                self._accum(_unbroadcast(g, self.data.shape))
+            if not other.const:
+                other._accum(_unbroadcast(g, other.data.shape))
+        return Tensor(self.data + other.data, (self, other), back)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,))
-        out._backward = lambda g: self._accum(-g)
-        return out
+        return Tensor(-self.data, (self,), lambda g: self._accum(-g))
 
     def __sub__(self, other):
         return self + (-_wrap(other))
@@ -72,12 +85,12 @@ class Tensor:
 
     def __mul__(self, other):
         other = _wrap(other)
-        out = Tensor(self.data * other.data, (self, other))
         def back(g):
-            self._accum(_unbroadcast(g * other.data, self.data.shape))
-            other._accum(_unbroadcast(g * self.data, other.data.shape))
-        out._backward = back
-        return out
+            if not self.const:
+                self._accum(_unbroadcast(g * other.data, self.data.shape))
+            if not other.const:
+                other._accum(_unbroadcast(g * self.data, other.data.shape))
+        return Tensor(self.data * other.data, (self, other), back)
 
     __rmul__ = __mul__
 
@@ -90,67 +103,57 @@ class Tensor:
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise UnsupportedOpError("only scalar exponents are differentiable")
-        out = Tensor(self.data ** p, (self,))
-        out._backward = lambda g: self._accum(g * p * self.data ** (p - 1))
-        return out
+        return Tensor(self.data ** p, (self,), lambda g: self._accum(g * p * self.data ** (p - 1)))
 
     def __matmul__(self, other):
         other = _wrap(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ShapeError("matmul expects 2-D operands")
-        out = Tensor(self.data @ other.data, (self, other))
         def back(g):
-            self._accum(g @ other.data.T)
-            other._accum(self.data.T @ g)
-        out._backward = back
-        return out
+            if not self.const:
+                self._accum(g @ other.data.T)
+            if not other.const:
+                other._accum(self.data.T @ g)
+        return Tensor(self.data @ other.data, (self, other), back)
 
     # -- elementwise functions --------------------------------------------
+    # exp, tanh and sigmoid differentiate through their output; the closures
+    # capture the output array, never the output node, to stay cycle-free.
 
     def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-        out._backward = lambda g: self._accum(g * out.data)
-        return out
+        y = np.exp(self.data)
+        return Tensor(y, (self,), lambda g: self._accum(g * y))
 
     def log(self):
-        out = Tensor(np.log(self.data), (self,))
-        out._backward = lambda g: self._accum(g / self.data)
-        return out
+        return Tensor(np.log(self.data), (self,), lambda g: self._accum(g / self.data))
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data), (self,))
-        out._backward = lambda g: self._accum(g * (1.0 - out.data ** 2))
-        return out
+        y = np.tanh(self.data)
+        return Tensor(y, (self,), lambda g: self._accum(g * (1.0 - y ** 2)))
 
     def sigmoid(self):
-        out = Tensor(1.0 / (1.0 + np.exp(-self.data)), (self,))
-        out._backward = lambda g: self._accum(g * out.data * (1.0 - out.data))
-        return out
+        y = 1.0 / (1.0 + np.exp(-self.data))
+        return Tensor(y, (self,), lambda g: self._accum(g * y * (1.0 - y)))
 
     def softplus(self):
-        out = Tensor(np.logaddexp(0.0, self.data), (self,))
-        out._backward = lambda g: self._accum(g / (1.0 + np.exp(-self.data)))
-        return out
+        return Tensor(np.logaddexp(0.0, self.data), (self,),
+                      lambda g: self._accum(g / (1.0 + np.exp(-self.data))))
 
     def clip(self, lo, hi):
         # Gradient passes through inside [lo, hi], zero outside.
-        out = Tensor(np.clip(self.data, lo, hi), (self,))
         mask = (self.data >= lo) & (self.data <= hi)
-        out._backward = lambda g: self._accum(g * mask)
-        return out
+        return Tensor(np.clip(self.data, lo, hi), (self,), lambda g: self._accum(g * mask))
 
     # -- reductions and reshaping ------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
         def back(g):
             if axis is None:
                 self._accum(np.broadcast_to(g, self.data.shape).copy())
             else:
                 gg = g if keepdims else np.expand_dims(g, axis)
                 self._accum(np.broadcast_to(gg, self.data.shape).copy())
-        out._backward = back
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -159,50 +162,55 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], tuple):
             shape = shape[0]
-        out = Tensor(self.data.reshape(shape), (self,))
-        out._backward = lambda g: self._accum(g.reshape(self.data.shape))
-        return out
+        return Tensor(self.data.reshape(shape), (self,),
+                      lambda g: self._accum(g.reshape(self.data.shape)))
 
     @property
     def T(self):
-        out = Tensor(self.data.T, (self,))
-        out._backward = lambda g: self._accum(g.T)
-        return out
+        return Tensor(self.data.T, (self,), lambda g: self._accum(g.T))
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx], (self,))
+        basic = _is_basic_index(idx)
         def back(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)  # scatter-add handles repeated indices
+            if basic:
+                full[idx] = g  # a basic index names each element at most once
+            else:
+                np.add.at(full, idx, g)  # scatter-add handles repeated indices
             self._accum(full)
-        out._backward = back
-        return out
+        return Tensor(self.data[idx], (self,), back)
 
     def item(self):
         return float(self.data)
 
 
+def _is_basic_index(idx):
+    # Ints and slices (alone or in a tuple) select a view: no repeats.
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(i, (int, slice)) for i in parts)
+
+
 def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def constant(x):
-    """A tape leaf that never receives gradient of interest (plain data)."""
-    return Tensor(x)
+    """A tape leaf that never receives a gradient (plain data)."""
+    return Tensor(x, const=True)
 
 
 def concat(tensors, axis=0):
     tensors = [_wrap(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
     def back(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.const:
+                continue
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(a, b)
             t._accum(g[tuple(sl)])
-    out._backward = back
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
 
 
 def log_softmax_rows(t):
@@ -216,7 +224,7 @@ def log_softmax_rows(t):
 
 
 def backward(out):
-    """Accumulate gradients of a scalar Tensor into every reachable node."""
+    """Accumulate gradients of a scalar Tensor into every reachable non-constant node."""
     if out.data.size != 1:
         raise UnsupportedOpError("backward requires a scalar output")
     topo, seen = [], set()
@@ -231,7 +239,8 @@ def backward(out):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            stack.append((p, False))
+            if not p.const:
+                stack.append((p, False))
     out.grad = np.ones_like(out.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
@@ -277,8 +286,7 @@ def finite_diff_check(loss_fn, params, epsilon=1e-3):
     analytic = grad(loss_fn, theta)
 
     def value_at(p):
-        out = loss_fn(Tensor(p))
-        return float(out.data)
+        return float(loss_fn(constant(p)).data)
 
     worst_err, worst_idx = 0.0, 0
     for i in range(theta.size):
@@ -324,8 +332,8 @@ class ParamLayout:
     """Maps named weight arrays into one flat vector and back.
 
     `unpack` works on both plain arrays and Tensors, so the same model code
-    serves training (differentiable slices of the parameter Tensor) and
-    inference (cheap ndarray views).
+    serves training (one differentiable node per block of the parameter
+    Tensor) and inference (cheap ndarray views).
     """
 
     def __init__(self, shapes):
@@ -349,12 +357,11 @@ class ParamLayout:
         return theta
 
     def unpack(self, theta):
-        out = {}
-        for name, shape in self.shapes.items():
-            a, b = self.slices[name]
-            block = theta[a:b]
-            out[name] = block.reshape(shape) if shape else block.reshape(())
-        return out
+        if isinstance(theta, Tensor):
+            return {name: _param_block(theta, a, b, self.shapes[name])
+                    for name, (a, b) in self.slices.items()}
+        return {name: theta[a:b].reshape(self.shapes[name])
+                for name, (a, b) in self.slices.items()}
 
     def init(self, seed_stream, scales):
         """Gaussian init, one named substream per block for cross-model stability."""
@@ -366,3 +373,13 @@ class ParamLayout:
             else:
                 arrays[name] = seed_stream(name).normal(0.0, scale, size=shape)
         return self.pack(arrays)
+
+
+def _param_block(theta, a, b, shape):
+    """Block theta[a:b] viewed as `shape`; its backward adds straight into
+    theta's flat gradient buffer, which the first block of a graph creates."""
+    if not theta.const and theta.grad is None:
+        theta.grad = np.zeros_like(theta.data)
+    def back(g):
+        theta.grad[a:b] += g.reshape(-1)
+    return Tensor(theta.data[a:b].reshape(shape), (theta,), back)

@@ -423,18 +423,22 @@ def load_epalign(path):
         raise FormatError("bad checkpoint magic in %s (want %s)" % (path, _MAGIC))
     try:
         dims = payload["dims"]
-        layout = ParamLayout(_block_shapes(dims, payload["n_classes"]))
+        n_classes = int(payload["n_classes"])
+        layout = ParamLayout(_block_shapes(dims, n_classes))
         theta = np.asarray(payload["theta"], dtype=np.float64)
-        if theta.shape != (layout.size,):
-            raise FormatError("checkpoint theta has %d values, layout wants %d"
-                              % (theta.size, layout.size))
-        if not np.isfinite(theta).all():
-            raise FormatError("checkpoint %s has non-finite parameters" % path)
-        for mu in [payload["anchor"], *payload["modalities"]]:
-            if mu not in MODALITIES:
-                raise FormatError("checkpoint %s names unknown modality %r" % (path, mu))
-        return EpAlignParams(theta=theta, layout=layout, dims=dims,
-                             n_classes=int(payload["n_classes"]), anchor=payload["anchor"],
-                             modalities=tuple(payload["modalities"]), seed=int(payload["seed"]))
+        anchor, modalities = payload["anchor"], tuple(payload["modalities"])
+        seed = int(payload["seed"])
     except KeyError as e:
         raise FormatError("checkpoint %s missing field %s" % (path, e))
+    except (TypeError, ValueError) as e:
+        raise FormatError("checkpoint %s has a malformed field: %s" % (path, e))
+    if theta.shape != (layout.size,):
+        raise FormatError("checkpoint theta has %d values, layout wants %d"
+                          % (theta.size, layout.size))
+    if not np.isfinite(theta).all():
+        raise FormatError("checkpoint %s has non-finite parameters" % path)
+    for mu in (anchor, *modalities):
+        if mu not in MODALITIES:
+            raise FormatError("checkpoint %s names unknown modality %r" % (path, mu))
+    return EpAlignParams(theta=theta, layout=layout, dims=dims, n_classes=n_classes,
+                         anchor=anchor, modalities=modalities, seed=seed)

@@ -16,6 +16,7 @@ parameters "vits" and "fastspeech" are frame-for-frame interchangeable.
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .conditioning import (
     coupling_block_shapes,
     coupling_graph,
 )
-from .dsp import HOP, N_MELS, SAMPLE_RATE, MelSpectrogram, griffin_lim, mel_spectrogram
+from .dsp import HOP, N_FFT, N_MELS, SAMPLE_RATE, MelSpectrogram, griffin_lim, mel_spectrogram
 from .datagen import render_reference
 from .errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
 from .numeric import rng_stream
@@ -38,6 +39,9 @@ CHAR_DIM = 32
 DEC_HIDDEN = 64
 COUPLING_GATE = 16
 MAX_FRAMES_PER_CHAR = 20
+# Griffin-Lim's centered STFT needs more than N_FFT/2 samples, and T frames
+# give (T - 1) * HOP of them, so T must be at least N_FFT // (2 * HOP) + 2.
+MIN_FRAMES = N_FFT // (2 * HOP) + 2
 CKPT_MAGIC = "EMITTS/1"
 
 
@@ -73,11 +77,13 @@ def _char_ids(text):
     return np.asarray(ids, dtype=np.intp)
 
 
+@lru_cache(maxsize=256)
 def _posenc(t_len, dim):
     pos = np.arange(t_len, dtype=np.float64)[:, None]
     k = np.arange(dim, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * (k // 2) / dim)
     pe = np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
+    pe.flags.writeable = False  # shared by every caller of the cache
     return pe
 
 
@@ -214,6 +220,8 @@ def synthesize(text, u_emo, u_spk, params, gl_iters=32):
     h_cond = _condition_graph(blocks, h_lg, u_emo, u_spk, params.variant)
     raw = _duration_graph(blocks, h_cond).data
     durations = np.clip(np.rint(raw[:, 0]), 1, MAX_FRAMES_PER_CHAR).astype(int)
+    # a short text holds its last character until the vocoder has enough frames
+    durations[-1] += max(0, MIN_FRAMES - int(durations.sum()))
     frame_index = np.repeat(np.arange(len(ids)), durations)
     mel_t = _decoder_graph(blocks, h_cond, u_emo, u_spk, params.variant, frame_index)
     mel = MelSpectrogram(frames=mel_t.data, sample_rate=SAMPLE_RATE, hop=HOP)
@@ -336,6 +344,8 @@ def load_tts(path):
         theta = np.asarray(payload["theta"], dtype=np.float64)
     except KeyError as e:
         raise FormatError("checkpoint %s missing field %s" % (path, e))
+    except (TypeError, ValueError) as e:
+        raise FormatError("checkpoint %s has a malformed field: %s" % (path, e))
     if theta.shape != params.theta.shape:
         raise FormatError("checkpoint has %d parameters, layout wants %d"
                           % (theta.size, params.theta.size))

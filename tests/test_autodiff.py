@@ -5,8 +5,11 @@ from emoforge.autodiff import (
     AdamState,
     ParamLayout,
     Tensor,
+    _wrap,
     adam_step,
+    backward,
     concat,
+    constant,
     finite_diff_check,
     grad,
     log_softmax_rows,
@@ -87,6 +90,33 @@ def test_getitem_scatter_handles_repeated_indices():
     idx = np.array([0, 0, 2])
     g = grad(lambda t: t[idx].sum(), np.array([1.0, 1.0, 1.0]))
     np.testing.assert_allclose(g, [2.0, 0.0, 1.0])
+
+
+def test_constants_take_no_gradient():
+    x = Tensor(np.array([1.0, -2.0]))
+    c = constant(np.array([3.0, 4.0]))
+    s = _wrap(2.5)
+    cs = c * s  # an op on constants only is itself a constant, with no tape
+    assert cs.const and cs._parents == () and cs._backward is None
+    backward(((x * c + s) * x + cs).sum())
+    assert c.grad is None and s.grad is None and cs.grad is None
+    np.testing.assert_array_equal(x.grad, [2 * 1.0 * 3.0 + 2.5, 2 * -2.0 * 4.0 + 2.5])
+
+
+def test_finite_diff_through_param_blocks_and_basic_slices():
+    layout = ParamLayout({"w": (3, 4), "b": (4,), "s": ()})
+    x = constant(np.array([[0.3, -0.7, 1.1], [0.9, 0.2, -0.4]]))
+
+    def loss(t):
+        p = layout.unpack(t)
+        h = (x @ p["w"] + p["b"]).tanh() * p["s"]
+        h0, h1 = h[:, :2], h[:, 2:]
+        swapped = concat([h1, h0], axis=1)
+        return (swapped * h).sum() + (h[1] * p["b"]).sum() + h[0, 3] * p["s"]
+
+    report = finite_diff_check(loss, np.random.default_rng(4).normal(0, 0.7, size=17),
+                               epsilon=1e-5)
+    assert report.max_rel_error < 1e-6
 
 
 def test_log_softmax_matches_plain_formula():

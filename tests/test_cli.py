@@ -9,6 +9,7 @@ import pytest
 
 from emoforge.cli import main
 from emoforge.dsp import wav_read
+from emoforge.tts import load_tts, save_tts
 
 
 def _gen(out, seed=None, classes=3, speakers=2, per_class=6):
@@ -169,6 +170,31 @@ def test_synth_rejects_tts_checkpoint_missing_fields(workdir, tts_ckpt, tmp_path
         bad = _edited(tts_ckpt, tmp_path / "tts.json", edit)
         assert _synth_exit(bad, workdir["align"], tmp_path / "x.wav") == 2
         assert "missing field" in capsys.readouterr().err
+
+
+def test_synth_rejects_wrongly_typed_checkpoint_fields(workdir, tts_ckpt, tmp_path, capsys):
+    bad_tts = _edited(tts_ckpt, tmp_path / "tts.json", lambda p: p["dims"].update(embed="8"))
+    bad_align = _edited(workdir["align"], tmp_path / "align.json",
+                        lambda p: p.update(modalities=5))
+    for tts_path, align_path in ((bad_tts, workdir["align"]), (tts_ckpt, bad_align)):
+        assert _synth_exit(tts_path, align_path, tmp_path / "x.wav") == 2
+        assert "malformed field" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
+def test_synth_short_texts(workdir, tts_ckpt, tmp_path):
+    # zeroed duration weights predict one frame per character
+    params = load_tts(tts_ckpt)
+    for name in ("dur_w", "dur_b"):
+        a, b = params.layout.slices[name]
+        params.theta[a:b] = 0.0
+    ckpt = tmp_path / "tts.json"
+    save_tts(params, ckpt)
+    for text in ("a", "ab", "abc", "abcd"):
+        out = tmp_path / (text + ".wav")
+        assert main(["synth", "--ckpt", str(ckpt), "--align-ckpt", str(workdir["align"]),
+                     "--text", text, "--emotion", "sad", "--out", str(out)]) == 0
+        assert len(wav_read(out).samples) == 384
 
 
 def test_synth_rejects_nonfinite_checkpoints(workdir, tts_ckpt, tmp_path, capsys):

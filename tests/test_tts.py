@@ -1,12 +1,13 @@
 """Tests for the toy synthesis pipeline."""
 
+import gc
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from emoforge.autodiff import grad
+from emoforge.autodiff import constant, grad
 from emoforge.datagen import Utterance, text_durations
 from emoforge.dsp import HOP, N_MELS, mel_spectrogram, wav_write
 from emoforge.errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
@@ -120,6 +121,20 @@ def test_synthesize_frame_count_and_length():
     assert len(text) <= len(frames) <= 20 * len(text)
 
 
+def test_short_texts_hold_the_last_character():
+    # the vocoder needs 4 frames; a shorter text repeats its last character
+    p = _zero_blocks(_params("vits"), ["dur_w", "dur_b"])
+    last = {}
+    for text in ("a", "ab", "abc", "abcd"):
+        wav, mel = synthesize(text, _unit(5, "fr"), speaker_one_hot(0, N_SPK), p)
+        assert mel.frames.shape == (4, N_MELS)
+        assert len(wav.samples) == 3 * HOP
+        n = len(text)
+        assert all(np.array_equal(mel.frames[i], mel.frames[n - 1]) for i in range(n, 4))
+        last[text] = mel.frames
+    assert not np.array_equal(last["ab"][3], last["abc"][3])
+
+
 def test_synthesize_deterministic():
     p = _params("vits")
     u_emo, u_spk = _unit(5, "sd"), speaker_one_hot(1, N_SPK)
@@ -183,6 +198,24 @@ def test_every_block_gets_gradient(variant):
     assert dead == []
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_utterance_graphs_free_by_refcount(variant):
+    # no node may refer to itself through its backward closure, so a graph
+    # leaves no cyclic garbage once dropped
+    p = _params(variant)
+    batch = _utterance_batch(_toy_dataset()[0], _toy_prompts(), N_SPK, {})
+    gc.collect()
+    gc.disable()
+    try:
+        grad(lambda t: _loss_graph(t, p, batch), p.theta)
+        after_grad = gc.collect()
+        _loss_graph(constant(p.theta), p, batch).item()
+        after_forward = gc.collect()
+    finally:
+        gc.enable()
+    assert (after_grad, after_forward) == (0, 0)
+
+
 def test_fastspeech_parameter_count():
     assert init_tts("fastspeech", embed=32, n_speakers=4).theta.size == 11369
 
@@ -214,6 +247,25 @@ def test_train_loss_decreases_and_is_deterministic():
     assert c1[-1] < c1[0]
     assert c1 == c2
     assert np.array_equal(p1.theta, p2.theta)
+
+
+# SHA-256 of the checkpoint train_tts writes for each variant (toy set,
+# 6 steps of batch 2, seed 3), recorded before the tape's parameter blocks
+# and constants were made cheaper: the gradients must keep every bit.
+PINNED_CKPT_SHA256 = {
+    "vits": "8bc7b46812abfa4a4315199d9c730311193348a0f52ee82ede319c7737b264c1",
+    "fastspeech": "865e44ff9d2d4b2b75f852cf80faff37540c51b8742bb5bfb095418ff1ced78b",
+    "tacotron": "4e25a09321cf6625960c613784d299eb854a87db9c4eb9b99e9579d8fdcbe2b3",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_trained_checkpoint_bytes_pinned(variant, tmp_path):
+    p, _ = train_tts(_toy_dataset(), _toy_prompts(), variant,
+                     TtsConfig(steps=6, lr=0.05, batch=2, seed=3))
+    path = tmp_path / "tts.json"
+    save_tts(p, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CKPT_SHA256[variant]
 
 
 def test_train_lr_zero_flat_curve():
