@@ -57,8 +57,6 @@ class Tensor:
         return self.data.shape
 
     def _accum(self, g):
-        if self.const:
-            return
         self.grad = g if self.grad is None else self.grad + g
 
     # -- arithmetic -------------------------------------------------------

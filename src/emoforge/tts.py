@@ -16,7 +16,6 @@ parameters "vits" and "fastspeech" are frame-for-frame interchangeable.
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,13 +76,11 @@ def _char_ids(text):
     return np.asarray(ids, dtype=np.intp)
 
 
-@lru_cache(maxsize=256)
 def _posenc(t_len, dim):
     pos = np.arange(t_len, dtype=np.float64)[:, None]
     k = np.arange(dim, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * (k // 2) / dim)
     pe = np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
-    pe.flags.writeable = False  # shared by every caller of the cache
     return pe
 
 
