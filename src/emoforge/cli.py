@@ -20,11 +20,12 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     InvalidLabelError,
+    ShapeError,
     UndefinedMetricError,
 )
 
-_DATA_ERRORS = (FormatError, InvalidInputError, DegenerateInputError,
-                InvalidLabelError, UndefinedMetricError, InsufficientDataError)
+_DATA_ERRORS = (FormatError, InvalidInputError, DegenerateInputError, InvalidLabelError,
+                ShapeError, UndefinedMetricError, InsufficientDataError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,11 +138,10 @@ def _cmd_gen_data(args):
 def _cmd_train_align(args):
     seed = args.seed if args.seed is not None else _default_seed()
     dataset = _load_dataset(args.data)
-    samples = epalign.samples_from_utterances(dataset)
     config = epalign.AlignTrainConfig(batch=args.batch, epochs=args.epochs, lr=args.lr,
                                       seed=seed, modalities=_parse_modalities(args.modalities),
                                       anchor=args.anchor)
-    params, curve = epalign.train_epalign(samples, config)
+    params, curve = epalign.train_epalign(dataset, config)
     epalign.save_epalign(params, args.out)
     print("trained %d epochs, loss %.4f -> %.4f, checkpoint %s"
           % (len(curve), curve[0], curve[-1], args.out))
@@ -151,9 +151,8 @@ def _cmd_train_align(args):
 def _cmd_eval_align(args):
     params = epalign.load_epalign(args.ckpt)
     dataset = _load_dataset(args.data)
-    samples = epalign.samples_from_utterances(dataset)
     modalities = _parse_modalities(args.modalities) if args.modalities else None
-    report = epalign.eval_alignment(params, samples, modalities)
+    report = epalign.eval_alignment(params, dataset, modalities)
     print("macro F1: %.4f  accuracy: %.4f" % (report["macro_f1"], report["accuracy"]))
     print("confusion (rows = true class):")
     for row in report["confusion"]:
@@ -192,7 +191,11 @@ def _emotion_embedding(args, align):
         raise FormatError("bad feature file %s: %s" % (args.ref_features, e))
     if not isinstance(raw, dict):
         raise FormatError("feature file must be a JSON object of modality -> vector")
-    features = {k: np.asarray(v, dtype=np.float64) for k, v in raw.items()}
+    try:
+        features = {k: np.asarray(v, dtype=np.float64) for k, v in raw.items()}
+    except (TypeError, ValueError) as e:
+        raise FormatError("feature file %s: not a numeric vector per modality (%s)"
+                          % (args.ref_features, e))
     return epalign.align_infer(features, align).u_emo
 
 
@@ -218,9 +221,11 @@ def _read_pairs(path):
                 row = json.loads(line)
             except json.JSONDecodeError:
                 raise FormatError("bad pairs line %d in %s" % (lineno, path))
+            if not isinstance(row, dict):
+                raise FormatError("pairs line %d in %s is not a JSON object" % (lineno, path))
             for key in ("id", "ref", "syn", "ref_text", "hyp_text"):
-                if key not in row:
-                    raise FormatError("pairs line %d is missing %r" % (lineno, key))
+                if not isinstance(row.get(key), str):
+                    raise FormatError("pairs line %d needs a string %r" % (lineno, key))
             pairs.append(row)
     if not pairs:
         raise FormatError("empty pairs file %s" % path)
@@ -278,11 +283,10 @@ def main(argv=None):
     try:
         return _COMMANDS[args.cmd](args)
     except ConfigError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 1
+        code, exc = 1, e
+    except UnicodeDecodeError as e:  # any text input: manifest, pairs, scores, features
+        code, exc = 2, FormatError("input is not UTF-8 text: %s" % e)
     except _DATA_ERRORS as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
-    except OSError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
+        code, exc = 2, e
+    sys.stderr.write("error: %s\n" % exc)
+    return code

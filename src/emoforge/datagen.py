@@ -104,14 +104,6 @@ class Utterance:
                 raise InvalidInputError("utterance features must be finite")
 
 
-def emotion_name(class_id, n_classes=5):
-    if not 0 <= class_id < n_classes:
-        raise InvalidLabelError("emotion class %r out of range [0, %d)" % (class_id, n_classes))
-    if class_id < len(EMOTIONS):
-        return EMOTIONS[class_id]
-    return "emotion%d" % class_id
-
-
 def emotion_id(name):
     if name not in EMOTIONS:
         raise InvalidLabelError("unknown emotion %r (known: %s)" % (name, ", ".join(EMOTIONS)))
@@ -254,6 +246,7 @@ def gen_corpus(config, out_dir):
 
 def load_manifest(path):
     utts = []
+    want = None  # feature shapes of the first line; every line must match them
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -261,15 +254,22 @@ def load_manifest(path):
                 continue
             try:
                 row = json.loads(line)
-                utts.append(Utterance(
+                u = Utterance(
                     id=row["id"], text=row["text"], emotion=int(row["emotion"]),
                     speaker=int(row["speaker"]), wav_path=row["wav"],
                     durations=[int(d) for d in row["durations"]],
                     feat_vis=row["feat_vis"], feat_audio=row["feat_audio"],
                     feat_text=row["feat_text"],
-                ))
+                )
             except (KeyError, ValueError, TypeError) as e:
                 raise FormatError("bad manifest line %d in %s: %s" % (lineno, path, e))
+            shapes = [x.shape for x in (u.feat_vis, u.feat_audio, u.feat_text)]
+            want = want or shapes
+            if shapes != want or any(len(s) != 1 or s[0] < 1 for s in shapes):
+                raise FormatError("bad manifest line %d in %s: feature shapes %s, want non-empty "
+                                  "vectors shaped as on the first line %s"
+                                  % (lineno, path, shapes, want))
+            utts.append(u)
     if not utts:
         raise FormatError("empty manifest: %s" % path)
     return utts

@@ -12,11 +12,11 @@ Every forward runs through the autodiff Tensor graph, training and
 inference alike, so the two paths cannot drift apart.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import checkpoint
 from .autodiff import AdamState, ParamLayout, adam_step, constant, grad, log_softmax_rows
 from .errors import (
     ConfigError,
@@ -31,31 +31,7 @@ from .numeric import rng_stream
 MODALITIES = ("vis", "audio", "tex")
 MAX_TEMPERATURE = 100.0
 
-_FEAT_ATTR = {"vis": "vision_feat", "audio": "audio_feat", "tex": "text_feat"}
-
-
-@dataclass
-class MultimodalSample:
-    vision_feat: np.ndarray
-    audio_feat: np.ndarray
-    text_feat: np.ndarray
-    emotion_label: int
-
-    def __post_init__(self):
-        self.vision_feat = np.asarray(self.vision_feat, dtype=np.float64)
-        self.audio_feat = np.asarray(self.audio_feat, dtype=np.float64)
-        self.text_feat = np.asarray(self.text_feat, dtype=np.float64)
-        for f in (self.vision_feat, self.audio_feat, self.text_feat):
-            if not np.all(np.isfinite(f)):
-                raise InvalidInputError("sample features must be finite")
-
-
-def samples_from_utterances(utts):
-    return [
-        MultimodalSample(vision_feat=u.feat_vis, audio_feat=u.feat_audio,
-                         text_feat=u.feat_text, emotion_label=u.emotion)
-        for u in utts
-    ]
+_FEAT_ATTR = {"vis": "feat_vis", "audio": "feat_audio", "tex": "feat_text"}
 
 
 @dataclass
@@ -121,13 +97,6 @@ def init_epalign(d_vis=64, d_audio=64, d_tex=64, hidden=64, embed=32,
 # Forward graph pieces (Tensor in, Tensor out)
 # ---------------------------------------------------------------------------
 
-def _blocks_of(params, theta_t=None):
-    src = params.theta if theta_t is None else theta_t
-    if isinstance(src, np.ndarray):
-        src = constant(src)
-    return params.layout.unpack(src)
-
-
 def _encode_t(blocks, x_t, mu):
     h = (x_t @ blocks["enc_%s_w1" % mu] + blocks["enc_%s_b1" % mu]).tanh()
     return h @ blocks["enc_%s_w2" % mu] + blocks["enc_%s_b2" % mu]
@@ -152,71 +121,9 @@ def _sym_ce_t(logits):
     return -(row.mean()) - (col.mean())
 
 
-# ---------------------------------------------------------------------------
-# Public single-step operations
-# ---------------------------------------------------------------------------
-
 def _check_modality(modality):
     if modality not in MODALITIES:
         raise InvalidInputError("unknown modality %r (known: %s)" % (modality, ", ".join(MODALITIES)))
-
-
-def encode_modality(x, modality, params):
-    """Run one modality encoder: f_mu = MLP(x), tanh hidden. Accepts a single
-    vector or a batch of rows."""
-    _check_modality(modality)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    want = params.dims["d_" + modality]
-    if x2.ndim != 2 or x2.shape[1] != want:
-        raise ShapeError("expected %s features of dim %d, got shape %s" % (modality, want, x.shape))
-    out = _encode_t(_blocks_of(params), constant(x2), modality).data
-    return out[0] if single else out
-
-
-def project_implicit(f_mu, modality, params):
-    """u_mu = f_mu @ W(mu->shared)."""
-    _check_modality(modality)
-    f = np.asarray(f_mu, dtype=np.float64)
-    single = f.ndim == 1
-    f2 = f[None, :] if single else f
-    if f2.shape[1] != params.dims["embed"]:
-        raise ShapeError("expected embed dim %d, got %s" % (params.dims["embed"], f.shape))
-    out = (constant(f2) @ _blocks_of(params)["w_imp_" + modality]).data
-    return out[0] if single else out
-
-
-def project_prompt(class_id, anchor, params):
-    """u_prop = prompt_table[class] @ W(prompt->anchor modality)."""
-    _check_modality(anchor)
-    if not 0 <= class_id < params.n_classes:
-        raise InvalidLabelError("class %r out of range [0, %d)" % (class_id, params.n_classes))
-    blocks = _blocks_of(params)
-    row = blocks["prompt_table"][np.array([class_id])]
-    return (row @ blocks["w_pro_" + anchor]).data[0]
-
-
-def alignment_logits(u_exp, u_imp, t):
-    """Temperature-scaled cosine logits: exp(t) * cos(u_exp_i, u_imp_j)."""
-    a = np.asarray(u_exp, dtype=np.float64)
-    b = np.asarray(u_imp, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape or a.shape[0] < 1:
-        raise ShapeError("expected matching K x E matrices, got %s and %s" % (a.shape, b.shape))
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidInputError("embeddings must be finite")
-    return _logits_t(constant(a), constant(b), constant(np.float64(t))).data
-
-
-def alignment_loss(logits):
-    """Symmetric cross-entropy with positives on the diagonal: mean row NLL
-    of the diagonal plus mean column NLL of the diagonal."""
-    m = np.asarray(logits, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ShapeError("logits must be square, got %s" % (m.shape,))
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("logits must be finite")
-    return _sym_ce_t(constant(m)).item()
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +143,6 @@ class AlignTrainConfig:
     n_classes: int = 0  # 0 = infer from labels
 
 
-def _feat(sample, mu):
-    return getattr(sample, _FEAT_ATTR[mu])
-
-
 def _batch_loss_graph(theta_t, params, feats, labels):
     blocks = params.layout.unpack(theta_t)
     u_sum = None
@@ -252,7 +155,8 @@ def _batch_loss_graph(theta_t, params, feats, labels):
 
 
 def train_epalign(dataset, config=None):
-    """Train alignment on multimodal samples; returns (params, loss curve).
+    """Train alignment on corpus utterances (rows with `feat_vis`,
+    `feat_audio`, `feat_text` and `emotion`); returns (params, loss curve).
 
     Batches hold distinct emotion classes whenever batch size <= n_classes
     (stratified draw), which keeps the diagonal-positive contrastive target
@@ -266,14 +170,14 @@ def train_epalign(dataset, config=None):
         raise ConfigError("batch size %d out of range for %d samples" % (config.batch, len(dataset)))
     if config.epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    labels = np.array([s.emotion_label for s in dataset])
+    labels = np.array([u.emotion for u in dataset])
     n_classes = config.n_classes or int(labels.max()) + 1
     if labels.min() < 0 or labels.max() >= n_classes:
         raise InvalidLabelError("labels must lie in [0, %d)" % n_classes)
 
     params = init_epalign(
-        d_vis=dataset[0].vision_feat.size, d_audio=dataset[0].audio_feat.size,
-        d_tex=dataset[0].text_feat.size, hidden=config.hidden, embed=config.embed,
+        d_vis=dataset[0].feat_vis.size, d_audio=dataset[0].feat_audio.size,
+        d_tex=dataset[0].feat_text.size, hidden=config.hidden, embed=config.embed,
         n_classes=n_classes, seed=config.seed, anchor=config.anchor,
         modalities=tuple(config.modalities))
     theta = params.theta
@@ -297,7 +201,7 @@ def train_epalign(dataset, config=None):
             batches = [perm[i:i + config.batch] for i in range(0, n - config.batch + 1, config.batch)]
         for idx in batches:
             idx = np.asarray(idx)
-            feats = {mu: np.stack([_feat(dataset[i], mu) for i in idx])
+            feats = {mu: np.stack([getattr(dataset[i], _FEAT_ATTR[mu]) for i in idx])
                      for mu in params.modalities}
             blab = labels[idx]
             loss_fn = lambda th: _batch_loss_graph(th, params, feats, blab)
@@ -316,14 +220,14 @@ def train_epalign(dataset, config=None):
 
 def anchored_prompts(params):
     """All C prompt embeddings, anchored and L2-normalized (C x embed)."""
-    blocks = _blocks_of(params)
+    blocks = params.layout.unpack(constant(params.theta))
     return _l2rows_t(blocks["prompt_table"] @ blocks["w_pro_" + params.anchor]).data
 
 
 def _infer_batch(feats, params):
     """Shared inference core: dict of (N x D_mu) feature matrices in, predicted
     classes, similarity matrix and the normalized prompt table out."""
-    blocks = _blocks_of(params)
+    blocks = params.layout.unpack(constant(params.theta))
     fused = None
     for mu, x in feats.items():
         u = _l2rows_t(_encode_t(blocks, constant(x), mu) @ blocks["w_imp_" + mu])
@@ -350,6 +254,8 @@ def align_infer(features, params):
         want = params.dims["d_" + mu]
         if x.ndim != 1 or x.size != want:
             raise ShapeError("%s features must be 1-D of dim %d, got %s" % (mu, want, x.shape))
+        if not np.isfinite(x).all():
+            raise InvalidInputError("%s features must be finite" % mu)
         feats[mu] = x[None, :]
     preds, sims, prompts = _infer_batch(feats, params)
     c = int(preds[0])
@@ -386,9 +292,9 @@ def eval_alignment(params, dataset, modalities=None):
     mods = tuple(modalities) if modalities else params.modalities
     for mu in mods:
         _check_modality(mu)
-    feats = {mu: np.stack([_feat(s, mu) for s in dataset]) for mu in mods}
+    feats = {mu: np.stack([getattr(u, _FEAT_ATTR[mu]) for u in dataset]) for mu in mods}
     preds, _, _ = _infer_batch(feats, params)
-    y = np.array([s.emotion_label for s in dataset])
+    y = np.array([u.emotion for u in dataset])
     return classification_report(y, preds, params.n_classes)
 
 
@@ -397,48 +303,21 @@ def eval_alignment(params, dataset, modalities=None):
 # ---------------------------------------------------------------------------
 
 _MAGIC = "EPALIGN/1"
+_SCHEMA = {"dims": ("d_vis", "d_audio", "d_tex", "hidden", "embed"), "n_classes": "pos",
+           "anchor": "str", "modalities": "strs", "seed": "int"}
 
 
 def save_epalign(params, path):
-    payload = {
-        "magic": _MAGIC,
-        "dims": params.dims,
-        "n_classes": params.n_classes,
-        "anchor": params.anchor,
-        "modalities": list(params.modalities),
-        "seed": params.seed,
-        "theta": params.theta.tolist(),
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f)
+    checkpoint.save(path, _MAGIC, _SCHEMA, params)
 
 
 def load_epalign(path):
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except ValueError as e:
-        raise FormatError("not a valid checkpoint: %s (%s)" % (path, e))
-    if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
-        raise FormatError("bad checkpoint magic in %s (want %s)" % (path, _MAGIC))
-    try:
-        dims = payload["dims"]
-        n_classes = int(payload["n_classes"])
-        layout = ParamLayout(_block_shapes(dims, n_classes))
-        theta = np.asarray(payload["theta"], dtype=np.float64)
-        anchor, modalities = payload["anchor"], tuple(payload["modalities"])
-        seed = int(payload["seed"])
-    except KeyError as e:
-        raise FormatError("checkpoint %s missing field %s" % (path, e))
-    except (TypeError, ValueError) as e:
-        raise FormatError("checkpoint %s has a malformed field: %s" % (path, e))
-    if theta.shape != (layout.size,):
-        raise FormatError("checkpoint theta has %d values, layout wants %d"
-                          % (theta.size, layout.size))
-    if not np.isfinite(theta).all():
-        raise FormatError("checkpoint %s has non-finite parameters" % path)
-    for mu in (anchor, *modalities):
+    fields, layout, theta = checkpoint.load(
+        path, _MAGIC, _SCHEMA, lambda f: ParamLayout(_block_shapes(f["dims"], f["n_classes"])))
+    fields["modalities"] = tuple(fields["modalities"])
+    if not fields["modalities"]:
+        raise FormatError("checkpoint %s names no implicit modality" % path)
+    for mu in (fields["anchor"], *fields["modalities"]):
         if mu not in MODALITIES:
             raise FormatError("checkpoint %s names unknown modality %r" % (path, mu))
-    return EpAlignParams(theta=theta, layout=layout, dims=dims, n_classes=n_classes,
-                         anchor=anchor, modalities=modalities, seed=seed)
+    return EpAlignParams(theta=theta, layout=layout, **fields)

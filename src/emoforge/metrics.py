@@ -7,8 +7,6 @@ corpus aggregation pools WER/CER (total edits over total reference tokens)
 and reports MCD/SECS as medians.
 """
 
-import csv
-import io
 import json
 import re
 from dataclasses import dataclass
@@ -272,7 +270,6 @@ class EvalReport:
     cer: float
     mcd_median: float
     secs_median: float
-    mos: MosSummary  # or None when no ratings supplied
     n_utts: int
 
     def to_json(self):
@@ -281,23 +278,13 @@ class EvalReport:
             "cer": self.cer,
             "mcd_median": self.mcd_median,
             "secs_median": self.secs_median,
-            "mos": None if self.mos is None else {
-                "mean": self.mos.mean, "ci95": self.mos.half_width_95, "n": self.mos.n},
+            "mos": None,  # opinion scores are aggregated by `emoforge mos`
             "n_utts": self.n_utts,
             "utterances": [
                 {k: u[k] for k in ("id", "wer", "cer", "mcd", "secs")} for u in self.utterances
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["id", "wer", "cer", "mcd", "secs"])
-        for u in self.utterances:
-            writer.writerow([u["id"], "%.6f" % u["wer"], "%.6f" % u["cer"],
-                             "%.6f" % u["mcd"], "%.6f" % u["secs"]])
-        return buf.getvalue()
 
 
 def utterance_metrics(utt_id, ref_wav, syn_wav, ref_text, hyp_text):
@@ -323,7 +310,7 @@ def utterance_metrics(utt_id, ref_wav, syn_wav, ref_text, hyp_text):
     }
 
 
-def aggregate_report(per_utt, mos_scores=None):
+def aggregate_report(per_utt):
     """Fold per-utterance metric dicts into an EvalReport.
 
     WER/CER are pooled (total edits / total reference tokens); MCD and SECS
@@ -337,6 +324,5 @@ def aggregate_report(per_utt, mos_scores=None):
         cer=sum(u["char_edits"] for u in per_utt) / sum(u["char_count"] for u in per_utt),
         mcd_median=float(np.median([u["mcd"] for u in per_utt])),
         secs_median=float(np.median([u["secs"] for u in per_utt])),
-        mos=None if mos_scores is None else mos_aggregate(mos_scores),
         n_utts=len(per_utt),
     )

@@ -14,11 +14,11 @@ initialized from its own named stream), so with neutralized conditioning
 parameters "vits" and "fastspeech" are frame-for-frame interchangeable.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import checkpoint
 from .autodiff import ParamLayout, AdamState, adam_step, constant, concat, grad
 from .conditioning import (
     attention_block_shapes,
@@ -311,42 +311,21 @@ def train_tts(dataset, prompts, variant, config=None):
 
 # -- checkpointing ------------------------------------------------------------
 
+_SCHEMA = {"variant": "str",
+           "dims": ("char_dim", "embed", "n_speakers", "dec_hidden", "gate"), "seed": "int"}
+
+
 def save_tts(params, path):
-    payload = {
-        "magic": CKPT_MAGIC,
-        "variant": params.variant,
-        "dims": params.dims,
-        "seed": params.seed,
-        "theta": params.theta.tolist(),
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f)
+    checkpoint.save(path, CKPT_MAGIC, _SCHEMA, params)
+
+
+def _checkpoint_layout(fields):
+    if fields["variant"] not in VARIANTS:
+        raise FormatError("unknown variant %r in checkpoint" % (fields["variant"],))
+    return ParamLayout(tts_block_shapes(fields["variant"], **fields["dims"]))
 
 
 def load_tts(path):
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise FormatError("not a TTS checkpoint: %s" % e)
-    if not isinstance(payload, dict) or payload.get("magic") != CKPT_MAGIC:
-        raise FormatError("bad checkpoint magic (want %s)" % CKPT_MAGIC)
-    if payload.get("variant") not in VARIANTS:
-        raise FormatError("unknown variant %r in checkpoint" % (payload.get("variant"),))
-    try:
-        d = payload["dims"]
-        params = init_tts(payload["variant"], embed=d["embed"], n_speakers=d["n_speakers"],
-                          seed=payload["seed"], char_dim=d["char_dim"],
-                          dec_hidden=d["dec_hidden"], gate=d["gate"])
-        theta = np.asarray(payload["theta"], dtype=np.float64)
-    except KeyError as e:
-        raise FormatError("checkpoint %s missing field %s" % (path, e))
-    except (TypeError, ValueError) as e:
-        raise FormatError("checkpoint %s has a malformed field: %s" % (path, e))
-    if theta.shape != params.theta.shape:
-        raise FormatError("checkpoint has %d parameters, layout wants %d"
-                          % (theta.size, params.theta.size))
-    if not np.isfinite(theta).all():
-        raise FormatError("checkpoint %s has non-finite parameters" % path)
-    params.theta = theta
-    return params
+    fields, layout, theta = checkpoint.load(path, CKPT_MAGIC, _SCHEMA, _checkpoint_layout)
+    return TtsParams(theta=theta, layout=layout, variant=fields["variant"],
+                     dims={**fields["dims"], "n_mels": N_MELS}, seed=fields["seed"])

@@ -1,0 +1,59 @@
+"""Every public function, class and method in src/emoforge has a caller there.
+
+A library function that only tests call is a second API to keep in step
+with the one the CLI runs. This guard parses the package with `ast` and
+fails on any public top-level function or class, or public method, whose
+name is not used anywhere in the package outside its own definition.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "emoforge"
+
+# qualified name -> why it may have no caller inside the package
+ALLOWED = {
+    "autodiff.finite_diff_check": "the reference oracle behind the finite-difference "
+                                  "check of every gradient; tests are its callers",
+    "cli._Parser.error": "argparse calls this override, not emoforge code",
+}
+
+
+def _definitions(tree, module):
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield "%s.%s" % (module, node.name), node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield "%s.%s.%s" % (module, node.name, item.name), item
+
+
+def _uses(tree):
+    """(name, line) of every name or attribute the module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def unreferenced(src=SRC):
+    trees = {p: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    uses = [(name, path, line) for path, tree in trees.items() for name, line in _uses(tree)]
+    missing = []
+    for path, tree in trees.items():
+        for qualname, node in _definitions(tree, path.stem):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (p == path and line in own)
+                       for name, p, line in uses):
+                missing.append(qualname)
+    return sorted(missing)
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert unreferenced() == sorted(ALLOWED)
+    assert all(reason.strip() for reason in ALLOWED.values())
+

@@ -9,6 +9,7 @@ import pytest
 
 from emoforge.cli import main
 from emoforge.dsp import wav_read
+from emoforge.epalign import load_epalign
 from emoforge.tts import load_tts, save_tts
 
 
@@ -135,6 +136,9 @@ def test_synth_by_name_and_features(workdir, tts_ckpt, tmp_path, capsys):
 
     assert main(["synth", "--ckpt", str(tts_ckpt), "--align-ckpt", str(workdir["align"]),
                  "--text", "hi.", "--emotion", "joyous", "--out", str(tmp_path / "x.wav")]) == 2
+    # a known emotion past the checkpoint's 3 prompt classes
+    assert main(["synth", "--ckpt", str(tts_ckpt), "--align-ckpt", str(workdir["align"]),
+                 "--text", "hi.", "--emotion", "angry", "--out", str(tmp_path / "x.wav")]) == 2
     assert main(["synth", "--ckpt", str(tts_ckpt), "--align-ckpt", str(workdir["align"]),
                  "--text", "hi.", "--emotion", "happy", "--ref-features", str(feats),
                  "--out", str(tmp_path / "x.wav")]) == 1  # mutually exclusive
@@ -214,6 +218,95 @@ def test_synth_rejects_unknown_alignment_anchor(workdir, tts_ckpt, tmp_path, cap
         bad = _edited(workdir["align"], tmp_path / "align.json", lambda p: p.update(change))
         assert _synth_exit(tts_ckpt, bad, tmp_path / "x.wav") == 2
         assert "zzz" in capsys.readouterr().err
+
+
+# -- malformed inputs: exit 2 with an error line, never a traceback -----------------
+
+def _file(path, content):
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    return str(path)
+
+
+def _synth_features(content):
+    return lambda w, tmp: ["synth", "--ckpt", str(w["tts"]), "--align-ckpt", str(w["align"]),
+                           "--text", "pack my box.", "--out", str(tmp / "x.wav"),
+                           "--ref-features", _file(tmp / "feats.json", content)]
+
+
+def _eval_pairs(content):
+    return lambda w, tmp: ["eval", "--ref-dir", str(w["data"]), "--syn-dir", str(w["data"]),
+                           "--pairs", _file(tmp / "pairs.jsonl", content),
+                           "--out", str(tmp / "r.json")]
+
+
+def _train_align_manifest(edit):
+    def argv(w, tmp):
+        lines = (w["data"] / "manifest.jsonl").read_bytes().splitlines(keepends=True)
+        (tmp / "data").mkdir()
+        _file(tmp / "data" / "manifest.jsonl", b"".join(edit(lines)))
+        return ["train-align", "--data", str(tmp / "data"), "--out", str(tmp / "a.json"),
+                "--epochs", "1", "--batch", "3"]
+    return argv
+
+
+def _vis_features(change, first=1):
+    """Manifest edit: replace feat_vis on every line from `first` on."""
+    def edit(lines):
+        rows = [json.loads(line) for line in lines]
+        for row in rows[first:]:
+            row["feat_vis"] = change(row["feat_vis"])
+        return [(json.dumps(row) + "\n").encode() for row in rows]
+    return edit
+
+
+def _one_class_as_true(payload, params):
+    # n_classes true, with theta cut to a one-class prompt table so the size fits
+    a, b = params.layout.slices["prompt_table"]
+    payload["n_classes"] = True
+    payload["theta"] = payload["theta"][:a + params.dims["embed"]] + payload["theta"][b:]
+
+
+def _eval_align_checkpoint(edit):
+    def argv(w, tmp):
+        payload = json.loads(w["align"].read_text())
+        edit(payload, load_epalign(w["align"]))
+        return ["eval-align", "--ckpt", _file(tmp / "align.json", json.dumps(payload)),
+                "--data", str(w["data"]), "--out", str(tmp / "r.json")]
+    return argv
+
+
+_PAIR = {"id": "u", "ref": "a.wav", "syn": "a.wav", "ref_text": "a", "hyp_text": "a"}
+
+MALFORMED = {
+    "features-not-numbers": _synth_features('{"vis": "abc"}'),
+    "features-dict": _synth_features('{"vis": {"a": 1.0}}'),
+    "features-ragged": _synth_features('{"vis": [[1.0, 2.0], [3.0]]}'),
+    "features-wrong-length": _synth_features('{"vis": [1.0, 2.0]}'),
+    "features-null": _synth_features(json.dumps({"vis": [None] * 64})),
+    "features-not-utf8": _synth_features(b'{"vis": "\xff"}'),
+    "pairs-number": _eval_pairs("5\n"),
+    # a string holding every key name passed the old `key in row` test
+    "pairs-string": _eval_pairs('"id ref syn ref_text hyp_text"\n'),
+    "pairs-ref-not-string": _eval_pairs(json.dumps(dict(_PAIR, ref=5)) + "\n"),
+    "pairs-not-utf8": _eval_pairs(b'{"id": "\xff"}\n'),
+    "manifest-not-utf8": _train_align_manifest(lambda lines: [b"\xff" + lines[0]] + lines[1:]),
+    "manifest-unequal-features": _train_align_manifest(_vis_features(lambda v: v[:-1])),
+    "manifest-empty-features": _train_align_manifest(_vis_features(lambda v: [], first=0)),
+    "manifest-matrix-features": _train_align_manifest(
+        _vis_features(lambda v: [v[:32], v[32:]], first=0)),
+    "scores-not-utf8": lambda w, tmp: ["mos", "--scores", _file(tmp / "s.txt", b"4.0\n\xff\n")],
+    "align-float-dims": _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64.0)),
+    "align-bool-classes": _eval_align_checkpoint(_one_class_as_true),
+    "align-no-modalities": _eval_align_checkpoint(lambda p, _: p.update(modalities=[])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(case, workdir, tts_ckpt, tmp_path, capsys):
+    argv = MALFORMED[case](dict(workdir, tts=tts_ckpt), tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_eval_reports_metrics(workdir, tmp_path, capsys):

@@ -9,7 +9,6 @@ from emoforge.datagen import (
     char_frames,
     class_directions,
     emotion_id,
-    emotion_name,
     gen_corpus,
     load_manifest,
     render_reference,
@@ -55,12 +54,10 @@ def test_config_validation():
 
 
 def test_emotion_names():
-    assert emotion_name(0) == "neutral" and emotion_name(4) == "surprise"
+    assert emotion_id("neutral") == 0 and emotion_id("surprise") == 4
     assert emotion_id("happy") == 1
     with pytest.raises(InvalidLabelError):
         emotion_id("bored")
-    with pytest.raises(InvalidLabelError):
-        emotion_name(7)
 
 
 def test_durations_table():

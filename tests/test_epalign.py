@@ -5,24 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from emoforge.autodiff import finite_diff_check
+from emoforge.autodiff import constant, finite_diff_check
 from emoforge.datagen import CorpusConfig, gen_corpus
 from emoforge.epalign import (
     AlignTrainConfig,
     align_infer,
-    alignment_logits,
-    alignment_loss,
+    anchored_prompts,
     classification_report,
-    encode_modality,
     eval_alignment,
     init_epalign,
     load_epalign,
-    project_implicit,
-    project_prompt,
-    samples_from_utterances,
     save_epalign,
     train_epalign,
     _batch_loss_graph,
+    _infer_batch,
+    _sym_ce_t,
 )
 from emoforge.errors import (
     ConfigError,
@@ -49,81 +46,139 @@ def _with_blocks(params, **overrides):
     return params
 
 
+def _tex_model(d=4, n_classes=4, **overrides):
+    """Text-only model: encoder f = tanh(x), identity projections, prompt rows
+    e_0..e_{C-1}. Each similarity row inference returns is then the implicit
+    embedding u = f @ W_imp, normalized; `overrides` replace blocks."""
+    p = _tiny_params(d_vis=d, d_audio=d, d_tex=d, hidden=d, embed=d, n_classes=n_classes,
+                     modalities=("tex",))
+    eye = np.eye(d)
+    blocks = dict(enc_tex_w1=eye, enc_tex_b1=np.zeros(d), enc_tex_w2=eye,
+                  enc_tex_b2=np.zeros(d), w_imp_tex=eye, w_pro_tex=eye,
+                  prompt_table=np.eye(n_classes, d))
+    blocks.update(overrides)
+    return _with_blocks(p, **blocks)
+
+
+def _sims(params, x):
+    return _infer_batch({"tex": np.atleast_2d(x)}, params)[1]
+
+
+def _loss(params, x, labels):
+    """The loss the trainer differentiates, at the model's own parameters."""
+    return _batch_loss_graph(constant(params.theta), params, {"tex": x}, labels).item()
+
+
+def _sym_ce(logits):
+    """Symmetric cross-entropy of a plain logit matrix, as the trainer computes it."""
+    return _sym_ce_t(constant(np.asarray(logits, dtype=np.float64))).item()
+
+
+def _sym_ce_oracle(logits):
+    """Mean row NLL plus mean column NLL of the diagonal, in plain numpy."""
+    def nll(m):
+        m = m - m.max(axis=1, keepdims=True)
+        return -np.mean(np.diag(m) - np.log(np.exp(m).sum(axis=1)))
+    return nll(logits) + nll(logits.T)
+
+
 @pytest.fixture(scope="module")
 def corpus():
     import tempfile
     with tempfile.TemporaryDirectory() as d:
         utts = gen_corpus(CorpusConfig(samples_per_class=40, seed=7), d)
-    samples = samples_from_utterances(utts)
     rng = rng_stream(7, "split")
-    perm = rng.permutation(len(samples))
-    return [samples[i] for i in perm[:160]], [samples[i] for i in perm[160:]]
+    perm = rng.permutation(len(utts))
+    return [utts[i] for i in perm[:160]], [utts[i] for i in perm[160:]]
 
 
-# -- encoders and projections ---------------------------------------------------
+# -- encoders and projections, through inference and the training loss ------------
 
 def test_encode_zero_params_gives_zero():
-    p = _tiny_params()
-    p.theta = np.zeros_like(p.theta)
-    assert np.array_equal(encode_modality(np.ones(4), "vis", p), np.zeros(4))
+    # zero encoder weights put every sample at the origin, which neither
+    # inference nor the training loss will normalize
+    p = _tiny_params(modalities=("vis",))
+    p = _with_blocks(p, **{k: np.zeros(shape) for k, shape in p.layout.shapes.items()
+                           if k.startswith("enc_vis_")})
+    with pytest.raises(DegenerateInputError):
+        align_infer({"vis": np.ones(4)}, p)
+    with pytest.raises(DegenerateInputError):
+        _batch_loss_graph(constant(p.theta), p, {"vis": np.ones((3, 4))}, np.arange(3))
 
 
 def test_encode_identity_config_is_tanh():
     # identity weights, zero biases: f = tanh(x @ I) @ I = tanh(x)
-    p = _with_blocks(_tiny_params(), enc_tex_w1=np.eye(4), enc_tex_b1=np.zeros(4),
-                     enc_tex_w2=np.eye(4), enc_tex_b2=np.zeros(4))
+    p = _tex_model()
     x = np.array([0.5, -1.0, 2.0, 0.0])
-    assert np.allclose(encode_modality(x, "tex", p), np.tanh(x), atol=1e-12)
+    assert np.allclose(_sims(p, x)[0], np.tanh(x) / np.linalg.norm(np.tanh(x)), atol=1e-12)
 
 
 def test_encode_batch_and_errors():
     p = _tiny_params()
     x = rng_stream(7, "enc").standard_normal((6, 4))
-    out = encode_modality(x, "audio", p)
-    assert out.shape == (6, 4)
+    _, sims, _ = _infer_batch({"audio": x}, p)
+    assert sims.shape == (6, 3)
     # batched BLAS and single-row matmul may round differently in the last ulp
-    assert np.allclose(out[2], encode_modality(x[2], "audio", p), atol=1e-12)
+    single = align_infer({"audio": x[2]}, p).per_class_similarity
+    assert np.allclose(sims[2], single, atol=1e-12)
     with pytest.raises(ShapeError):
-        encode_modality(np.ones(5), "audio", p)
+        align_infer({"audio": np.ones(5)}, p)
     with pytest.raises(InvalidInputError):
-        encode_modality(np.ones(4), "video", p)
+        align_infer({"video": np.ones(4)}, p)
 
 
 def test_project_implicit_identity_zero_and_hand_case():
-    p = _with_blocks(_tiny_params(), w_imp_vis=np.eye(4))
+    # a constant encoder (zero weights, output bias f) isolates u = f @ W_imp
     f = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(project_implicit(f, "vis", p), f)
-    p2 = _with_blocks(_tiny_params(), w_imp_vis=np.zeros((4, 4)))
-    assert np.array_equal(project_implicit(f, "vis", p2), np.zeros(4))
+    const = dict(enc_tex_w2=np.zeros((4, 4)), enc_tex_b2=f)
+    assert np.allclose(_sims(_tex_model(**const), np.ones(4))[0], f / np.linalg.norm(f),
+                       atol=1e-12)
+    with pytest.raises(DegenerateInputError):
+        _sims(_tex_model(w_imp_tex=np.zeros((4, 4)), **const), np.ones(4))
 
-    p3 = _tiny_params(d_vis=2, d_audio=2, d_tex=2, hidden=2, embed=2)
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    p3 = _with_blocks(p3, w_imp_audio=w)
-    got = project_implicit(np.array([5.0, 6.0]), "audio", p3)
-    assert np.allclose(got, np.array([5 * 1 + 6 * 3, 5 * 2 + 6 * 4]))
+    p = _tex_model(d=2, n_classes=2, enc_tex_w2=np.zeros((2, 2)),
+                   enc_tex_b2=np.array([5.0, 6.0]), w_imp_tex=w)
+    u = np.array([5 * 1 + 6 * 3, 5 * 2 + 6 * 4])
+    assert np.allclose(_sims(p, np.ones(2))[0], u / np.linalg.norm(u), atol=1e-12)
 
 
-def test_project_prompt_identity_and_errors():
+def test_project_prompt_identity_and_errors(corpus):
     p = _with_blocks(_tiny_params(), w_pro_tex=np.eye(4))
     table = p.layout.unpack(p.theta)["prompt_table"]
-    assert np.allclose(project_prompt(1, "tex", p), table[1])
+    prompts = anchored_prompts(p)
+    assert prompts.shape == (3, 4)
+    assert np.allclose(prompts[1], table[1] / np.linalg.norm(table[1]))
     # different anchors use different matrices
-    assert not np.allclose(project_prompt(1, "tex", p), project_prompt(1, "vis", p))
+    p.anchor = "vis"
+    assert not np.allclose(anchored_prompts(p)[1], prompts[1])
+    # training refuses labels outside the prompt table
     with pytest.raises(InvalidLabelError):
-        project_prompt(3, "tex", p)
+        train_epalign(corpus[0], AlignTrainConfig(batch=3, epochs=1, n_classes=3))
 
 
 # -- logits and loss ---------------------------------------------------------------
 
 def test_alignment_logits_orthonormal_identity():
-    u = np.eye(3, 4)  # orthonormal rows
-    assert np.allclose(alignment_logits(u, u, 0.0), np.eye(3), atol=1e-12)
+    # text embeddings 0.5 e_i against prompt rows e_i: the cosines are the
+    # identity, and so are the logits at log_t = 0
+    p = _tex_model(n_classes=3)
+    p.theta[p.layout.offset("log_t")] = 0.0
+    x = np.arctanh(0.5 * np.eye(3, 4))
+    assert np.allclose(_sims(p, x), np.eye(3), atol=1e-12)
+    assert abs(_loss(p, x, np.arange(3)) - _sym_ce_oracle(np.eye(3))) < 1e-12
 
 
 def test_alignment_logits_temperature_scale():
-    u = np.array([[3.0, 4.0]])
-    logits = alignment_logits(u, 2.0 * u, np.log(100.0))
-    assert abs(logits[0, 0] - 100.0) < 1e-9
+    # rows at cosine 0.99 give logits exp(log_t) * [[1, .99], [.99, 1]]; at
+    # log_t = ln 100 that is [[100, 99], [99, 100]], and each side's
+    # diagonal NLL is ln(1 + e^-1)
+    c = 0.99
+    rows = np.array([[1.0, 0.0], [c, np.sqrt(1.0 - c * c)]])
+    p = _tex_model(d=2, n_classes=2, prompt_table=3.0 * rows)
+    p.theta[p.layout.offset("log_t")] = np.log(100.0)
+    loss = _loss(p, np.arctanh(0.5 * rows), np.arange(2))
+    assert abs(loss - 2.0 * np.log1p(np.exp(-1.0))) < 1e-9
 
 
 def test_alignment_logits_matches_cosine_oracle():
@@ -131,43 +186,44 @@ def test_alignment_logits_matches_cosine_oracle():
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((3, 4))
     t = 0.7
-    got = alignment_logits(a, b, t)
+    # prompt rows a are u_exp; text embeddings b (scaled into tanh's range) are u_imp
+    p = _tex_model(n_classes=3, prompt_table=a)
+    p.theta[p.layout.offset("log_t")] = t
+    x = np.arctanh(0.5 * b / np.abs(b).max())
+    want = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
-            want = np.exp(t) * (a[i] @ b[j]) / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
-            assert abs(got[i, j] - want) < 1e-12
-    assert np.all(np.abs(got) <= np.exp(t) + 1e-12)
+            want[i, j] = np.exp(t) * (a[i] @ b[j]) / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
+    sims = _sims(p, x)
+    assert np.all(np.abs(sims - want.T / np.exp(t)) < 1e-12)
+    assert np.all(np.abs(sims) <= 1.0 + 1e-12)
+    assert abs(_loss(p, x, np.arange(3)) - _sym_ce_oracle(want)) < 1e-12
 
 
 def test_alignment_logits_rejects_zero_row():
-    a = np.array([[1.0, 0.0], [0.0, 0.0]])
+    p = _tex_model(d=2, n_classes=2, prompt_table=np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(DegenerateInputError):
-        alignment_logits(a, np.ones((2, 2)), 0.0)
+        _loss(p, np.ones((2, 2)), np.arange(2))
+    with pytest.raises(DegenerateInputError):
+        anchored_prompts(p)
 
 
 def test_alignment_loss_closed_forms():
-    assert alignment_loss(np.array([[123.0]])) == pytest.approx(0.0, abs=1e-12)
+    assert _sym_ce(np.array([[123.0]])) == pytest.approx(0.0, abs=1e-12)
     for k in (2, 4, 16):
-        assert abs(alignment_loss(np.full((k, k), 3.3)) - 2.0 * np.log(k)) < 1e-10
+        assert abs(_sym_ce(np.full((k, k), 3.3)) - 2.0 * np.log(k)) < 1e-10
     big = np.full((8, 8), -50.0)
     np.fill_diagonal(big, 50.0)
-    assert alignment_loss(big) < 1e-10
+    assert _sym_ce(big) < 1e-10
 
 
 def test_alignment_loss_symmetry_and_permutation():
     rng = rng_stream(7, "loss")
     logits = rng.standard_normal((5, 5))
-    assert abs(alignment_loss(logits) - alignment_loss(logits.T)) < 1e-12
+    assert abs(_sym_ce(logits) - _sym_ce(logits.T)) < 1e-12
     perm = rng.permutation(5)
     permuted = logits[np.ix_(perm, perm)]
-    assert abs(alignment_loss(logits) - alignment_loss(permuted)) < 1e-12
-
-
-def test_alignment_loss_input_errors():
-    with pytest.raises(ShapeError):
-        alignment_loss(np.zeros((2, 3)))
-    with pytest.raises(InvalidInputError):
-        alignment_loss(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    assert abs(_sym_ce(logits) - _sym_ce(permuted)) < 1e-12
 
 
 def test_batch_loss_gradient_matches_finite_differences():
@@ -252,7 +308,7 @@ def test_align_infer_temperature_invariant(corpus):
     train, test = corpus
     params, _ = train_epalign(train, AlignTrainConfig(batch=5, epochs=5, lr=1e-2, seed=3))
     sample = test[0]
-    feats = {"vis": sample.vision_feat, "audio": sample.audio_feat, "tex": sample.text_feat}
+    feats = {"vis": sample.feat_vis, "audio": sample.feat_audio, "tex": sample.feat_text}
     before = align_infer(feats, params)
     params.theta[params.layout.offset("log_t")] = 0.123
     after = align_infer(feats, params)
@@ -268,6 +324,8 @@ def test_align_infer_input_errors():
         align_infer({"vis": np.ones(9)}, p)
     with pytest.raises(InvalidInputError):
         align_infer({"speech": np.ones(4)}, p)
+    with pytest.raises(InvalidInputError):
+        align_infer({"vis": [1.0, np.nan, 0.0, 0.0]}, p)
 
 
 # -- evaluation ---------------------------------------------------------------------------
@@ -295,7 +353,7 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     assert np.array_equal(back.theta, params.theta)
     assert back.anchor == params.anchor and back.n_classes == params.n_classes
     sample = test[0]
-    feats = {"tex": sample.text_feat}
+    feats = {"tex": sample.feat_text}
     a = align_infer(feats, params)
     b = align_infer(feats, back)
     assert a.predicted_class == b.predicted_class
