@@ -298,6 +298,9 @@ def finite_diff_check(loss_fn, params, epsilon=1e-3):
     return GradCheckReport(max_rel_error=worst_err, worst_param_index=worst_idx)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
@@ -309,20 +312,18 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), t=0)
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr):
     """One Adam update. Pure: returns (new_params, new_state)."""
     p = np.asarray(params, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
     if p.shape != g.shape:
         raise ShapeError("params shape %s != grads shape %s" % (p.shape, g.shape))
-    if state is None:
-        state = AdamState.zeros(p.size)
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    new_p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_p, AdamState(m=m, v=v, t=t)
 
 

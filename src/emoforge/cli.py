@@ -187,7 +187,7 @@ def _emotion_embedding(args, align):
     try:
         with open(args.ref_features) as f:
             raw = json.load(f)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise FormatError("bad feature file %s: %s" % (args.ref_features, e))
     if not isinstance(raw, dict):
         raise FormatError("feature file must be a JSON object of modality -> vector")
@@ -219,7 +219,7 @@ def _read_pairs(path):
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 raise FormatError("bad pairs line %d in %s" % (lineno, path))
             if not isinstance(row, dict):
                 raise FormatError("pairs line %d in %s is not a JSON object" % (lineno, path))

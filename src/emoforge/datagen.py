@@ -9,15 +9,16 @@ against, so everything here is exactly reproducible from the seed.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import HOP, Waveform, wav_write
+from .dsp import HOP, SAMPLE_RATE, Waveform, wav_write
 from .errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
 from .numeric import rng_stream
 
 EMOTIONS = ("neutral", "happy", "sad", "angry", "surprise")
+FEATURE_DIM = 64  # length of each modality's feature vector
 
 # base fundamental per speaker; roughly bass / tenor / alto / soprano
 _SPEAKER_F0 = (110.0, 146.0, 196.0, 246.0)
@@ -60,9 +61,6 @@ class CorpusConfig:
     n_classes: int = 5
     n_speakers: int = 4
     samples_per_class: int = 200
-    d_vis: int = 64
-    d_audio: int = 64
-    d_text: int = 64
     separation: float = 4.0
     noise_std: float = 1.0
     seed: int = 42
@@ -72,13 +70,13 @@ class CorpusConfig:
             raise ConfigError("need at least 2 emotion classes")
         if self.n_speakers < 1 or self.samples_per_class < 1:
             raise ConfigError("need at least one speaker and one sample per class")
-        if self.separation <= 0:
-            raise ConfigError("separation must be positive")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
-        if self.n_classes > min(self.d_vis, self.d_audio, self.d_text):
+        if not (np.isfinite(self.separation) and self.separation > 0):
+            raise ConfigError("separation must be finite and positive")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigError("noise_std must be finite and non-negative")
+        if self.n_classes > FEATURE_DIM:
             raise ConfigError("cannot orthogonalize %d class directions in dim %d"
-                              % (self.n_classes, min(self.d_vis, self.d_audio, self.d_text)))
+                              % (self.n_classes, FEATURE_DIM))
 
 
 @dataclass
@@ -137,7 +135,7 @@ def _emotion_render_params(class_id):
     return (1.0 + 0.06 * (class_id - 4), lambda p: 1.0, 0.5)
 
 
-def render_reference(text, emotion, speaker, config=None, sample_rate=16000):
+def render_reference(text, emotion, speaker):
     """Render reference audio: one harmonic tone segment per character.
 
     Speaker sets base F0 and timbre; emotion sets the F0 multiplier, the
@@ -146,9 +144,8 @@ def render_reference(text, emotion, speaker, config=None, sample_rate=16000):
     """
     if not text:
         raise InvalidInputError("cannot render empty text")
-    n_classes = config.n_classes if config is not None else max(5, emotion + 1)
-    if not 0 <= emotion < n_classes:
-        raise InvalidLabelError("emotion class %r out of range [0, %d)" % (emotion, n_classes))
+    if emotion < 0:
+        raise InvalidLabelError("emotion class must be non-negative")
     if speaker < 0:
         raise InvalidLabelError("speaker id must be non-negative")
 
@@ -160,7 +157,7 @@ def render_reference(text, emotion, speaker, config=None, sample_rate=16000):
 
     segments = []
     n_chars = len(text)
-    fade = int(0.008 * sample_rate)
+    fade = int(0.008 * SAMPLE_RATE)
     for k, ch in enumerate(text):
         n = char_frames(ch) * HOP
         if ch in " .":
@@ -169,7 +166,7 @@ def render_reference(text, emotion, speaker, config=None, sample_rate=16000):
         p = k / max(1, n_chars - 1)
         # per-character pitch offset keeps different texts spectrally distinct
         f = f0 * mult * contour(p) * 2.0 ** ((ord(ch) - ord("m")) / 52.0)
-        t = np.arange(n) / sample_rate
+        t = np.arange(n) / SAMPLE_RATE
         seg = np.zeros(n)
         for h, a in parts:
             if f * h < 7600.0:  # keep partials below Nyquist
@@ -178,7 +175,7 @@ def render_reference(text, emotion, speaker, config=None, sample_rate=16000):
         seg[:fade] *= ramp
         seg[-fade:] *= ramp[::-1]
         segments.append(amp * seg)
-    return Waveform(samples=np.concatenate(segments), sample_rate=sample_rate)
+    return Waveform(samples=np.concatenate(segments), sample_rate=SAMPLE_RATE)
 
 
 def class_directions(rng, n_classes, dim):
@@ -205,13 +202,13 @@ def gen_corpus(config, out_dir):
     wav_dir = os.path.join(out_dir, "wav")
     os.makedirs(wav_dir, exist_ok=True)
 
-    dims = {"vis": config.d_vis, "audio": config.d_audio, "text": config.d_text}
+    modalities = ("vis", "audio", "text")
     centers = {
         mu: config.separation * class_directions(rng_stream(config.seed, "datagen:dirs:" + mu),
-                                                 config.n_classes, dim)
-        for mu, dim in dims.items()
+                                                 config.n_classes, FEATURE_DIM)
+        for mu in modalities
     }
-    feat_rng = {mu: rng_stream(config.seed, "datagen:feats:" + mu) for mu in dims}
+    feat_rng = {mu: rng_stream(config.seed, "datagen:feats:" + mu) for mu in modalities}
 
     utts = []
     for c in range(config.n_classes):
@@ -220,12 +217,12 @@ def gen_corpus(config, out_dir):
             speaker = s % config.n_speakers
             text = _TEXT_POOL[(s // config.n_speakers) % len(_TEXT_POOL)]
             feats = {
-                mu: centers[mu][c] + config.noise_std * feat_rng[mu].standard_normal(dims[mu])
-                for mu in dims
+                mu: centers[mu][c] + config.noise_std * feat_rng[mu].standard_normal(FEATURE_DIM)
+                for mu in modalities
             }
             utt_id = "utt_%05d" % idx
             wav_rel = os.path.join("wav", utt_id + ".wav")
-            wav_write(os.path.join(out_dir, wav_rel), render_reference(text, c, speaker, config))
+            wav_write(os.path.join(out_dir, wav_rel), render_reference(text, c, speaker))
             utts.append(Utterance(
                 id=utt_id, text=text, emotion=c, speaker=speaker, wav_path=wav_rel,
                 durations=text_durations(text),
@@ -261,7 +258,7 @@ def load_manifest(path):
                     feat_vis=row["feat_vis"], feat_audio=row["feat_audio"],
                     feat_text=row["feat_text"],
                 )
-            except (KeyError, ValueError, TypeError) as e:
+            except (KeyError, ValueError, TypeError, RecursionError) as e:
                 raise FormatError("bad manifest line %d in %s: %s" % (lineno, path, e))
             shapes = [x.shape for x in (u.feat_vis, u.feat_audio, u.feat_text)]
             want = want or shapes

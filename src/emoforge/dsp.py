@@ -1,9 +1,10 @@
 """Signal-processing substrate: WAV I/O, STFT/ISTFT, log-mel spectrograms,
 mel cepstra and Griffin-Lim phase reconstruction.
 
-All audio is mono float64 in [-1, 1]. Defaults (16 kHz, FFT 512, hop 128,
-40 mel bands to 8 kHz, Hann window) are shared by the synthesis pipeline
-and the evaluation metrics so that spectra line up without resampling.
+All audio is mono float64 in [-1, 1]. One fixed front end (FFT 512, hop
+128, periodic Hann window, 40 mel bands to 8 kHz) is shared by the
+synthesis pipeline and the evaluation metrics, so spectra line up without
+resampling; the pipeline renders and synthesizes at 16 kHz.
 """
 
 import struct
@@ -22,6 +23,9 @@ N_MELS = 40
 FMIN = 0.0
 FMAX = 8000.0
 LOG_FLOOR = 1e-10
+# Periodic Hann: satisfies COLA at hop = N_FFT/4, unlike the symmetric variant.
+WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)
+WINDOW.flags.writeable = False
 
 
 @dataclass
@@ -39,7 +43,6 @@ class Waveform:
 class MelSpectrogram:
     frames: np.ndarray  # T x n_mels, log scale
     sample_rate: int
-    hop: int
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -125,61 +128,44 @@ def wav_read(path):
 # STFT / ISTFT
 # ---------------------------------------------------------------------------
 
-def hann_window(n):
-    # Periodic Hann: satisfies COLA at hop = n/4, unlike the symmetric variant.
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def stft(w, n_fft=N_FFT, hop=HOP, window=None):
+def stft(w):
     """Short-time Fourier transform with centered frames.
 
-    The signal is reflect-padded by n_fft//2 on both sides, so frame t is
-    centered on sample t*hop. Returns a complex (T, n_fft//2 + 1) array with
-    T = 1 + (padded_length - n_fft) // hop.
+    The signal is reflect-padded by N_FFT//2 on both sides, so frame t is
+    centered on sample t*HOP. Returns a complex (T, N_FFT//2 + 1) array with
+    T = 1 + (padded_length - N_FFT) // HOP.
     """
-    if n_fft & (n_fft - 1):
-        raise InvalidInputError("n_fft must be a power of two")
-    if hop > n_fft:
-        raise InvalidInputError("hop must not exceed n_fft")
     x = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
-    pad = n_fft // 2
+    pad = N_FFT // 2
     if x.size <= pad:
         raise InvalidInputError("signal too short: %d samples < %d" % (x.size, pad + 1))
-    win = hann_window(n_fft) if window is None else np.asarray(window, dtype=np.float64)
     x = np.pad(x, pad, mode="reflect")
-    n_frames = 1 + (x.size - n_fft) // hop
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
-    return np.fft.rfft(x[idx] * win[None, :], axis=1)
+    n_frames = 1 + (x.size - N_FFT) // HOP
+    idx = np.arange(N_FFT)[None, :] + HOP * np.arange(n_frames)[:, None]
+    return np.fft.rfft(x[idx] * WINDOW[None, :], axis=1)
 
 
-def istft(spec, n_fft=N_FFT, hop=HOP, window=None, length=None):
+def istft(spec):
     """Inverse STFT by windowed overlap-add with squared-window normalization.
 
-    Returns (T - 1) * hop samples (the center padding added by `stft` is
-    trimmed); pass `length` to trim or zero-pad to an exact sample count.
+    Returns (T - 1) * HOP samples: the center padding added by `stft` is
+    trimmed.
     """
     spec = np.asarray(spec)
-    if spec.ndim != 2 or spec.shape[1] != n_fft // 2 + 1:
-        raise ShapeError("expected (T, %d) spectrogram, got %s" % (n_fft // 2 + 1, spec.shape))
-    win = hann_window(n_fft) if window is None else np.asarray(window, dtype=np.float64)
-    frames = np.fft.irfft(spec, n=n_fft, axis=1)
+    if spec.ndim != 2 or spec.shape[1] != N_FFT // 2 + 1:
+        raise ShapeError("expected (T, %d) spectrogram, got %s" % (N_FFT // 2 + 1, spec.shape))
+    frames = np.fft.irfft(spec, n=N_FFT, axis=1)
     n_frames = frames.shape[0]
-    total = n_fft + hop * (n_frames - 1)
+    total = N_FFT + HOP * (n_frames - 1)
     out = np.zeros(total)
     wsum = np.zeros(total)
     for t in range(n_frames):
-        start = t * hop
-        out[start:start + n_fft] += frames[t] * win
-        wsum[start:start + n_fft] += win * win
+        start = t * HOP
+        out[start:start + N_FFT] += frames[t] * WINDOW
+        wsum[start:start + N_FFT] += WINDOW * WINDOW
     out = out / np.where(wsum > 1e-12, wsum, 1.0)
-    pad = n_fft // 2
-    out = out[pad:total - pad]
-    if length is not None:
-        if out.size >= length:
-            out = out[:length]
-        else:
-            out = np.pad(out, (0, length - out.size))
-    return out
+    pad = N_FFT // 2
+    return out[pad:total - pad]
 
 
 # ---------------------------------------------------------------------------
@@ -203,46 +189,41 @@ def _mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sample_rate=SAMPLE_RATE, fmin=FMIN, fmax=FMAX):
-    """Triangular mel filterbank, (n_mels, n_fft//2 + 1), area-normalized.
+def mel_filterbank(sample_rate=SAMPLE_RATE):
+    """Triangular mel filterbank, (N_MELS, N_FFT//2 + 1), area-normalized.
 
     The first and last triangles are widened by one half-step so the bins at
-    exactly fmin and fmax keep nonzero weight; every FFT bin inside
-    [fmin, fmax] is covered by at least one filter.
+    exactly FMIN and FMAX keep nonzero weight; every FFT bin inside
+    [FMIN, FMAX] is covered by at least one filter.
     """
-    pts = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2))
-    freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    fb = np.zeros((n_mels, freqs.size))
-    for i in range(n_mels):
+    pts = _mel_to_hz(np.linspace(_hz_to_mel(FMIN), _hz_to_mel(FMAX), N_MELS + 2))
+    freqs = np.arange(N_FFT // 2 + 1) * (sample_rate / N_FFT)
+    fb = np.zeros((N_MELS, freqs.size))
+    for i in range(N_MELS):
         lo, peak, hi = pts[i], pts[i + 1], pts[i + 2]
         if i == 0:
             lo = 2.0 * pts[0] - pts[1]
-        if i == n_mels - 1:
-            hi = 2.0 * pts[n_mels + 1] - pts[n_mels]
+        if i == N_MELS - 1:
+            hi = 2.0 * pts[N_MELS + 1] - pts[N_MELS]
         rising = (freqs - lo) / (peak - lo)
         falling = (hi - freqs) / (hi - peak)
         fb[i] = np.maximum(0.0, np.minimum(rising, falling)) * (2.0 / (hi - lo))
     return fb
 
 
-def mel_spectrogram(w, n_fft=N_FFT, hop=HOP, n_mels=N_MELS, fmin=FMIN, fmax=FMAX):
-    """Log-mel spectrogram: log(mel_fb @ |STFT|^2 + floor), shape (T, n_mels)."""
+def mel_spectrogram(w):
+    """Log-mel spectrogram: log(mel_fb @ |STFT|^2 + floor), shape (T, N_MELS)."""
     if not isinstance(w, Waveform):
         raise InvalidInputError("mel_spectrogram expects a Waveform")
-    spec = stft(w, n_fft=n_fft, hop=hop)
-    power = np.abs(spec) ** 2
-    fb = mel_filterbank(n_mels, n_fft, w.sample_rate, fmin, fmax)
-    frames = np.log(power @ fb.T + LOG_FLOOR)
-    return MelSpectrogram(frames=frames, sample_rate=w.sample_rate, hop=hop)
+    power = np.abs(stft(w)) ** 2
+    frames = np.log(power @ mel_filterbank(w.sample_rate).T + LOG_FLOOR)
+    return MelSpectrogram(frames=frames, sample_rate=w.sample_rate)
 
 
-def mel_cepstra(m, n_coeffs):
-    """Mel cepstra: orthonormal DCT-II over the mel bands of each frame,
-    truncated to the first n_coeffs coefficients (c0 included)."""
-    frames = m.frames if isinstance(m, MelSpectrogram) else np.asarray(m, dtype=np.float64)
-    if n_coeffs > frames.shape[1]:
-        raise ShapeError("n_coeffs %d exceeds %d mel bands" % (n_coeffs, frames.shape[1]))
-    return dct(frames, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+def mel_cepstra(m):
+    """Mel cepstra: orthonormal DCT-II over the mel bands of each frame of a
+    MelSpectrogram, one coefficient per band (c0 first)."""
+    return dct(m.frames, type=2, norm="ortho", axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +231,30 @@ def mel_cepstra(m, n_coeffs):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _mel_pinv(n_mels, n_fft, sample_rate, fmin, fmax):
-    return np.linalg.pinv(mel_filterbank(n_mels, n_fft, sample_rate, fmin, fmax))
+def _mel_pinv(sample_rate):
+    return np.linalg.pinv(mel_filterbank(sample_rate))
 
 
-def mel_to_linear(m, n_fft=N_FFT):
+def mel_to_linear(m):
     """Approximate linear-magnitude spectrogram from a log-mel spectrogram
     via the filterbank pseudo-inverse (negative leakage clipped to zero)."""
     mel_power = np.maximum(np.exp(m.frames) - LOG_FLOOR, 0.0)
-    pinv = _mel_pinv(m.frames.shape[1], n_fft, m.sample_rate, FMIN, FMAX)
-    linear_power = np.maximum(mel_power @ pinv.T, 0.0)
+    linear_power = np.maximum(mel_power @ _mel_pinv(m.sample_rate).T, 0.0)
     return np.sqrt(linear_power)
 
 
-def griffin_lim(m, iters=32, n_fft=N_FFT):
+def griffin_lim(m, iters=32):
     """Reconstruct a waveform from a log-mel spectrogram.
 
     Zero-phase initialization followed by `iters` magnitude-projection
-    rounds; fully deterministic. Output length is (T - 1) * hop.
+    rounds; fully deterministic. Output length is (T - 1) * HOP.
     """
     if iters < 1:
         raise InvalidInputError("iters must be >= 1")
-    mag = mel_to_linear(m, n_fft=n_fft)
-    hop = m.hop
-    spec = mag.astype(np.complex128)  # zero phase
-    x = istft(spec, n_fft=n_fft, hop=hop)
+    mag = mel_to_linear(m)
+    x = istft(mag.astype(np.complex128))  # zero phase
     for _ in range(iters):
-        rebuilt = stft(x, n_fft=n_fft, hop=hop)
+        rebuilt = stft(x)
         phase = np.where(np.abs(rebuilt) > 0, rebuilt / np.maximum(np.abs(rebuilt), 1e-16), 1.0)
-        x = istft(mag * phase, n_fft=n_fft, hop=hop)
+        x = istft(mag * phase)
     return Waveform(samples=np.clip(x, -1.0, 1.0), sample_rate=m.sample_rate)

@@ -138,9 +138,14 @@ class AlignTrainConfig:
     seed: int = 42
     modalities: tuple = MODALITIES
     anchor: str = "tex"
-    hidden: int = 64
-    embed: int = 32
-    n_classes: int = 0  # 0 = infer from labels
+
+    def __post_init__(self):
+        if self.batch < 1:
+            raise ConfigError("batch must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError("lr must be finite and non-negative")
 
 
 def _batch_loss_graph(theta_t, params, feats, labels):
@@ -166,20 +171,17 @@ def train_epalign(dataset, config=None):
     config = config or AlignTrainConfig()
     if not dataset:
         raise ConfigError("cannot train on an empty dataset")
-    if config.batch < 1 or config.batch > len(dataset):
+    if config.batch > len(dataset):
         raise ConfigError("batch size %d out of range for %d samples" % (config.batch, len(dataset)))
-    if config.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
     labels = np.array([u.emotion for u in dataset])
-    n_classes = config.n_classes or int(labels.max()) + 1
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise InvalidLabelError("labels must lie in [0, %d)" % n_classes)
+    if labels.min() < 0:
+        raise InvalidLabelError("labels must be non-negative")
+    n_classes = int(labels.max()) + 1
 
     params = init_epalign(
         d_vis=dataset[0].feat_vis.size, d_audio=dataset[0].feat_audio.size,
-        d_tex=dataset[0].feat_text.size, hidden=config.hidden, embed=config.embed,
-        n_classes=n_classes, seed=config.seed, anchor=config.anchor,
-        modalities=tuple(config.modalities))
+        d_tex=dataset[0].feat_text.size, n_classes=n_classes, seed=config.seed,
+        anchor=config.anchor, modalities=tuple(config.modalities))
     theta = params.theta
     state = AdamState.zeros(theta.size)
     rng = rng_stream(config.seed, "epalign:batches")

@@ -26,7 +26,7 @@ from .numeric import cosine_similarity, l2_normalize_rows
 
 
 # ---------------------------------------------------------------------------
-# Edit distance, WER, CER
+# Edit distance and text normalization
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -91,24 +91,6 @@ def normalize_text(s):
     """Lowercase, strip punctuation to [a-z0-9' ], collapse whitespace."""
     s = _KEEP.sub(" ", s.lower().replace("\t", " ").replace("\n", " "))
     return _SPACES.sub(" ", s).strip()
-
-
-def wer(ref_text, hyp_text):
-    """Word error rate: edit distance over reference word count (fraction)."""
-    ref = normalize_text(ref_text).split()
-    hyp = normalize_text(hyp_text).split()
-    if not ref:
-        raise UndefinedMetricError("WER undefined: empty reference after normalization")
-    return edit_distance(ref, hyp).distance / len(ref)
-
-
-def cer(ref_text, hyp_text):
-    """Character error rate over normalized characters (internal spaces count)."""
-    ref = list(normalize_text(ref_text))
-    hyp = list(normalize_text(hyp_text))
-    if not ref:
-        raise UndefinedMetricError("CER undefined: empty reference after normalization")
-    return edit_distance(ref, hyp).distance / len(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +177,8 @@ def mcd(ref, syn):
     if ref.sample_rate != syn.sample_rate:
         raise InvalidInputError(
             "sample rates differ: %d vs %d" % (ref.sample_rate, syn.sample_rate))
-    ca = mel_cepstra(mel_spectrogram(ref), _MCD_COEFFS)[:, 1:]
-    cb = mel_cepstra(mel_spectrogram(syn), _MCD_COEFFS)[:, 1:]
+    ca = mel_cepstra(mel_spectrogram(ref))[:, 1:_MCD_COEFFS]
+    cb = mel_cepstra(mel_spectrogram(syn))[:, 1:_MCD_COEFFS]
     if ca.tobytes() > cb.tobytes():
         ca, cb = cb, ca
     ii, jj = np.array(dtw_align(ca, cb)).T

@@ -13,11 +13,11 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeError
 
 
-def as_matrix(m, name="matrix"):
+def as_matrix(m):
     """Coerce to a 2-D float64 array, rejecting empty or malformed input."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
-        raise ShapeError("%s must be a non-empty 2-D array, got shape %s" % (name, a.shape))
+        raise ShapeError("expected a non-empty 2-D array, got shape %s" % (a.shape,))
     return a
 
 

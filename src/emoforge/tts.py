@@ -54,8 +54,8 @@ class TtsConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be non-negative")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError("lr must be finite and non-negative")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
 
@@ -206,7 +206,7 @@ def _check_condition(u_emo, u_spk, params):
 
 # -- public operations -------------------------------------------------------
 
-def synthesize(text, u_emo, u_spk, params, gl_iters=32):
+def synthesize(text, u_emo, u_spk, params):
     """Full path from text to waveform; deterministic given params and inputs."""
     u_emo = np.asarray(u_emo, dtype=np.float64)
     u_spk = np.asarray(u_spk, dtype=np.float64)
@@ -221,8 +221,8 @@ def synthesize(text, u_emo, u_spk, params, gl_iters=32):
     durations[-1] += max(0, MIN_FRAMES - int(durations.sum()))
     frame_index = np.repeat(np.arange(len(ids)), durations)
     mel_t = _decoder_graph(blocks, h_cond, u_emo, u_spk, params.variant, frame_index)
-    mel = MelSpectrogram(frames=mel_t.data, sample_rate=SAMPLE_RATE, hop=HOP)
-    wav = griffin_lim(mel, iters=gl_iters)
+    mel = MelSpectrogram(frames=mel_t.data, sample_rate=SAMPLE_RATE)
+    wav = griffin_lim(mel)
     return wav, mel
 
 

@@ -4,6 +4,11 @@ A library function that only tests call is a second API to keep in step
 with the one the CLI runs. This guard parses the package with `ast` and
 fails on any public top-level function or class, or public method, whose
 name is not used anywhere in the package outside its own definition.
+
+A top-level name counts as used only when read bare or as
+`<defining module>.<name>`; an attribute of another object that happens to
+share the name (`report.wer` for a function `metrics.wer`) does not. A
+method counts as used through an attribute read on any object.
 """
 
 import ast
@@ -20,35 +25,41 @@ ALLOWED = {
 
 
 def _definitions(tree, module):
+    """(qualified name, node, owners a use may be read from) per public
+    definition; owner None is a bare name, and owners None means any."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
-            yield "%s.%s" % (module, node.name), node
+            yield "%s.%s" % (module, node.name), node, {None, module}
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield "%s.%s.%s" % (module, node.name, item.name), item
+                    yield "%s.%s.%s" % (module, node.name, item.name), item, None
 
 
 def _uses(tree):
-    """(name, line) of every name or attribute the module reads."""
+    """(name, owner, line) of every name or attribute the module reads; the
+    owner of an attribute is the bare name it is read from, if any."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, None, node.lineno
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
+            owner = node.value.id if isinstance(node.value, ast.Name) else ""
+            yield node.attr, owner, node.lineno
 
 
 def unreferenced(src=SRC):
     trees = {p: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
-    uses = [(name, path, line) for path, tree in trees.items() for name, line in _uses(tree)]
+    uses = [(name, owner, path, line)
+            for path, tree in trees.items() for name, owner, line in _uses(tree)]
     missing = []
     for path, tree in trees.items():
-        for qualname, node in _definitions(tree, path.stem):
+        for qualname, node, owners in _definitions(tree, path.stem):
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and not (p == path and line in own)
-                       for name, p, line in uses):
+            if not any(name == node.name and (owners is None or owner in owners)
+                       and not (p == path and line in own)
+                       for name, owner, p, line in uses):
                 missing.append(qualname)
     return sorted(missing)
 

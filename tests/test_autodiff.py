@@ -130,7 +130,7 @@ def test_log_softmax_matches_plain_formula():
 
 def test_adam_zero_gradient_keeps_params():
     p = np.array([1.0, -2.0])
-    new_p, state = adam_step(p, np.zeros(2), None, lr=0.1)
+    new_p, state = adam_step(p, np.zeros(2), AdamState.zeros(2), lr=0.1)
     np.testing.assert_array_equal(new_p, p)
     new_p, _ = adam_step(new_p, np.zeros(2), state, lr=0.1)
     np.testing.assert_array_equal(new_p, p)
@@ -138,7 +138,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_first_step_magnitude():
     # Bias correction makes the very first step ~= lr for unit gradient.
-    new_p, _ = adam_step(np.array([0.0]), np.array([1.0]), None, lr=0.1)
+    new_p, _ = adam_step(np.array([0.0]), np.array([1.0]), AdamState.zeros(1), lr=0.1)
     assert new_p[0] == pytest.approx(-0.1, rel=1e-6)
 
 
@@ -154,7 +154,7 @@ def test_adam_is_deterministic():
 
 def test_adam_shape_mismatch():
     with pytest.raises(ShapeError):
-        adam_step(np.zeros(3), np.zeros(2), None, lr=0.1)
+        adam_step(np.zeros(3), np.zeros(2), AdamState.zeros(3), lr=0.1)
 
 
 def test_param_layout_roundtrip():

@@ -5,10 +5,12 @@ spectrograms, 2 edit distances, 1 DTW) and the DTW cell count, so a
 change to the metric kernels that alters their call structure fails here.
 The traced train run checks the exact number of `autodiff.grad` calls and
 that traced and untraced sessions write byte-identical files, which guards
-the autodiff tape. Both run for 2 s: the tracing-overhead check compares
-traced and untraced operations run back to back, and with the handful of
-pairs a 0 s run gives, host-speed noise alone can push it over its limit.
-The full benchmark tests live in bench/tests.
+the autodiff tape. The tracing-overhead check compares traced and untraced
+operations run back to back, and with the handful of pairs a short run
+gives, host-speed noise alone can push it over its limit. So eval runs for
+2 s and train, whose operations are longer, for 6 s (12-18 pairs; at 2 s
+its 6 pairs measured an overhead of -0.017 to 0.094 against the 0.10
+limit). The full benchmark tests live in bench/tests.
 """
 
 import json
@@ -19,10 +21,10 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _traced_smoke_run(workload):
+def _traced_smoke_run(workload, seconds):
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload", workload, "--seed", "3",
-         "--seconds", "2", "--trace", "1", "--smoke"],
+         "--seconds", str(seconds), "--trace", "1", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
@@ -32,8 +34,8 @@ def _traced_smoke_run(workload):
 
 
 def test_traced_eval_smoke_run_is_correct():
-    _traced_smoke_run("eval")
+    _traced_smoke_run("eval", 2)
 
 
 def test_traced_train_smoke_run_is_correct():
-    _traced_smoke_run("train")
+    _traced_smoke_run("train", 6)

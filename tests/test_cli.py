@@ -68,13 +68,26 @@ def test_bad_env_seed(tmp_path, monkeypatch, capsys):
     assert "EMOFORGE_SEED" in capsys.readouterr().err
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(workdir, tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path), "--frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
-    # bad option value: config rejects a 1-class corpus
-    assert main(["gen-data", "--out", str(tmp_path / "y"), "--classes", "1"]) == 1
+    # bad option values: a config rejects each one before any file is written
+    out = str(tmp_path / "y")
+    align = ["train-align", "--data", str(workdir["data"]), "--out", out]
+    train_tts = ["train-tts", "--data", str(workdir["data"]), "--variant", "vits",
+                 "--align-ckpt", str(workdir["align"]), "--out", out]
+    for argv in (["gen-data", "--out", out, "--classes", "1"],
+                 ["gen-data", "--out", out, "--classes", "65"],
+                 ["gen-data", "--out", out, "--sep", "nan"],
+                 ["gen-data", "--out", out, "--sep", "inf"],
+                 ["gen-data", "--out", out, "--noise", "nan"],
+                 align + ["--lr", "nan"], align + ["--epochs", "0"], align + ["--batch", "0"],
+                 train_tts + ["--lr", "nan"], train_tts + ["--lr", "-1"]):
+        assert main(argv) == 1, argv
+        assert "Traceback" not in capsys.readouterr().err
+        assert not os.path.exists(out), argv
 
 
 def test_data_errors(tmp_path, capsys):
@@ -284,12 +297,15 @@ MALFORMED = {
     "features-wrong-length": _synth_features('{"vis": [1.0, 2.0]}'),
     "features-null": _synth_features(json.dumps({"vis": [None] * 64})),
     "features-not-utf8": _synth_features(b'{"vis": "\xff"}'),
+    "features-deeply-nested": _synth_features("[" * 100000),
     "pairs-number": _eval_pairs("5\n"),
     # a string holding every key name passed the old `key in row` test
     "pairs-string": _eval_pairs('"id ref syn ref_text hyp_text"\n'),
     "pairs-ref-not-string": _eval_pairs(json.dumps(dict(_PAIR, ref=5)) + "\n"),
     "pairs-not-utf8": _eval_pairs(b'{"id": "\xff"}\n'),
+    "pairs-deeply-nested": _eval_pairs("[" * 100000 + "\n"),
     "manifest-not-utf8": _train_align_manifest(lambda lines: [b"\xff" + lines[0]] + lines[1:]),
+    "manifest-deeply-nested": _train_align_manifest(lambda lines: [b"[" * 100000 + b"\n"] + lines),
     "manifest-unequal-features": _train_align_manifest(_vis_features(lambda v: v[:-1])),
     "manifest-empty-features": _train_align_manifest(_vis_features(lambda v: [], first=0)),
     "manifest-matrix-features": _train_align_manifest(

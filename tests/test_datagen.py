@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emoforge.datagen import (
+    FEATURE_DIM,
     CorpusConfig,
     Utterance,
     char_frames,
@@ -49,8 +50,13 @@ def test_config_validation():
         CorpusConfig(separation=0.0)
     with pytest.raises(ConfigError):
         CorpusConfig(noise_std=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            CorpusConfig(separation=bad)
+        with pytest.raises(ConfigError):
+            CorpusConfig(noise_std=bad)
     with pytest.raises(ConfigError):
-        CorpusConfig(n_classes=5, d_vis=3)
+        CorpusConfig(n_classes=FEATURE_DIM + 1)
 
 
 def test_emotion_names():
@@ -117,7 +123,7 @@ def test_render_input_errors():
     with pytest.raises(InvalidInputError):
         render_reference("", 0, 0)
     with pytest.raises(InvalidLabelError):
-        render_reference("abc", 9, 0, config=CorpusConfig())
+        render_reference("abc", -1, 0)
     with pytest.raises(InvalidLabelError):
         render_reference("abc", 0, -1)
 

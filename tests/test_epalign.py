@@ -1,5 +1,6 @@
 """Tests for contrastive emotion-prompt alignment."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -152,9 +153,10 @@ def test_project_prompt_identity_and_errors(corpus):
     # different anchors use different matrices
     p.anchor = "vis"
     assert not np.allclose(anchored_prompts(p)[1], prompts[1])
-    # training refuses labels outside the prompt table
+    # training refuses a label no prompt row can hold
+    bad = [dataclasses.replace(corpus[0][0], emotion=-1)] + corpus[0][1:]
     with pytest.raises(InvalidLabelError):
-        train_epalign(corpus[0], AlignTrainConfig(batch=3, epochs=1, n_classes=3))
+        train_epalign(bad, AlignTrainConfig(batch=3, epochs=1))
 
 
 # -- logits and loss ---------------------------------------------------------------
@@ -247,8 +249,10 @@ def test_train_rejects_bad_config(corpus):
         train_epalign([], AlignTrainConfig())
     with pytest.raises(ConfigError):
         train_epalign(train, AlignTrainConfig(batch=10 ** 6))
-    with pytest.raises(ConfigError):
-        train_epalign(train, AlignTrainConfig(epochs=0))
+    for bad in (dict(epochs=0), dict(batch=0), dict(lr=-1.0), dict(lr=float("nan")),
+                dict(lr=float("inf"))):
+        with pytest.raises(ConfigError):
+            AlignTrainConfig(**bad)
 
 
 def test_train_lr_zero_keeps_params(corpus):

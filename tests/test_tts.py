@@ -281,8 +281,9 @@ def test_train_config_errors():
         train_tts([], prompts, "vits")
     with pytest.raises(ConfigError):
         TtsConfig(steps=0)
-    with pytest.raises(ConfigError):
-        TtsConfig(lr=-1.0)
+    for bad_lr in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            TtsConfig(lr=bad_lr)
     with pytest.raises(ConfigError):
         train_tts(data, prompts, "wavenet", TtsConfig(steps=1))
     with pytest.raises(ConfigError):
