@@ -362,14 +362,16 @@ class ParamLayout:
         return {name: theta[a:b].reshape(self.shapes[name])
                 for name, (a, b) in self.slices.items()}
 
-    def init(self, seed_stream, scales):
-        """Gaussian init, one named substream per block for cross-model stability."""
+    def init(self, seed_stream, unit=()):
+        """Gaussian init, one named substream per block for cross-model
+        stability: 1-D and scalar blocks start at zero, the embedding tables
+        named in `unit` at std 1 and every other matrix at std 1/sqrt(fan-in)."""
         arrays = {}
         for name, shape in self.shapes.items():
-            scale = scales.get(name, 0.0)
-            if scale == 0.0:
+            if len(shape) < 2:
                 arrays[name] = np.zeros(shape)
             else:
+                scale = 1.0 if name in unit else 1.0 / np.sqrt(shape[0])
                 arrays[name] = seed_stream(name).normal(0.0, scale, size=shape)
         return self.pack(arrays)
 

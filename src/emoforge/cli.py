@@ -80,7 +80,6 @@ def _build_parser():
     t.add_argument("--data", required=True, metavar="DIR")
     t.add_argument("--out", required=True, metavar="CKPT")
     t.add_argument("--modalities", default="vis,audio,tex")
-    t.add_argument("--anchor", default="tex")
     t.add_argument("--epochs", type=int, default=30)
     t.add_argument("--batch", type=int, default=16)
     t.add_argument("--lr", type=float, default=1e-3)
@@ -126,21 +125,19 @@ def _build_parser():
 # -- subcommand bodies ---------------------------------------------------------
 
 def _cmd_gen_data(args):
-    seed = args.seed if args.seed is not None else _default_seed()
     config = datagen.CorpusConfig(n_classes=args.classes, n_speakers=args.speakers,
                                   samples_per_class=args.per_class,
-                                  separation=args.sep, noise_std=args.noise, seed=seed)
+                                  separation=args.sep, noise_std=args.noise, seed=args.seed)
     utts = datagen.gen_corpus(config, args.out)
     print("wrote %d utterances to %s" % (len(utts), args.out))
     return 0
 
 
 def _cmd_train_align(args):
-    seed = args.seed if args.seed is not None else _default_seed()
     dataset = _load_dataset(args.data)
     config = epalign.AlignTrainConfig(batch=args.batch, epochs=args.epochs, lr=args.lr,
-                                      seed=seed, modalities=_parse_modalities(args.modalities),
-                                      anchor=args.anchor)
+                                      seed=args.seed,
+                                      modalities=_parse_modalities(args.modalities))
     params, curve = epalign.train_epalign(dataset, config)
     epalign.save_epalign(params, args.out)
     print("trained %d epochs, loss %.4f -> %.4f, checkpoint %s"
@@ -164,11 +161,10 @@ def _cmd_eval_align(args):
 
 
 def _cmd_train_tts(args):
-    seed = args.seed if args.seed is not None else _default_seed()
     dataset = _load_dataset(args.data)
     align = epalign.load_epalign(args.align_ckpt)
     prompts = epalign.anchored_prompts(align)
-    config = tts.TtsConfig(steps=args.steps, lr=args.lr, batch=args.batch, seed=seed)
+    config = tts.TtsConfig(steps=args.steps, lr=args.lr, batch=args.batch, seed=args.seed)
     params, curve = tts.train_tts(dataset, prompts, args.variant, config)
     tts.save_tts(params, args.out)
     print("trained %s for %d steps, loss %.2f -> %.2f, checkpoint %s"
@@ -281,6 +277,8 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return _COMMANDS[args.cmd](args)
     except ConfigError as e:
         code, exc = 1, e

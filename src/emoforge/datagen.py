@@ -251,10 +251,14 @@ def load_manifest(path):
                 continue
             try:
                 row = json.loads(line)
+                strs, ints = [row["id"], row["text"], row["wav"]], [row["emotion"], row["speaker"]]
+                if not (type(row["durations"]) is list and all(type(v) is str for v in strs)
+                        and all(type(v) is int for v in ints + row["durations"])):
+                    raise TypeError("id, text and wav must be strings and emotion, speaker and "
+                                    "each duration integers")
                 u = Utterance(
-                    id=row["id"], text=row["text"], emotion=int(row["emotion"]),
-                    speaker=int(row["speaker"]), wav_path=row["wav"],
-                    durations=[int(d) for d in row["durations"]],
+                    id=row["id"], text=row["text"], emotion=row["emotion"],
+                    speaker=row["speaker"], wav_path=row["wav"], durations=row["durations"],
                     feat_vis=row["feat_vis"], feat_audio=row["feat_audio"],
                     feat_text=row["feat_text"],
                 )

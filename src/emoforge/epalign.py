@@ -40,7 +40,6 @@ class EpAlignParams:
     layout: ParamLayout
     dims: dict  # d_vis, d_audio, d_tex, hidden, embed
     n_classes: int
-    anchor: str
     modalities: tuple
     seed: int
 
@@ -52,25 +51,24 @@ class AlignmentResult:
     per_class_similarity: np.ndarray
 
 
-def _block_shapes(dims, n_classes):
+def _block_shapes(dims, n_classes, modalities):
+    """An encoder per trained modality and one prompt projection into the
+    text space: the blocks the loss reads, and no others."""
     shapes = {}
-    for mu in MODALITIES:
-        d = dims["d_" + mu]
-        shapes["enc_%s_w1" % mu] = (d, dims["hidden"])
+    for mu in modalities:
+        shapes["enc_%s_w1" % mu] = (dims["d_" + mu], dims["hidden"])
         shapes["enc_%s_b1" % mu] = (dims["hidden"],)
         shapes["enc_%s_w2" % mu] = (dims["hidden"], dims["embed"])
         shapes["enc_%s_b2" % mu] = (dims["embed"],)
         shapes["w_imp_" + mu] = (dims["embed"], dims["embed"])
-        shapes["w_pro_" + mu] = (dims["embed"], dims["embed"])
+    shapes["w_pro_tex"] = (dims["embed"], dims["embed"])
     shapes["prompt_table"] = (n_classes, dims["embed"])
     shapes["log_t"] = ()
     return shapes
 
 
 def init_epalign(d_vis=64, d_audio=64, d_tex=64, hidden=64, embed=32,
-                 n_classes=5, seed=42, anchor="tex", modalities=MODALITIES):
-    if anchor not in MODALITIES:
-        raise ConfigError("anchor must be one of %s, got %r" % (MODALITIES, anchor))
+                 n_classes=5, seed=42, modalities=MODALITIES):
     for mu in modalities:
         if mu not in MODALITIES:
             raise ConfigError("unknown modality %r" % mu)
@@ -78,19 +76,11 @@ def init_epalign(d_vis=64, d_audio=64, d_tex=64, hidden=64, embed=32,
         raise ConfigError("need at least one implicit modality")
     dims = {"d_vis": d_vis, "d_audio": d_audio, "d_tex": d_tex,
             "hidden": hidden, "embed": embed}
-    layout = ParamLayout(_block_shapes(dims, n_classes))
-    scales = {}
-    for name, shape in layout.shapes.items():
-        if name == "prompt_table":
-            scales[name] = 1.0
-        elif name.endswith(("b1", "b2")) or name == "log_t":
-            scales[name] = 0.0
-        else:
-            scales[name] = 1.0 / np.sqrt(shape[0])
-    theta = layout.init(lambda name: rng_stream(seed, "epalign:" + name), scales)
+    layout = ParamLayout(_block_shapes(dims, n_classes, modalities))
+    theta = layout.init(lambda name: rng_stream(seed, "epalign:" + name), unit=("prompt_table",))
     theta[layout.offset("log_t")] = np.log(1.0 / 0.07)  # CLIP-style warm start
     return EpAlignParams(theta=theta, layout=layout, dims=dims, n_classes=n_classes,
-                         anchor=anchor, modalities=tuple(modalities), seed=seed)
+                         modalities=tuple(modalities), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +111,15 @@ def _sym_ce_t(logits):
     return -(row.mean()) - (col.mean())
 
 
-def _check_modality(modality):
-    if modality not in MODALITIES:
-        raise InvalidInputError("unknown modality %r (known: %s)" % (modality, ", ".join(MODALITIES)))
+def _prompts_t(blocks):
+    """All C prompt embeddings, projected into the text space and L2-normalized."""
+    return _l2rows_t(blocks["prompt_table"] @ blocks["w_pro_tex"])
+
+
+def _check_modality(modality, params):
+    if modality not in params.modalities:
+        raise InvalidInputError("modality %r is not one the model was trained on (%s)"
+                                % (modality, ", ".join(params.modalities)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +133,6 @@ class AlignTrainConfig:
     lr: float = 1e-3
     seed: int = 42
     modalities: tuple = MODALITIES
-    anchor: str = "tex"
 
     def __post_init__(self):
         if self.batch < 1:
@@ -155,7 +150,7 @@ def _batch_loss_graph(theta_t, params, feats, labels):
         u = _encode_t(blocks, constant(feats[mu]), mu) @ blocks["w_imp_" + mu]
         u_sum = u if u_sum is None else u_sum + u
     u_imp = u_sum * (1.0 / len(params.modalities))
-    u_exp = blocks["prompt_table"][labels] @ blocks["w_pro_" + params.anchor]
+    u_exp = blocks["prompt_table"][labels] @ blocks["w_pro_tex"]
     return _sym_ce_t(_logits_t(u_exp, u_imp, blocks["log_t"]))
 
 
@@ -163,10 +158,10 @@ def train_epalign(dataset, config=None):
     """Train alignment on corpus utterances (rows with `feat_vis`,
     `feat_audio`, `feat_text` and `emotion`); returns (params, loss curve).
 
-    Batches hold distinct emotion classes whenever batch size <= n_classes
-    (stratified draw), which keeps the diagonal-positive contrastive target
-    coherent; larger batches fall back to plain shuffled chunks where
-    same-class pairs act as ordinary in-batch negatives.
+    Batches hold distinct emotion classes whenever the batch fits in the
+    classes present (stratified draw), which keeps the diagonal-positive
+    contrastive target coherent; larger batches fall back to plain shuffled
+    chunks where same-class pairs act as ordinary in-batch negatives.
     """
     config = config or AlignTrainConfig()
     if not dataset:
@@ -181,11 +176,12 @@ def train_epalign(dataset, config=None):
     params = init_epalign(
         d_vis=dataset[0].feat_vis.size, d_audio=dataset[0].feat_audio.size,
         d_tex=dataset[0].feat_text.size, n_classes=n_classes, seed=config.seed,
-        anchor=config.anchor, modalities=tuple(config.modalities))
+        modalities=tuple(config.modalities))
     theta = params.theta
     state = AdamState.zeros(theta.size)
     rng = rng_stream(config.seed, "epalign:batches")
-    by_class = [np.flatnonzero(labels == c) for c in range(n_classes)]
+    # only the class ids some utterance carries: an unused id has no member to draw
+    by_class = [np.flatnonzero(labels == c) for c in np.unique(labels)]
     log_t_at = params.layout.offset("log_t")
 
     n = len(dataset)
@@ -193,10 +189,10 @@ def train_epalign(dataset, config=None):
     curve = []
     for _ in range(config.epochs):
         epoch_losses = []
-        if config.batch <= n_classes:
+        if config.batch <= len(by_class):
             batches = []
             for _ in range(steps_per_epoch):
-                classes = rng.choice(n_classes, size=config.batch, replace=False)
+                classes = rng.choice(len(by_class), size=config.batch, replace=False)
                 batches.append([by_class[c][rng.integers(len(by_class[c]))] for c in classes])
         else:
             perm = rng.permutation(n)
@@ -221,9 +217,8 @@ def train_epalign(dataset, config=None):
 # ---------------------------------------------------------------------------
 
 def anchored_prompts(params):
-    """All C prompt embeddings, anchored and L2-normalized (C x embed)."""
-    blocks = params.layout.unpack(constant(params.theta))
-    return _l2rows_t(blocks["prompt_table"] @ blocks["w_pro_" + params.anchor]).data
+    """All C prompt embeddings in the text space, L2-normalized (C x embed)."""
+    return _prompts_t(params.layout.unpack(constant(params.theta))).data
 
 
 def _infer_batch(feats, params):
@@ -235,7 +230,7 @@ def _infer_batch(feats, params):
         u = _l2rows_t(_encode_t(blocks, constant(x), mu) @ blocks["w_imp_" + mu])
         fused = u if fused is None else fused + u
     fused = _l2rows_t(fused * (1.0 / len(feats)))
-    prompts = _l2rows_t(blocks["prompt_table"] @ blocks["w_pro_" + params.anchor])
+    prompts = _prompts_t(blocks)
     sims = (fused @ prompts.T).data
     return np.argmax(sims, axis=1), sims, prompts.data
 
@@ -251,7 +246,7 @@ def align_infer(features, params):
         raise InvalidInputError("align_infer needs at least one modality")
     feats = {}
     for mu, x in features.items():
-        _check_modality(mu)
+        _check_modality(mu, params)
         x = np.asarray(x, dtype=np.float64)
         want = params.dims["d_" + mu]
         if x.ndim != 1 or x.size != want:
@@ -293,7 +288,7 @@ def eval_alignment(params, dataset, modalities=None):
         raise ConfigError("cannot evaluate on an empty dataset")
     mods = tuple(modalities) if modalities else params.modalities
     for mu in mods:
-        _check_modality(mu)
+        _check_modality(mu, params)
     feats = {mu: np.stack([getattr(u, _FEAT_ATTR[mu]) for u in dataset]) for mu in mods}
     preds, _, _ = _infer_batch(feats, params)
     y = np.array([u.emotion for u in dataset])
@@ -306,7 +301,7 @@ def eval_alignment(params, dataset, modalities=None):
 
 _MAGIC = "EPALIGN/1"
 _SCHEMA = {"dims": ("d_vis", "d_audio", "d_tex", "hidden", "embed"), "n_classes": "pos",
-           "anchor": "str", "modalities": "strs", "seed": "int"}
+           "modalities": "strs", "seed": "int"}
 
 
 def save_epalign(params, path):
@@ -314,12 +309,14 @@ def save_epalign(params, path):
 
 
 def load_epalign(path):
-    fields, layout, theta = checkpoint.load(
-        path, _MAGIC, _SCHEMA, lambda f: ParamLayout(_block_shapes(f["dims"], f["n_classes"])))
-    fields["modalities"] = tuple(fields["modalities"])
-    if not fields["modalities"]:
-        raise FormatError("checkpoint %s names no implicit modality" % path)
-    for mu in (fields["anchor"], *fields["modalities"]):
-        if mu not in MODALITIES:
-            raise FormatError("checkpoint %s names unknown modality %r" % (path, mu))
+    def layout_of(fields):
+        mods = fields["modalities"] = tuple(fields["modalities"])
+        if not mods:
+            raise FormatError("checkpoint %s names no implicit modality" % path)
+        for mu in mods:
+            if mu not in MODALITIES:
+                raise FormatError("checkpoint %s names unknown modality %r" % (path, mu))
+        return ParamLayout(_block_shapes(fields["dims"], fields["n_classes"], mods))
+
+    fields, layout, theta = checkpoint.load(path, _MAGIC, _SCHEMA, layout_of)
     return EpAlignParams(theta=theta, layout=layout, **fields)

@@ -125,17 +125,8 @@ def tts_block_shapes(variant, char_dim=CHAR_DIM, embed=32, n_speakers=4,
 
 def init_tts(variant, embed, n_speakers, seed=42, char_dim=CHAR_DIM,
              dec_hidden=DEC_HIDDEN, gate=COUPLING_GATE):
-    shapes = tts_block_shapes(variant, char_dim, embed, n_speakers, dec_hidden, gate)
-    scales = {}
-    for name, shape in shapes.items():
-        if name == "char_emb":
-            scales[name] = 1.0
-        elif name.endswith(("_b", "_b1", "_b2", "bf", "bg", "bo")):
-            scales[name] = 0.0
-        else:
-            scales[name] = 1.0 / np.sqrt(shape[0])
-    layout = ParamLayout(shapes)
-    theta = layout.init(lambda name: rng_stream(seed, "tts:" + name), scales)
+    layout = ParamLayout(tts_block_shapes(variant, char_dim, embed, n_speakers, dec_hidden, gate))
+    theta = layout.init(lambda name: rng_stream(seed, "tts:" + name), unit=("char_emb",))
     dims = {"char_dim": char_dim, "embed": embed, "n_speakers": n_speakers,
             "dec_hidden": dec_hidden, "gate": gate, "n_mels": N_MELS}
     return TtsParams(theta=theta, layout=layout, variant=variant, dims=dims, seed=seed)
@@ -238,16 +229,20 @@ def _utterance_batch(utt, prompts, n_speakers, mel_cache):
         raise InvalidLabelError("utterance %s: emotion %d out of range" % (utt.id, utt.emotion))
     key = (utt.text, utt.emotion, utt.speaker)
     if key not in mel_cache:
-        ref = render_reference(utt.text, utt.emotion, utt.speaker)
-        # center-padded STFT yields one frame beyond the teacher total; trim it
-        mel_cache[key] = mel_spectrogram(ref).frames[: int(durations.sum())]
+        wav = render_reference(utt.text, utt.emotion, utt.speaker)
+        mel_cache[key] = mel_spectrogram(wav).frames
+    ref = mel_cache[key]
+    # center-padded STFT yields one frame beyond the teacher total; trim it
+    if len(ref) != int(durations.sum()) + 1:
+        raise InvalidInputError("utterance %s: durations sum to %d frames, the reference has %d"
+                                % (utt.id, durations.sum(), len(ref) - 1))
     return {
         "ids": ids,
         "durations": durations,
         "frame_index": np.repeat(np.arange(len(ids)), durations),
         "u_emo": prompts[utt.emotion],
         "u_spk": speaker_one_hot(utt.speaker, n_speakers),
-        "target": mel_cache[key],
+        "target": ref[:-1],
     }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from emoforge.cli import main
 from emoforge.dsp import wav_read
-from emoforge.epalign import load_epalign
+from emoforge.epalign import init_epalign, load_epalign, save_epalign
 from emoforge.tts import load_tts, save_tts
 
 
@@ -227,10 +227,10 @@ def test_synth_rejects_nonfinite_checkpoints(workdir, tts_ckpt, tmp_path, capsys
 
 
 def test_synth_rejects_unknown_alignment_anchor(workdir, tts_ckpt, tmp_path, capsys):
-    for change in ({"anchor": "zzz"}, {"modalities": ["vis", "zzz"]}):
-        bad = _edited(workdir["align"], tmp_path / "align.json", lambda p: p.update(change))
-        assert _synth_exit(tts_ckpt, bad, tmp_path / "x.wav") == 2
-        assert "zzz" in capsys.readouterr().err
+    bad = _edited(workdir["align"], tmp_path / "align.json",
+                  lambda p: p.update(modalities=["vis", "zzz"]))
+    assert _synth_exit(tts_ckpt, bad, tmp_path / "x.wav") == 2
+    assert "zzz" in capsys.readouterr().err
 
 
 # -- malformed inputs: exit 2 with an error line, never a traceback -----------------
@@ -252,14 +252,31 @@ def _eval_pairs(content):
                            "--out", str(tmp / "r.json")]
 
 
+def _edited_data(w, tmp, edit):
+    lines = (w["data"] / "manifest.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp / "data").mkdir()
+    _file(tmp / "data" / "manifest.jsonl", b"".join(edit(lines)))
+    return str(tmp / "data")
+
+
 def _train_align_manifest(edit):
-    def argv(w, tmp):
-        lines = (w["data"] / "manifest.jsonl").read_bytes().splitlines(keepends=True)
-        (tmp / "data").mkdir()
-        _file(tmp / "data" / "manifest.jsonl", b"".join(edit(lines)))
-        return ["train-align", "--data", str(tmp / "data"), "--out", str(tmp / "a.json"),
-                "--epochs", "1", "--batch", "3"]
-    return argv
+    return lambda w, tmp: ["train-align", "--data", _edited_data(w, tmp, edit),
+                           "--out", str(tmp / "a.json"), "--epochs", "1", "--batch", "3"]
+
+
+def _train_tts_manifest(edit):
+    return lambda w, tmp: ["train-tts", "--data", _edited_data(w, tmp, edit),
+                           "--variant", "tacotron", "--align-ckpt", str(w["align"]),
+                           "--out", str(tmp / "t.json"), "--steps", "1", "--batch", "1"]
+
+
+def _first_row(**change):
+    """Manifest edit: set fields of the first line; a callable maps the old row."""
+    def edit(lines):
+        row = json.loads(lines[0])
+        row.update({k: v(row) if callable(v) else v for k, v in change.items()})
+        return [(json.dumps(row) + "\n").encode()] + lines[1:]
+    return edit
 
 
 def _vis_features(change, first=1):
@@ -277,6 +294,27 @@ def _one_class_as_true(payload, params):
     a, b = params.layout.slices["prompt_table"]
     payload["n_classes"] = True
     payload["theta"] = payload["theta"][:a + params.dims["embed"]] + payload["theta"][b:]
+
+
+def _parent_format(payload, params):
+    # the layout before untrained blocks were dropped: all three prompt
+    # projections, and an anchor naming the one the loss read
+    blocks = params.layout.unpack(params.theta)
+    e = params.dims["embed"]
+    names = [n % mu for mu in ("vis", "audio", "tex")
+             for n in ("enc_%s_w1", "enc_%s_b1", "enc_%s_w2", "enc_%s_b2", "w_imp_%s", "w_pro_%s")]
+    payload["anchor"] = "tex"
+    payload["theta"] = np.concatenate([blocks.get(n, np.zeros((e, e))).ravel()
+                                       for n in names + ["prompt_table", "log_t"]]).tolist()
+
+
+def _audio_only(argv):
+    """The same command against an alignment checkpoint of an audio-only model."""
+    def with_audio_only(w, tmp):
+        path = tmp / "audio.json"
+        save_epalign(init_epalign(n_classes=3, modalities=("audio",)), path)
+        return argv(dict(w, align=path), tmp)
+    return with_audio_only
 
 
 def _eval_align_checkpoint(edit):
@@ -314,6 +352,22 @@ MALFORMED = {
     "align-float-dims": _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64.0)),
     "align-bool-classes": _eval_align_checkpoint(_one_class_as_true),
     "align-no-modalities": _eval_align_checkpoint(lambda p, _: p.update(modalities=[])),
+    "align-parent-format": _eval_align_checkpoint(_parent_format),
+    "untrained-modality-eval": _audio_only(
+        lambda w, tmp: ["eval-align", "--ckpt", str(w["align"]), "--data", str(w["data"]),
+                        "--modalities", "vis", "--out", str(tmp / "r.json")]),
+    "untrained-modality-features": _audio_only(_synth_features(json.dumps({"vis": [0.5] * 64}))),
+    "manifest-text-number": _train_align_manifest(_first_row(text=5)),
+    "manifest-id-null": _train_align_manifest(_first_row(id=None)),
+    "manifest-emotion-float": _train_align_manifest(_first_row(emotion=1.7)),
+    "manifest-emotion-bool": _train_align_manifest(_first_row(emotion=True)),
+    "manifest-speaker-string": _train_align_manifest(_first_row(speaker="1")),
+    "manifest-duration-float": _train_align_manifest(
+        _first_row(durations=lambda row: [float(d) for d in row["durations"]])),
+    "durations-off-reference": _train_tts_manifest(
+        _first_row(durations=lambda row: [9] * len(row["durations"]))),
+    "durations-huge": _train_tts_manifest(
+        _first_row(durations=lambda row: [10 ** 9] * len(row["durations"]))),
 }
 
 
@@ -323,6 +377,16 @@ def test_malformed_input_exits_2_without_traceback(case, workdir, tts_ckpt, tmp_
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("batch", [3, 5])
+def test_train_align_skips_unused_class_ids(batch, workdir, tmp_path):
+    # one utterance of class 7 leaves ids 3..6 without utterances; batches
+    # of up to 4 draw distinct classes, larger ones shuffle
+    argv = _train_align_manifest(_first_row(emotion=7))(workdir, tmp_path)
+    argv[argv.index("--batch") + 1] = str(batch)
+    assert main(argv) == 0
+    assert load_epalign(tmp_path / "a.json").n_classes == 8
 
 
 def test_eval_reports_metrics(workdir, tmp_path, capsys):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from emoforge.autodiff import constant, finite_diff_check
+from emoforge.autodiff import constant, finite_diff_check, grad
 from emoforge.datagen import CorpusConfig, gen_corpus
 from emoforge.epalign import (
     AlignTrainConfig,
@@ -150,13 +150,26 @@ def test_project_prompt_identity_and_errors(corpus):
     prompts = anchored_prompts(p)
     assert prompts.shape == (3, 4)
     assert np.allclose(prompts[1], table[1] / np.linalg.norm(table[1]))
-    # different anchors use different matrices
-    p.anchor = "vis"
-    assert not np.allclose(anchored_prompts(p)[1], prompts[1])
     # training refuses a label no prompt row can hold
     bad = [dataclasses.replace(corpus[0][0], emotion=-1)] + corpus[0][1:]
     with pytest.raises(InvalidLabelError):
         train_epalign(bad, AlignTrainConfig(batch=3, epochs=1))
+
+
+@pytest.mark.parametrize("modalities", [("vis", "audio", "tex"), ("audio",), ("tex",)])
+def test_every_block_gets_gradient(modalities):
+    # a block with an all-zero gradient can never learn
+    p = _tiny_params(modalities=modalities)
+    rng = rng_stream(5, "grad-blocks")
+    feats = {mu: rng.standard_normal((3, 4)) for mu in modalities}
+    g = grad(lambda t: _batch_loss_graph(t, p, feats, np.arange(3)), p.theta)
+    dead = [name for name, (a, b) in p.layout.slices.items() if not np.any(g[a:b])]
+    assert dead == []
+
+
+def test_parameter_counts():
+    assert init_epalign().theta.size == 22977
+    assert init_epalign(modalities=("audio",)).theta.size == 8449
 
 
 # -- logits and loss ---------------------------------------------------------------
@@ -355,7 +368,7 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     save_epalign(params, path)
     back = load_epalign(path)
     assert np.array_equal(back.theta, params.theta)
-    assert back.anchor == params.anchor and back.n_classes == params.n_classes
+    assert back.modalities == params.modalities and back.n_classes == params.n_classes
     sample = test[0]
     feats = {"tex": sample.feat_text}
     a = align_infer(feats, params)
