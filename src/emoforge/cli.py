@@ -51,8 +51,8 @@ def _parse_modalities(raw):
         if m not in epalign.MODALITIES:
             raise ConfigError("unknown modality %r (want %s)"
                               % (m, "/".join(epalign.MODALITIES)))
-    if not mods:
-        raise ConfigError("empty modality list")
+    if not mods or len(set(mods)) < len(mods):
+        raise ConfigError("modality list %r is empty or repeats a modality" % raw)
     return mods
 
 

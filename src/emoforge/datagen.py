@@ -2,9 +2,9 @@
 
 Each utterance carries three feature vectors (vision / audio / text) drawn
 from well-separated per-class Gaussian clusters, plus reference audio
-rendered as speaker- and emotion-modulated harmonic tones. The renderer is
-the ground truth the TTS trainer imitates and the metric suite scores
-against, so everything here is exactly reproducible from the seed.
+rendered as speaker- and emotion-modulated harmonic tones into 16-bit
+WAVs, which the TTS trainer imitates and the metric suite scores against.
+Everything here is exactly reproducible from the seed.
 """
 
 import json
@@ -221,10 +221,10 @@ def gen_corpus(config, out_dir):
                 for mu in modalities
             }
             utt_id = "utt_%05d" % idx
-            wav_rel = os.path.join("wav", utt_id + ".wav")
-            wav_write(os.path.join(out_dir, wav_rel), render_reference(text, c, speaker))
+            wav_path = os.path.join(wav_dir, utt_id + ".wav")
+            wav_write(wav_path, render_reference(text, c, speaker))
             utts.append(Utterance(
-                id=utt_id, text=text, emotion=c, speaker=speaker, wav_path=wav_rel,
+                id=utt_id, text=text, emotion=c, speaker=speaker, wav_path=wav_path,
                 durations=text_durations(text),
                 feat_vis=feats["vis"], feat_audio=feats["audio"], feat_text=feats["text"],
             ))
@@ -233,7 +233,7 @@ def gen_corpus(config, out_dir):
         for u in utts:
             f.write(json.dumps({
                 "id": u.id, "text": u.text, "emotion": u.emotion, "speaker": u.speaker,
-                "wav": u.wav_path, "durations": u.durations,
+                "wav": os.path.join("wav", os.path.basename(u.wav_path)), "durations": u.durations,
                 "feat_vis": u.feat_vis.tolist(),
                 "feat_audio": u.feat_audio.tolist(),
                 "feat_text": u.feat_text.tolist(),
@@ -258,7 +258,8 @@ def load_manifest(path):
                                     "each duration integers")
                 u = Utterance(
                     id=row["id"], text=row["text"], emotion=row["emotion"],
-                    speaker=row["speaker"], wav_path=row["wav"], durations=row["durations"],
+                    speaker=row["speaker"], durations=row["durations"],
+                    wav_path=os.path.join(os.path.dirname(path), row["wav"]),
                     feat_vis=row["feat_vis"], feat_audio=row["feat_audio"],
                     feat_text=row["feat_text"],
                 )

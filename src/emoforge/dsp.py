@@ -76,8 +76,11 @@ def wav_read(path):
     Raises FormatError (with the byte offset of the problem) on malformed
     headers, truncated chunks, non-PCM encodings or stereo files.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except ValueError as e:  # a path holding a NUL byte
+        raise FormatError("cannot open %r: %s" % (path, e))
 
     def need(n, offset, what):
         if offset + n > len(blob):

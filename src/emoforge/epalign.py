@@ -111,6 +111,16 @@ def _sym_ce_t(logits):
     return -(row.mean()) - (col.mean())
 
 
+def _implicit_t(blocks, feats):
+    """Mean of each modality's projected encoding over a dict of (N x D_mu)
+    features; the training loss and inference both fuse through it."""
+    u_sum = None
+    for mu, x in feats.items():
+        u = _encode_t(blocks, constant(x), mu) @ blocks["w_imp_" + mu]
+        u_sum = u if u_sum is None else u_sum + u
+    return u_sum * (1.0 / len(feats))
+
+
 def _prompts_t(blocks):
     """All C prompt embeddings, projected into the text space and L2-normalized."""
     return _l2rows_t(blocks["prompt_table"] @ blocks["w_pro_tex"])
@@ -145,13 +155,8 @@ class AlignTrainConfig:
 
 def _batch_loss_graph(theta_t, params, feats, labels):
     blocks = params.layout.unpack(theta_t)
-    u_sum = None
-    for mu in params.modalities:
-        u = _encode_t(blocks, constant(feats[mu]), mu) @ blocks["w_imp_" + mu]
-        u_sum = u if u_sum is None else u_sum + u
-    u_imp = u_sum * (1.0 / len(params.modalities))
     u_exp = blocks["prompt_table"][labels] @ blocks["w_pro_tex"]
-    return _sym_ce_t(_logits_t(u_exp, u_imp, blocks["log_t"]))
+    return _sym_ce_t(_logits_t(u_exp, _implicit_t(blocks, feats), blocks["log_t"]))
 
 
 def train_epalign(dataset, config=None):
@@ -225,11 +230,7 @@ def _infer_batch(feats, params):
     """Shared inference core: dict of (N x D_mu) feature matrices in, predicted
     classes, similarity matrix and the normalized prompt table out."""
     blocks = params.layout.unpack(constant(params.theta))
-    fused = None
-    for mu, x in feats.items():
-        u = _l2rows_t(_encode_t(blocks, constant(x), mu) @ blocks["w_imp_" + mu])
-        fused = u if fused is None else fused + u
-    fused = _l2rows_t(fused * (1.0 / len(feats)))
+    fused = _l2rows_t(_implicit_t(blocks, feats))
     prompts = _prompts_t(blocks)
     sims = (fused @ prompts.T).data
     return np.argmax(sims, axis=1), sims, prompts.data

@@ -27,8 +27,8 @@ from .conditioning import (
     coupling_block_shapes,
     coupling_graph,
 )
-from .dsp import HOP, N_FFT, N_MELS, SAMPLE_RATE, MelSpectrogram, griffin_lim, mel_spectrogram
-from .datagen import render_reference
+from .dsp import (HOP, N_FFT, N_MELS, SAMPLE_RATE, MelSpectrogram, griffin_lim,
+                  mel_spectrogram, wav_read)
 from .errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
 from .numeric import rng_stream
 
@@ -219,7 +219,7 @@ def synthesize(text, u_emo, u_spk, params):
 
 # -- training -----------------------------------------------------------------
 
-def _utterance_batch(utt, prompts, n_speakers, mel_cache):
+def _utterance_batch(utt, prompts, n_speakers):
     ids = _char_ids(utt.text)
     durations = np.asarray(utt.durations, dtype=int)
     if len(ids) != len(durations):
@@ -227,15 +227,14 @@ def _utterance_batch(utt, prompts, n_speakers, mel_cache):
                                 % (utt.id, len(durations), len(ids)))
     if not 0 <= utt.emotion < len(prompts):
         raise InvalidLabelError("utterance %s: emotion %d out of range" % (utt.id, utt.emotion))
-    key = (utt.text, utt.emotion, utt.speaker)
-    if key not in mel_cache:
-        wav = render_reference(utt.text, utt.emotion, utt.speaker)
-        mel_cache[key] = mel_spectrogram(wav).frames
-    ref = mel_cache[key]
+    wav = wav_read(utt.wav_path)
+    if wav.sample_rate != SAMPLE_RATE:  # else its mel bands would not be synthesis's
+        raise FormatError("%s is %d Hz, not %d Hz" % (utt.wav_path, wav.sample_rate, SAMPLE_RATE))
+    ref = mel_spectrogram(wav).frames
     # center-padded STFT yields one frame beyond the teacher total; trim it
     if len(ref) != int(durations.sum()) + 1:
-        raise InvalidInputError("utterance %s: durations sum to %d frames, the reference has %d"
-                                % (utt.id, durations.sum(), len(ref) - 1))
+        raise InvalidInputError("utterance %s: durations sum to %d frames, %s has %d"
+                                % (utt.id, durations.sum(), utt.wav_path, len(ref) - 1))
     return {
         "ids": ids,
         "durations": durations,
@@ -261,10 +260,10 @@ def _loss_graph(theta_t, params, batch):
 def train_tts(dataset, prompts, variant, config=None):
     """Teacher-forced trainer: L2 on mel frames plus L2 on soft durations.
 
-    `prompts` is the trained alignment model's anchored prompt table (one
-    unit-norm embedding per emotion class); returns (params, loss curve)
-    where the curve holds mean probe-set loss snapshots, first entry before
-    any update and last entry after the final step.
+    Targets are the mel frames of each utterance's 16 kHz WAV (`wav_path`);
+    `prompts` holds one unit-norm alignment prompt per emotion class (as
+    `epalign.anchored_prompts` returns them). Returns (params, curve), the
+    mean probe-set loss before any update, then at snapshots to the last step.
     """
     config = config or TtsConfig()
     if not dataset:
@@ -276,8 +275,7 @@ def train_tts(dataset, prompts, variant, config=None):
     params = init_tts(variant, embed=prompts.shape[1], n_speakers=n_speakers,
                       seed=config.seed)
 
-    mel_cache = {}
-    batches = [_utterance_batch(u, prompts, n_speakers, mel_cache) for u in dataset]
+    batches = [_utterance_batch(u, prompts, n_speakers) for u in dataset]
     probe = batches[: min(8, len(batches))]
 
     def probe_loss(theta):

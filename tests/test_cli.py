@@ -3,12 +3,14 @@
 import filecmp
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from emoforge.cli import main
-from emoforge.dsp import wav_read
+from emoforge.datagen import render_reference
+from emoforge.dsp import HOP, SAMPLE_RATE, Waveform, wav_read, wav_write
 from emoforge.epalign import init_epalign, load_epalign, save_epalign
 from emoforge.tts import load_tts, save_tts
 
@@ -84,6 +86,9 @@ def test_usage_errors(workdir, tmp_path, capsys):
                  ["gen-data", "--out", out, "--sep", "inf"],
                  ["gen-data", "--out", out, "--noise", "nan"],
                  align + ["--lr", "nan"], align + ["--epochs", "0"], align + ["--batch", "0"],
+                 align + ["--modalities", "tex,tex"],
+                 ["eval-align", "--ckpt", str(workdir["align"]), "--data", str(workdir["data"]),
+                  "--modalities", "tex,tex", "--out", out],
                  train_tts + ["--lr", "nan"], train_tts + ["--lr", "-1"]):
         assert main(argv) == 1, argv
         assert "Traceback" not in capsys.readouterr().err
@@ -253,8 +258,9 @@ def _eval_pairs(content):
 
 
 def _edited_data(w, tmp, edit):
+    """A copy of the corpus, WAVs included, with its manifest lines mapped by `edit`."""
+    shutil.copytree(w["data"] / "wav", tmp / "data" / "wav")
     lines = (w["data"] / "manifest.jsonl").read_bytes().splitlines(keepends=True)
-    (tmp / "data").mkdir()
     _file(tmp / "data" / "manifest.jsonl", b"".join(edit(lines)))
     return str(tmp / "data")
 
@@ -268,6 +274,15 @@ def _train_tts_manifest(edit):
     return lambda w, tmp: ["train-tts", "--data", _edited_data(w, tmp, edit),
                            "--variant", "tacotron", "--align-ckpt", str(w["align"]),
                            "--out", str(tmp / "t.json"), "--steps", "1", "--batch", "1"]
+
+
+def _train_tts_wav(edit):
+    """train-tts on a corpus copy whose first WAV `edit` rewrites in place."""
+    def argv(w, tmp):
+        args = _train_tts_manifest(lambda lines: lines)(w, tmp)
+        edit(tmp / "data" / "wav" / "utt_00000.wav")
+        return args
+    return argv
 
 
 def _first_row(**change):
@@ -342,6 +357,7 @@ MALFORMED = {
     "pairs-ref-not-string": _eval_pairs(json.dumps(dict(_PAIR, ref=5)) + "\n"),
     "pairs-not-utf8": _eval_pairs(b'{"id": "\xff"}\n'),
     "pairs-deeply-nested": _eval_pairs("[" * 100000 + "\n"),
+    "pairs-ref-nul": _eval_pairs(json.dumps(dict(_PAIR, ref="a\0.wav")) + "\n"),
     "manifest-not-utf8": _train_align_manifest(lambda lines: [b"\xff" + lines[0]] + lines[1:]),
     "manifest-deeply-nested": _train_align_manifest(lambda lines: [b"[" * 100000 + b"\n"] + lines),
     "manifest-unequal-features": _train_align_manifest(_vis_features(lambda v: v[:-1])),
@@ -368,6 +384,25 @@ MALFORMED = {
         _first_row(durations=lambda row: [9] * len(row["durations"]))),
     "durations-huge": _train_tts_manifest(
         _first_row(durations=lambda row: [10 ** 9] * len(row["durations"]))),
+    "wav-path-nul": _train_tts_manifest(_first_row(wav="wav/\0.wav")),
+    "wav-missing": _train_tts_wav(lambda path: path.unlink()),
+    "wav-not-riff": _train_tts_wav(lambda path: path.write_bytes(b"not a wav file")),
+    "wav-22khz": _train_tts_wav(
+        lambda path: wav_write(path, Waveform(wav_read(path).samples, 22050))),
+    "wav-one-hop-short": _train_tts_wav(
+        lambda path: wav_write(path, Waveform(wav_read(path).samples[:-HOP], SAMPLE_RATE))),
+}
+
+# text each case's error must hold, so that it fails for the reason its name gives
+REASON = {
+    "pairs-ref-nul": "null byte",
+    "durations-off-reference": "durations sum to",
+    "durations-huge": "durations sum to",
+    "wav-path-nul": "null byte",
+    "wav-missing": "No such file",
+    "wav-not-riff": "RIFF",
+    "wav-22khz": "22050 Hz",
+    "wav-one-hop-short": "durations sum to",
 }
 
 
@@ -377,6 +412,23 @@ def test_malformed_input_exits_2_without_traceback(case, workdir, tts_ckpt, tmp_
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert REASON.get(case, "") in err
+
+
+def test_train_tts_reads_corpus_wavs(workdir, tmp_path):
+    # one WAV swapped for a same-length render of another emotion: the
+    # trainer must see the swap, so the checkpoint must change
+    edited = tmp_path / "data"
+    shutil.copytree(workdir["data"], edited)
+    row = json.loads((edited / "manifest.jsonl").read_text().splitlines()[0])
+    wav_write(edited / row["wav"],
+              render_reference(row["text"], (row["emotion"] + 1) % 3, row["speaker"]))
+    ckpts = [tmp_path / "corpus.json", tmp_path / "edited.json"]
+    for data, ckpt in zip((workdir["data"], edited), ckpts):
+        assert main(["train-tts", "--data", str(data), "--variant", "tacotron",
+                     "--align-ckpt", str(workdir["align"]), "--out", str(ckpt),
+                     "--steps", "2", "--batch", "18", "--seed", "9"]) == 0
+    assert ckpts[0].read_bytes() != ckpts[1].read_bytes()
 
 
 @pytest.mark.parametrize("batch", [3, 5])

@@ -321,6 +321,24 @@ def test_align_infer_exact_prompt_match():
     assert abs(np.linalg.norm(res.u_emo) - 1.0) < 1e-12
 
 
+def test_align_infer_fuses_as_the_training_loss_does():
+    # audio's projection is ten times the text one, so audio dominates the
+    # mean the loss trains on; inference must score that same mean, not a
+    # mean of per-modality unit vectors
+    p = _with_blocks(_tiny_params(modalities=("audio", "tex")), w_imp_audio=10 * np.eye(4))
+    rng = rng_stream(3, "fusion")
+    feats = {mu: rng.standard_normal(4) for mu in ("audio", "tex")}
+    blocks = p.layout.unpack(p.theta)
+
+    def implicit(mu):  # one modality's term of the training fusion, in plain numpy
+        h = np.tanh(feats[mu] @ blocks["enc_%s_w1" % mu] + blocks["enc_%s_b1" % mu])
+        return (h @ blocks["enc_%s_w2" % mu] + blocks["enc_%s_b2" % mu]) @ blocks["w_imp_" + mu]
+
+    u = (implicit("audio") + implicit("tex")) / 2
+    cosines = anchored_prompts(p) @ (u / np.linalg.norm(u))
+    assert np.allclose(align_infer(feats, p).per_class_similarity, cosines, atol=1e-12)
+
+
 def test_align_infer_temperature_invariant(corpus):
     train, test = corpus
     params, _ = train_epalign(train, AlignTrainConfig(batch=5, epochs=5, lr=1e-2, seed=3))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from emoforge.autodiff import constant, grad
-from emoforge.datagen import Utterance, text_durations
+from emoforge.datagen import Utterance, render_reference, text_durations
 from emoforge.dsp import HOP, N_MELS, mel_spectrogram, wav_write
 from emoforge.errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
 from emoforge.numeric import l2_normalize_rows, rng_stream
@@ -189,21 +189,21 @@ def test_synthesized_wav_bytes_pinned(variant, tmp_path):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_every_block_gets_gradient(variant):
+def test_every_block_gets_gradient(variant, tmp_path):
     # a block with an all-zero gradient can never learn
     p = _params(variant)
-    batch = _utterance_batch(_toy_dataset()[0], _toy_prompts(), N_SPK, {})
+    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), N_SPK)
     g = grad(lambda t: _loss_graph(t, p, batch), p.theta)
     dead = [name for name, (a, b) in p.layout.slices.items() if not np.any(g[a:b])]
     assert dead == []
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_utterance_graphs_free_by_refcount(variant):
+def test_utterance_graphs_free_by_refcount(variant, tmp_path):
     # no node may refer to itself through its backward closure, so a graph
     # leaves no cyclic garbage once dropped
     p = _params(variant)
-    batch = _utterance_batch(_toy_dataset()[0], _toy_prompts(), N_SPK, {})
+    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), N_SPK)
     gc.collect()
     gc.disable()
     try:
@@ -222,14 +222,18 @@ def test_fastspeech_parameter_count():
 
 # -- training -----------------------------------------------------------------
 
-def _toy_dataset():
+def _toy_dataset(wav_dir):
+    """Six utterances whose reference renders are written to wav_dir, as
+    gen-data writes a corpus."""
     texts = ["a cat sat.", "big red fox.", "we dig mud."]
     utts = []
     for ti, text in enumerate(texts):
         for emo in range(2):
+            uid, speaker = "u%d%d" % (ti, emo), (ti + emo) % N_SPK
+            wav_path = wav_dir / (uid + ".wav")
+            wav_write(wav_path, render_reference(text, emo, speaker))
             utts.append(Utterance(
-                id="u%d%d" % (ti, emo), text=text, emotion=emo,
-                speaker=(ti + emo) % N_SPK, wav_path="",
+                id=uid, text=text, emotion=emo, speaker=speaker, wav_path=str(wav_path),
                 durations=text_durations(text),
                 feat_vis=np.zeros(2), feat_audio=np.zeros(2), feat_text=np.zeros(2)))
     return utts
@@ -239,8 +243,8 @@ def _toy_prompts():
     return np.eye(2, EMBED)
 
 
-def test_train_loss_decreases_and_is_deterministic():
-    data, prompts = _toy_dataset(), _toy_prompts()
+def test_train_loss_decreases_and_is_deterministic(tmp_path):
+    data, prompts = _toy_dataset(tmp_path), _toy_prompts()
     cfg = TtsConfig(steps=60, lr=0.05, seed=3)
     p1, c1 = train_tts(data, prompts, "tacotron", cfg)
     p2, c2 = train_tts(data, prompts, "tacotron", TtsConfig(steps=60, lr=0.05, seed=3))
@@ -250,33 +254,35 @@ def test_train_loss_decreases_and_is_deterministic():
 
 
 # SHA-256 of the checkpoint train_tts writes for each variant (toy set,
-# 6 steps of batch 2, seed 3), recorded before the tape's parameter blocks
-# and constants were made cheaper: the gradients must keep every bit.
+# 6 steps of batch 2, seed 3), trained on the toy set's 16-bit WAVs. A
+# reader that hands back the float renders instead gives the earlier pins
+# (vits 8bc7b468..., fastspeech 865e44ff..., tacotron 4e25a093...), which
+# held from before the tape's parameter blocks were made cheaper.
 PINNED_CKPT_SHA256 = {
-    "vits": "8bc7b46812abfa4a4315199d9c730311193348a0f52ee82ede319c7737b264c1",
-    "fastspeech": "865e44ff9d2d4b2b75f852cf80faff37540c51b8742bb5bfb095418ff1ced78b",
-    "tacotron": "4e25a09321cf6625960c613784d299eb854a87db9c4eb9b99e9579d8fdcbe2b3",
+    "vits": "d34f228804a28877729f0d42df9dac25df0e077c8405bab6bfb6320c23b401a2",
+    "fastspeech": "6c95782b98b92ac5f48755cf3816b164e9224532660f84d3abc0aea999cdd4f2",
+    "tacotron": "e7580143e12af437c7181b556cf4ed25a809687f93abf1c9a17d02fe3ca117eb",
 }
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_trained_checkpoint_bytes_pinned(variant, tmp_path):
-    p, _ = train_tts(_toy_dataset(), _toy_prompts(), variant,
+    p, _ = train_tts(_toy_dataset(tmp_path), _toy_prompts(), variant,
                      TtsConfig(steps=6, lr=0.05, batch=2, seed=3))
     path = tmp_path / "tts.json"
     save_tts(p, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CKPT_SHA256[variant]
 
 
-def test_train_lr_zero_flat_curve():
-    _, curve = train_tts(_toy_dataset(), _toy_prompts(), "vits",
+def test_train_lr_zero_flat_curve(tmp_path):
+    _, curve = train_tts(_toy_dataset(tmp_path), _toy_prompts(), "vits",
                          TtsConfig(steps=25, lr=0.0, seed=1))
     assert len(curve) > 2
     assert all(c == curve[0] for c in curve)
 
 
-def test_train_config_errors():
-    data, prompts = _toy_dataset(), _toy_prompts()
+def test_train_config_errors(tmp_path):
+    data, prompts = _toy_dataset(tmp_path), _toy_prompts()
     with pytest.raises(ConfigError):
         train_tts([], prompts, "vits")
     with pytest.raises(ConfigError):
@@ -288,18 +294,17 @@ def test_train_config_errors():
         train_tts(data, prompts, "wavenet", TtsConfig(steps=1))
     with pytest.raises(ConfigError):
         train_tts(data, prompts[0], "vits", TtsConfig(steps=1))
-    bad = _toy_dataset()
+    bad = _toy_dataset(tmp_path)
     bad[0].emotion = 5
     with pytest.raises(InvalidLabelError):
         train_tts(bad, prompts, "vits", TtsConfig(steps=1))
 
 
-def test_trained_model_tracks_reference_mel():
-    data, prompts = _toy_dataset(), _toy_prompts()
+def test_trained_model_tracks_reference_mel(tmp_path):
+    data, prompts = _toy_dataset(tmp_path), _toy_prompts()
     p, curve = train_tts(data, prompts, "fastspeech", TtsConfig(steps=300, lr=0.05, seed=5))
     assert curve[-1] < 0.5 * curve[0]
     # synthesized mel should sit closer to the matched-emotion reference
-    from emoforge.datagen import render_reference
     text = "a cat sat."
     wins = 0
     for emo in range(2):
