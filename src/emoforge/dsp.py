@@ -55,7 +55,10 @@ class MelSpectrogram:
 # ---------------------------------------------------------------------------
 
 def wav_write(path, w):
-    """Write a Waveform as mono 16-bit PCM. Samples are clipped to [-1, 1]."""
+    """Write a Waveform as mono 16-bit PCM. Samples are clipped to [-1, 1];
+    a non-finite sample raises InvalidInputError before the file is opened."""
+    if not np.isfinite(w.samples).all():
+        raise InvalidInputError("cannot write non-finite samples to %s" % path)
     s = np.clip(w.samples, -1.0, 1.0)
     q = np.clip(np.rint(s * 32768.0), -32768, 32767).astype("<i2")
     payload = q.tobytes()

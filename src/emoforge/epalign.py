@@ -236,6 +236,18 @@ def _infer_batch(feats, params):
     return np.argmax(sims, axis=1), sims, prompts.data
 
 
+def _checked_features(mu, x, params):
+    """One sample's `mu` feature vector as float64, checked against the model."""
+    _check_modality(mu, params)
+    x = np.asarray(x, dtype=np.float64)
+    want = params.dims["d_" + mu]
+    if x.ndim != 1 or x.size != want:
+        raise ShapeError("%s features must be 1-D of dim %d, got %s" % (mu, want, x.shape))
+    if not np.isfinite(x).all():
+        raise InvalidInputError("%s features must be finite" % mu)
+    return x
+
+
 def align_infer(features, params):
     """Classify one sample from whichever modalities are present.
 
@@ -245,16 +257,7 @@ def align_infer(features, params):
     """
     if not features:
         raise InvalidInputError("align_infer needs at least one modality")
-    feats = {}
-    for mu, x in features.items():
-        _check_modality(mu, params)
-        x = np.asarray(x, dtype=np.float64)
-        want = params.dims["d_" + mu]
-        if x.ndim != 1 or x.size != want:
-            raise ShapeError("%s features must be 1-D of dim %d, got %s" % (mu, want, x.shape))
-        if not np.isfinite(x).all():
-            raise InvalidInputError("%s features must be finite" % mu)
-        feats[mu] = x[None, :]
+    feats = {mu: _checked_features(mu, x, params)[None, :] for mu, x in features.items()}
     preds, sims, prompts = _infer_batch(feats, params)
     c = int(preds[0])
     return AlignmentResult(predicted_class=c, u_emo=prompts[c], per_class_similarity=sims[0])
@@ -288,11 +291,13 @@ def eval_alignment(params, dataset, modalities=None):
     if not dataset:
         raise ConfigError("cannot evaluate on an empty dataset")
     mods = tuple(modalities) if modalities else params.modalities
-    for mu in mods:
-        _check_modality(mu, params)
-    feats = {mu: np.stack([getattr(u, _FEAT_ATTR[mu]) for u in dataset]) for mu in mods}
-    preds, _, _ = _infer_batch(feats, params)
     y = np.array([u.emotion for u in dataset])
+    if y.min() < 0 or y.max() >= params.n_classes:
+        raise InvalidLabelError("labels must lie in [0, %d), got %d..%d"
+                                % (params.n_classes, y.min(), y.max()))
+    feats = {mu: np.stack([_checked_features(mu, getattr(u, _FEAT_ATTR[mu]), params)
+                           for u in dataset]) for mu in mods}
+    preds, _, _ = _infer_batch(feats, params)
     return classification_report(y, preds, params.n_classes)
 
 

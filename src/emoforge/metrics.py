@@ -29,58 +29,27 @@ from .numeric import cosine_similarity, l2_normalize_rows
 # Edit distance and text normalization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EditOps:
-    substitutions: int
-    deletions: int
-    insertions: int
-
-    @property
-    def distance(self):
-        return self.substitutions + self.deletions + self.insertions
-
-
 def edit_distance(ref, hyp):
-    """Levenshtein alignment between two token sequences.
+    """Levenshtein distance between two token sequences (unit costs).
 
-    Returns an EditOps with the minimal substitution/deletion/insertion
-    counts. When several alignments reach the minimum, substitutions are
-    preferred over deletions over insertions, so the counts (not just the
-    distance) are deterministic.
-
-    The DP runs row by row over two flat int lists per row: the distance,
-    and the counts packed as S*B^2 + D*B + I with B = n + m + 1 (no count
-    can reach B, so the packing is exact). Each cell takes the diagonal
-    (match or substitution) first; the cell above (deletion), then the cell
-    to the left (insertion), replace it only when strictly closer. That is
-    the S > D > I preference above.
+    The DP runs row by row. Each cell takes the diagonal (match or
+    substitution) first; the cell above, then the cell to the left, replace
+    it only when strictly smaller.
     """
-    n, m = len(ref), len(hyp)
-    base = n + m + 1
-    sub, dele = base * base, base
-    # row 0: j insertions
-    prev_dist = list(range(m + 1))
-    prev_ops = list(range(m + 1))
+    prev = list(range(len(hyp) + 1))
     for i, r in enumerate(ref, 1):
-        # column 0: i deletions
-        left_dist, left_ops = i, i * dele
-        cur_dist, cur_ops = [left_dist], [left_ops]
+        left = i
+        cur = [left]
         for j, h in enumerate(hyp):
-            if r == h:
-                best_dist, best_ops = prev_dist[j], prev_ops[j]
-            else:
-                best_dist, best_ops = prev_dist[j] + 1, prev_ops[j] + sub
-            if prev_dist[j + 1] + 1 < best_dist:
-                best_dist, best_ops = prev_dist[j + 1] + 1, prev_ops[j + 1] + dele
-            if left_dist + 1 < best_dist:
-                best_dist, best_ops = left_dist + 1, left_ops + 1
-            cur_dist.append(best_dist)
-            cur_ops.append(best_ops)
-            left_dist, left_ops = best_dist, best_ops
-        prev_dist, prev_ops = cur_dist, cur_ops
-    ops = prev_ops[m]
-    return EditOps(substitutions=ops // sub, deletions=ops // dele % base,
-                   insertions=ops % base)
+            best = prev[j] if r == h else prev[j] + 1
+            if prev[j + 1] + 1 < best:
+                best = prev[j + 1] + 1
+            if left + 1 < best:
+                best = left + 1
+            cur.append(best)
+            left = best
+        prev = cur
+    return prev[-1]
 
 
 _KEEP = re.compile(r"[^a-z0-9' ]+")
@@ -271,24 +240,22 @@ class EvalReport:
 
 def utterance_metrics(utt_id, ref_wav, syn_wav, ref_text, hyp_text):
     """All per-utterance metrics plus the raw counts needed for pooling."""
-    ref_words = normalize_text(ref_text).split()
-    hyp_words = normalize_text(hyp_text).split()
-    ref_chars = list(normalize_text(ref_text))
-    hyp_chars = list(normalize_text(hyp_text))
+    ref_norm, hyp_norm = normalize_text(ref_text), normalize_text(hyp_text)
+    ref_words = ref_norm.split()
     if not ref_words:
         raise UndefinedMetricError("empty reference transcript for %r" % utt_id)
-    w_ops = edit_distance(ref_words, hyp_words)
-    c_ops = edit_distance(ref_chars, hyp_chars)
+    word_edits = edit_distance(ref_words, hyp_norm.split())
+    char_edits = edit_distance(ref_norm, hyp_norm)
     return {
         "id": utt_id,
-        "wer": w_ops.distance / len(ref_words),
-        "cer": c_ops.distance / len(ref_chars),
+        "wer": word_edits / len(ref_words),
+        "cer": char_edits / len(ref_norm),
         "mcd": mcd(ref_wav, syn_wav),
         "secs": secs(ref_wav, syn_wav),
-        "word_edits": w_ops.distance,
+        "word_edits": word_edits,
         "word_count": len(ref_words),
-        "char_edits": c_ops.distance,
-        "char_count": len(ref_chars),
+        "char_edits": char_edits,
+        "char_count": len(ref_norm),
     }
 
 

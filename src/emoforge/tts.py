@@ -293,9 +293,7 @@ def train_tts(dataset, prompts, variant, config=None):
         take, queue = queue[: config.batch], queue[config.batch:]
         g = np.zeros_like(params.theta)
         for i in take:
-            gi, _ = grad(lambda t: _loss_graph(t, params, batches[i]),
-                         params.theta, return_loss=True)
-            g += gi
+            g += grad(lambda t: _loss_graph(t, params, batches[i]), params.theta)
         params.theta, state = adam_step(params.theta, g / config.batch, state, config.lr)
         if step % snap_every == 0 or step == config.steps:
             curve.append(probe_loss(params.theta))

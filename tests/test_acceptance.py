@@ -218,7 +218,7 @@ def test_criterion_05_edit_distance_oracle(verdict):
     for _ in range(500):
         ref = tuple(rng.integers(0, 4, rng.integers(0, 9)))
         hyp = tuple(rng.integers(0, 4, rng.integers(0, 9)))
-        if edit_distance(ref, hyp).distance != _brute_edit(ref, hyp):
+        if edit_distance(ref, hyp) != _brute_edit(ref, hyp):
             bad += 1
     verdict(5, "500 random pairs (len <= 8) vs brute-force recursion, %d mismatches" % bad,
              bad == 0)

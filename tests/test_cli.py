@@ -341,6 +341,12 @@ def _eval_align_checkpoint(edit):
     return argv
 
 
+def _eval_align_data(edit):
+    """eval-align with the corpus's checkpoint on a corpus copy edited by `edit`."""
+    return lambda w, tmp: ["eval-align", "--ckpt", str(w["align"]),
+                           "--data", _edited_data(w, tmp, edit), "--out", str(tmp / "r.json")]
+
+
 _PAIR = {"id": "u", "ref": "a.wav", "syn": "a.wav", "ref_text": "a", "hyp_text": "a"}
 
 MALFORMED = {
@@ -369,6 +375,10 @@ MALFORMED = {
     "align-bool-classes": _eval_align_checkpoint(_one_class_as_true),
     "align-no-modalities": _eval_align_checkpoint(lambda p, _: p.update(modalities=[])),
     "align-parent-format": _eval_align_checkpoint(_parent_format),
+    # the checkpoint knows classes 0..2 and 64-dim features
+    "align-label-past-classes": _eval_align_data(_first_row(emotion=4)),
+    "align-label-negative": _eval_align_data(_first_row(emotion=-1)),
+    "align-features-short": _eval_align_data(_vis_features(lambda v: v[:8], first=0)),
     "untrained-modality-eval": _audio_only(
         lambda w, tmp: ["eval-align", "--ckpt", str(w["align"]), "--data", str(w["data"]),
                         "--modalities", "vis", "--out", str(tmp / "r.json")]),
@@ -395,6 +405,9 @@ MALFORMED = {
 
 # text each case's error must hold, so that it fails for the reason its name gives
 REASON = {
+    "align-label-past-classes": "labels must lie in [0, 3)",
+    "align-label-negative": "labels must lie in [0, 3)",
+    "align-features-short": "dim 64",
     "pairs-ref-nul": "null byte",
     "durations-off-reference": "durations sum to",
     "durations-huge": "durations sum to",

@@ -50,6 +50,14 @@ def test_wav_round_trip(tmp_path):
     assert np.max(np.abs(back.samples - w.samples)) <= 2.0 ** -15
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wav_write_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "a.wav"
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        wav_write(path, Waveform(samples=np.array([0.1, bad, 0.2]), sample_rate=16000))
+    assert not path.exists()
+
+
 def test_wav_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"JUNK" + b"\x00" * 40)

@@ -313,7 +313,6 @@ def test_align_infer_exact_prompt_match():
     p = _with_blocks(
         p, enc_tex_w1=zero, enc_tex_b1=np.zeros(4), enc_tex_w2=zero, enc_tex_b2=v,
         w_imp_tex=np.eye(4), w_pro_tex=np.eye(4), prompt_table=table)
-    p.anchor = "tex"
     res = align_infer({"tex": np.ones(4)}, p)
     assert res.predicted_class == 1
     assert res.per_class_similarity[1] == pytest.approx(1.0, abs=1e-12)
