@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 from .errors import FormatError, InvalidInputError, ShapeError
@@ -111,6 +112,8 @@ def wav_read(path):
                 raise FormatError("unsupported encoding %d (PCM only)" % audio_format, offset=pos + 8)
             if channels != 1:
                 raise FormatError("%d channels unsupported (mono only)" % channels, offset=pos + 10)
+            if rate == 0:
+                raise FormatError("sample rate of 0 Hz", offset=pos + 12)
             if bits != 16:
                 raise FormatError("%d-bit samples unsupported (16-bit only)" % bits, offset=pos + 22)
             fmt = rate
@@ -146,32 +149,45 @@ def stft(w):
     if x.size <= pad:
         raise InvalidInputError("signal too short: %d samples < %d" % (x.size, pad + 1))
     x = np.pad(x, pad, mode="reflect")
-    n_frames = 1 + (x.size - N_FFT) // HOP
-    idx = np.arange(N_FFT)[None, :] + HOP * np.arange(n_frames)[:, None]
-    return np.fft.rfft(x[idx] * WINDOW[None, :], axis=1)
+    return np.fft.rfft(sliding_window_view(x, N_FFT)[::HOP] * WINDOW, axis=1)
+
+
+def _overlap_add(frames):
+    """Sum (T, N_FFT) frames HOP apart: block r of frame t lands on block t + r."""
+    n_frames, overlap = frames.shape[0], N_FFT // HOP
+    blocks = frames.reshape(n_frames, overlap, HOP)
+    out = np.zeros((n_frames + overlap - 1, HOP))
+    for r in range(overlap - 1, -1, -1):  # r = 3..0: the order istft documents
+        out[r:r + n_frames] += blocks[:, r]
+    return out.ravel()
+
+
+# One entry, for memory: each holds T * HOP floats and Griffin-Lim's rounds share one T.
+@lru_cache(maxsize=1)
+def _window_norm(n_frames):
+    """istft's divisor: the squared-window overlap-add, 1 where it is ~0."""
+    wsum = _overlap_add(np.broadcast_to(WINDOW * WINDOW, (n_frames, N_FFT)))
+    norm = np.where(wsum > 1e-12, wsum, 1.0)
+    norm.flags.writeable = False
+    return norm
 
 
 def istft(spec):
     """Inverse STFT by windowed overlap-add with squared-window normalization.
 
     Returns (T - 1) * HOP samples: the center padding added by `stft` is
-    trimmed.
+    trimmed. Each sample sums its frames in increasing t, as a per-frame
+    loop does, so the bits match that loop; that is why `_overlap_add`
+    adds the frames' blocks r = 3, 2, 1, 0 in that order.
     """
     spec = np.asarray(spec)
     if spec.ndim != 2 or spec.shape[1] != N_FFT // 2 + 1:
         raise ShapeError("expected (T, %d) spectrogram, got %s" % (N_FFT // 2 + 1, spec.shape))
     frames = np.fft.irfft(spec, n=N_FFT, axis=1)
-    n_frames = frames.shape[0]
-    total = N_FFT + HOP * (n_frames - 1)
-    out = np.zeros(total)
-    wsum = np.zeros(total)
-    for t in range(n_frames):
-        start = t * HOP
-        out[start:start + N_FFT] += frames[t] * WINDOW
-        wsum[start:start + N_FFT] += WINDOW * WINDOW
-    out = out / np.where(wsum > 1e-12, wsum, 1.0)
-    pad = N_FFT // 2
-    return out[pad:total - pad]
+    frames *= WINDOW
+    out = _overlap_add(frames)
+    out /= _window_norm(frames.shape[0])
+    return out[N_FFT // 2:out.size - N_FFT // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +277,9 @@ def griffin_lim(m, iters=32):
     x = istft(mag.astype(np.complex128))  # zero phase
     for _ in range(iters):
         rebuilt = stft(x)
-        phase = np.where(np.abs(rebuilt) > 0, rebuilt / np.maximum(np.abs(rebuilt), 1e-16), 1.0)
-        x = istft(mag * phase)
+        rebuilt_mag = np.abs(rebuilt)
+        # in place: each fresh spectrum-sized temporary pays its page faults anew
+        phase = np.divide(rebuilt, np.maximum(rebuilt_mag, 1e-16), out=rebuilt)
+        phase[~(rebuilt_mag > 0)] = 1.0
+        x = istft(np.multiply(mag, phase, out=phase))
     return Waveform(samples=np.clip(x, -1.0, 1.0), sample_rate=m.sample_rate)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import filecmp
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ from emoforge.cli import main
 from emoforge.datagen import render_reference
 from emoforge.dsp import HOP, SAMPLE_RATE, Waveform, wav_read, wav_write
 from emoforge.epalign import init_epalign, load_epalign, save_epalign
-from emoforge.tts import load_tts, save_tts
+from emoforge.tts import VARIANTS, load_tts, save_tts
 
 
 def _gen(out, seed=None, classes=3, speakers=2, per_class=6):
@@ -257,6 +258,14 @@ def _eval_pairs(content):
                            "--out", str(tmp / "r.json")]
 
 
+def _eval_zero_hz(w, tmp):
+    """eval on a pair whose WAV claims a 0 Hz sample rate."""
+    wav_write(tmp / "a.wav", Waveform(wav_read(w["data"] / "wav" / "utt_00000.wav").samples, 0))
+    return ["eval", "--ref-dir", str(tmp), "--syn-dir", str(tmp),
+            "--pairs", _file(tmp / "pairs.jsonl", json.dumps(_PAIR) + "\n"),
+            "--out", str(tmp / "r.json")]
+
+
 def _edited_data(w, tmp, edit):
     """A copy of the corpus, WAVs included, with its manifest lines mapped by `edit`."""
     shutil.copytree(w["data"] / "wav", tmp / "data" / "wav")
@@ -364,6 +373,7 @@ MALFORMED = {
     "pairs-not-utf8": _eval_pairs(b'{"id": "\xff"}\n'),
     "pairs-deeply-nested": _eval_pairs("[" * 100000 + "\n"),
     "pairs-ref-nul": _eval_pairs(json.dumps(dict(_PAIR, ref="a\0.wav")) + "\n"),
+    "pairs-wav-0hz": _eval_zero_hz,
     "manifest-not-utf8": _train_align_manifest(lambda lines: [b"\xff" + lines[0]] + lines[1:]),
     "manifest-deeply-nested": _train_align_manifest(lambda lines: [b"[" * 100000 + b"\n"] + lines),
     "manifest-unequal-features": _train_align_manifest(_vis_features(lambda v: v[:-1])),
@@ -409,6 +419,7 @@ REASON = {
     "align-label-negative": "labels must lie in [0, 3)",
     "align-features-short": "dim 64",
     "pairs-ref-nul": "null byte",
+    "pairs-wav-0hz": "0 Hz",
     "durations-off-reference": "durations sum to",
     "durations-huge": "durations sum to",
     "wav-path-nul": "null byte",
@@ -500,3 +511,84 @@ def test_mos_output(tmp_path, capsys):
     assert main(["mos", "--scores", str(scores)]) == 2  # need at least two ratings
     scores.write_text("4.0\n4.3\n")
     assert main(["mos", "--scores", str(scores)]) == 2  # off the half-point grid
+
+
+# -- the README session, byte for byte ---------------------------------------------
+
+# SHA-256 of every file the session below writes, by path under its output
+# directory, plus each checkpoint's θ as little-endian float64 bytes ("#theta").
+# A change that moves an entry re-pins only that entry and gives the reason.
+PINNED_SESSION_SHA256 = {
+    "align.json": "4dcfce5223d6725e552762baea147e12223e14ae8eb0dcdaccdcd01e112ee9ae",
+    "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
+    "corpus/manifest.jsonl": "3837f705ea68de28fabefee0b372d9d3c9fe1926a859335b928c2df9df58da3c",
+    "corpus/wav/utt_00000.wav": "416a3ac0fd319652d97f741ba2e4bef0d368351ca5ff2a4884025ee73ad0fb70",
+    "corpus/wav/utt_00001.wav": "ab3f8f484cfdbf9c233bb9b7320017ee5ce8ff7ed7f7dffe1e3f659e5d1d7135",
+    "corpus/wav/utt_00002.wav": "f280a34d010b52311235015cd87168ed5d0ff09c561ea361d09176effc149f8a",
+    "corpus/wav/utt_00003.wav": "0c93d009dfbdecaddd150e6837ba2b3b50ea14d7c0e0b35588148a654200e0b4",
+    "corpus/wav/utt_00004.wav": "87ae86a2847673406cd1658a46e2bba71269b35fbd4220d0ac5a6a6d16da2a5f",
+    "corpus/wav/utt_00005.wav": "309f2cdf3934586edf96681ed0cbff7a37cb749a9c09021a885490d56f00f432",
+    "corpus/wav/utt_00006.wav": "94886f5c99672b444d391e3e45e35ad8380bb5b9bf302c6bcd622de189351373",
+    "corpus/wav/utt_00007.wav": "ed63d650a0eb1120802a0fc0a6afb89239e44d197ef7c4a711a98ce61df91e88",
+    "corpus/wav/utt_00008.wav": "05125d525d3a4b3424ba43ae0c5d9f46fab0baa395cd8bc68d7f28e0bcc20dff",
+    "corpus/wav/utt_00009.wav": "d4d80f987157cd6c36d5b6ecd4c31884ea7d45f292bc93a03a4c09bbf97cd8cf",
+    "corpus/wav/utt_00010.wav": "a255366db7309c8c6ec1ab4d59945b935b1de82223ad34e4e72b883145704048",
+    "corpus/wav/utt_00011.wav": "08805fe769c070a8ca8b54342b0964b51312266383a9adcbc965216a5915becb",
+    "corpus/wav/utt_00012.wav": "0658939c59578a4ebaa3feb5b2e1a5cd0f14834e62765214135e76744e1c67d1",
+    "corpus/wav/utt_00013.wav": "175658e8ad84b55047ac60a1222919523f4026427d46c773200699b4b04624a4",
+    "corpus/wav/utt_00014.wav": "b1b51bf958a26611a87e0268506578013e472acff7079831112b07d3002ee9fd",
+    "eval.json": "8053626c5b60c21564d727336e2db7ce0949ac7cd8fb35ac7e43439e49e5e331",
+    "syn/happy.wav": "42a902e7bc75ede91bb4a8ec0e4f6ec94f8ecf8c3807eebcf724d834c54737a5",
+    "syn/ref.wav": "950e73018b9301d55d160de5a29a03a2af1925efda6c60551094461ac124eefb",
+    "tts_fastspeech.json": "22ca8a1b8287dd6685e1e29ec954390de35e90b3e568cf3a5f13b4a354dba5ec",
+    "tts_tacotron.json": "b14036569b8fe626f65d082b58f12a64d476b82b3b0c7ef1a75e1f133fc76f80",
+    "tts_vits.json": "e950a3bd1fa7a4e50f039e5fd6f0ecb96f43dc09b51509ca678442194ac19b28",
+    "align.json#theta": "99d85db9d60beb56dcef0c790d72b2325d4d6141334e0c3522e57a9ef576b9c5",
+    "tts_vits.json#theta": "306ed11328f932b599e8b03f07ae2b9e88888f790cc95012d3babf6403ee230b",
+    "tts_fastspeech.json#theta": "01973cdcae0ce6afb8a3ab3f0f6e718e483057fdfa9774db3835602f1047564d",
+    "tts_tacotron.json#theta": "4ca3c7584773df913e7b6e1c34024dbd56b0ef8fb0f5d6b73906a6c2639d9764",
+}
+
+
+def test_readme_session_bytes_pinned(tmp_path, capsys):
+    # the README session at reduced size; inputs go to in/, every output to out/
+    out, inputs = tmp_path / "out", tmp_path / "in"
+    inputs.mkdir()
+    data, align, syn = out / "corpus", out / "align.json", out / "syn"
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+        return capsys.readouterr().out
+
+    run("gen-data", "--out", data, "--classes", 3, "--per-class", 5, "--speakers", 2,
+        "--seed", 7)
+    run("train-align", "--data", data, "--out", align, "--epochs", 4, "--batch", 6, "--seed", 7)
+    run("eval-align", "--ckpt", align, "--data", data, "--out", out / "align_report.json")
+    for variant in VARIANTS:
+        run("train-tts", "--data", data, "--variant", variant, "--align-ckpt", align,
+            "--out", out / ("tts_%s.json" % variant), "--steps", 4, "--batch", 4, "--seed", 7)
+    row = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
+    feats = _file(inputs / "feats.json",
+                  json.dumps({"vis": row["feat_vis"], "audio": row["feat_audio"]}))
+    syn.mkdir()
+    run("synth", "--ckpt", out / "tts_fastspeech.json", "--align-ckpt", align,
+        "--text", "pack my box.", "--emotion", "happy", "--speaker", 1, "--out", syn / "happy.wav")
+    run("synth", "--ckpt", out / "tts_vits.json", "--align-ckpt", align,
+        "--text", "pack my box.", "--ref-features", feats, "--out", syn / "ref.wav")
+    pairs = [dict(id="happy", ref="utt_00005.wav", syn="happy.wav",
+                  ref_text="pack my box.", hyp_text="pack my box."),
+             dict(id="ref", ref="utt_00000.wav", syn="ref.wav",
+                  ref_text="pack my box.", hyp_text="pack a box.")]
+    pairs = _file(inputs / "pairs.jsonl", "".join(json.dumps(p) + "\n" for p in pairs))
+    run("eval", "--ref-dir", data / "wav", "--syn-dir", syn, "--pairs", pairs,
+        "--out", out / "eval.json")
+    mos = run("mos", "--scores", _file(inputs / "scores.txt", "4.0\n3.5\n4.5\n5.0\n"))
+
+    digests = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.rglob("*")) if path.is_file()}
+    checkpoints = [("align.json", load_epalign(align))]
+    checkpoints += [("tts_%s.json" % v, load_tts(out / ("tts_%s.json" % v))) for v in VARIANTS]
+    for name, params in checkpoints:
+        digests[name + "#theta"] = hashlib.sha256(params.theta.astype("<f8").tobytes()).hexdigest()
+    assert mos == "4.25(±1.03)\n"
+    assert digests == PINNED_SESSION_SHA256

@@ -2,14 +2,17 @@
 
 Expected values are computed from first principles in the test body (direct
 DCT summation, per-frame Parseval sums, bin arithmetic) rather than recorded
-from the implementation under test.
+from the implementation under test. The vectorized STFT/iSTFT are held
+to the plain per-frame loops they replaced, kept here as oracles.
 """
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from emoforge.datagen import render_reference
 from emoforge.dsp import (
     HOP,
     N_FFT,
@@ -94,6 +97,14 @@ def test_wav_rejects_stereo_and_nonpcm(tmp_path):
         wav_read(nonpcm)
 
 
+def test_wav_rejects_zero_sample_rate(tmp_path):
+    path = tmp_path / "0hz.wav"
+    wav_write(path, Waveform(samples=np.zeros(100), sample_rate=0))
+    with pytest.raises(FormatError, match="0 Hz") as e:
+        wav_read(path)
+    assert e.value.offset == 24
+
+
 def test_wav_rejects_truncated(tmp_path):
     path = tmp_path / "t.wav"
     wav_write(path, Waveform(samples=np.zeros(100), sample_rate=16000))
@@ -105,6 +116,51 @@ def test_wav_rejects_truncated(tmp_path):
 
 
 # -- STFT / ISTFT ----------------------------------------------------------
+
+def _stft_oracle(x):
+    """One gathered row of samples per frame (the fancy-index STFT)."""
+    x = np.pad(np.asarray(x, dtype=np.float64), N_FFT // 2, mode="reflect")
+    n_frames = 1 + (x.size - N_FFT) // HOP
+    idx = np.arange(N_FFT)[None, :] + HOP * np.arange(n_frames)[:, None]
+    return np.fft.rfft(x[idx] * WINDOW[None, :], axis=1)
+
+
+def _istft_oracle(spec):
+    """Overlap-add one frame at a time, frames in increasing t."""
+    frames = np.fft.irfft(spec, n=N_FFT, axis=1)
+    total = N_FFT + HOP * (frames.shape[0] - 1)
+    out, wsum = np.zeros(total), np.zeros(total)
+    for t in range(frames.shape[0]):
+        out[t * HOP:t * HOP + N_FFT] += frames[t] * WINDOW
+        wsum[t * HOP:t * HOP + N_FFT] += WINDOW * WINDOW
+    out = out / np.where(wsum > 1e-12, wsum, 1.0)
+    return out[N_FFT // 2:total - N_FFT // 2]
+
+
+def _random_spectrum(n_frames):
+    rng = rng_stream(7, "spec%d" % n_frames)
+    shape = (n_frames, N_FFT // 2 + 1)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 4, 5, 89, 400, 800])
+def test_istft_bits_match_frame_loop(n_frames):
+    spec = _random_spectrum(n_frames)
+    assert np.array_equal(istft(spec), _istft_oracle(spec))
+
+
+def test_istft_interleaved_lengths_match_frame_loop():
+    # a denominator kept for one frame count must never answer for another
+    for n_frames in (89, 5, 89, 1, 400, 89):
+        spec = _random_spectrum(n_frames)
+        assert np.array_equal(istft(spec), _istft_oracle(spec))
+
+
+@pytest.mark.parametrize("n", [257, 258, 511, 512, 513])
+def test_stft_bits_match_gather(n):
+    x = _noise_wave("gather%d" % n, n=n).samples
+    assert np.array_equal(stft(x), _stft_oracle(x))
+
 
 def test_stft_sine_peak_bin():
     # 1 kHz at 16 kHz with n_fft=512 lands exactly on bin 1000/16000*512 = 32
@@ -263,3 +319,23 @@ def test_griffin_lim_deterministic_and_sized():
 def test_griffin_lim_rejects_zero_iters():
     with pytest.raises(InvalidInputError):
         griffin_lim(_gl_target(), iters=0)
+
+
+# SHA-256 of griffin_lim(mel_spectrogram(render_reference(...))).samples,
+# recorded with the per-frame overlap-add loop; (text, emotion, speaker)
+# gives 14, 58, 68, 202 and 270 frames.
+PINNED_GRIFFIN_LIM_SHA256 = {
+    ("a.", 0, 0): "03a9464032494b25243482aa10b0fbda43210136da30a7206529b03dbd550e8a",
+    ("hi there.", 1, 1): "baecb76210579f28b76347d933989dd6207c9a4ea68dc409b69fe2006df74604",
+    ("we dig mud.", 2, 0): "cb6b7866f65919db26cb70a1f789d48df68649d5927901f01f81fdae9d38ae86",
+    ("pack my box with five dozen jugs.", 3, 1):
+        "0c0c1e983a1512d07022514f300041a9dd61a59d0ac52754bc0d35d39bf561fc",
+    ("the quick brown fox jumps over the lazy dog.", 4, 1):
+        "a050f8ef6a32ce0e60f544cf90edb3dc9f4c3c18a3bf04dbcf3af4e718ba8171",
+}
+
+
+@pytest.mark.parametrize("ref", sorted(PINNED_GRIFFIN_LIM_SHA256))
+def test_griffin_lim_bits_pinned(ref):
+    w = griffin_lim(mel_spectrogram(render_reference(*ref)))
+    assert hashlib.sha256(w.samples.tobytes()).hexdigest() == PINNED_GRIFFIN_LIM_SHA256[ref]
