@@ -38,7 +38,7 @@ _FEAT_ATTR = {"vis": "feat_vis", "audio": "feat_audio", "tex": "feat_text"}
 class EpAlignParams:
     theta: np.ndarray
     layout: ParamLayout
-    dims: dict  # d_vis, d_audio, d_tex, hidden, embed
+    dims: dict  # d_<mu> for each trained modality, hidden, embed
     n_classes: int
     modalities: tuple
     seed: int
@@ -74,8 +74,8 @@ def init_epalign(d_vis=64, d_audio=64, d_tex=64, hidden=64, embed=32,
             raise ConfigError("unknown modality %r" % mu)
     if not modalities:
         raise ConfigError("need at least one implicit modality")
-    dims = {"d_vis": d_vis, "d_audio": d_audio, "d_tex": d_tex,
-            "hidden": hidden, "embed": embed}
+    dims = {"d_" + mu: d for mu, d in zip(MODALITIES, (d_vis, d_audio, d_tex)) if mu in modalities}
+    dims.update(hidden=hidden, embed=embed)
     layout = ParamLayout(_block_shapes(dims, n_classes, modalities))
     theta = layout.init(lambda name: rng_stream(seed, "epalign:" + name), unit=("prompt_table",))
     theta[layout.offset("log_t")] = np.log(1.0 / 0.07)  # CLIP-style warm start
@@ -305,9 +305,8 @@ def eval_alignment(params, dataset, modalities=None):
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-_MAGIC = "EPALIGN/1"
-_SCHEMA = {"dims": ("d_vis", "d_audio", "d_tex", "hidden", "embed"), "n_classes": "pos",
-           "modalities": "strs", "seed": "int"}
+_MAGIC = "EPALIGN/2"
+_SCHEMA = {"dims": (), "n_classes": "pos", "modalities": "strs", "seed": "int"}
 
 
 def save_epalign(params, path):
@@ -322,6 +321,8 @@ def load_epalign(path):
         for mu in mods:
             if mu not in MODALITIES:
                 raise FormatError("checkpoint %s names unknown modality %r" % (path, mu))
+        if set(fields["dims"]) != {"d_" + mu for mu in mods} | {"hidden", "embed"}:
+            raise FormatError("checkpoint %s dims do not match its modalities" % path)
         return ParamLayout(_block_shapes(fields["dims"], fields["n_classes"], mods))
 
     fields, layout, theta = checkpoint.load(path, _MAGIC, _SCHEMA, layout_of)

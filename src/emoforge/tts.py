@@ -41,7 +41,7 @@ MAX_FRAMES_PER_CHAR = 20
 # Griffin-Lim's centered STFT needs more than N_FFT/2 samples, and T frames
 # give (T - 1) * HOP of them, so T must be at least N_FFT // (2 * HOP) + 2.
 MIN_FRAMES = N_FFT // (2 * HOP) + 2
-CKPT_MAGIC = "EMITTS/1"
+CKPT_MAGIC = "EMITTS/2"
 
 
 @dataclass
@@ -65,7 +65,7 @@ class TtsParams:
     theta: np.ndarray
     layout: ParamLayout
     variant: str
-    dims: dict  # char_dim, embed, n_speakers, dec_hidden, gate, n_mels
+    dims: dict  # char_dim, embed, n_speakers, dec_hidden, gate
     seed: int
 
 
@@ -127,8 +127,7 @@ def init_tts(variant, embed, n_speakers, seed=42, char_dim=CHAR_DIM,
              dec_hidden=DEC_HIDDEN, gate=COUPLING_GATE):
     layout = ParamLayout(tts_block_shapes(variant, char_dim, embed, n_speakers, dec_hidden, gate))
     theta = layout.init(lambda name: rng_stream(seed, "tts:" + name), unit=("char_emb",))
-    dims = {"char_dim": char_dim, "embed": embed, "n_speakers": n_speakers,
-            "dec_hidden": dec_hidden, "gate": gate, "n_mels": N_MELS}
+    dims = dict(char_dim=char_dim, embed=embed, n_speakers=n_speakers, dec_hidden=dec_hidden, gate=gate)
     return TtsParams(theta=theta, layout=layout, variant=variant, dims=dims, seed=seed)
 
 
@@ -318,5 +317,4 @@ def _checkpoint_layout(fields):
 
 def load_tts(path):
     fields, layout, theta = checkpoint.load(path, CKPT_MAGIC, _SCHEMA, _checkpoint_layout)
-    return TtsParams(theta=theta, layout=layout, variant=fields["variant"],
-                     dims={**fields["dims"], "n_mels": N_MELS}, seed=fields["seed"])
+    return TtsParams(theta=theta, layout=layout, **fields)

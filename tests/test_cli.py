@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import base64
 import filecmp
 import hashlib
 import json
@@ -14,6 +15,7 @@ from emoforge.datagen import render_reference
 from emoforge.dsp import HOP, SAMPLE_RATE, Waveform, wav_read, wav_write
 from emoforge.epalign import init_epalign, load_epalign, save_epalign
 from emoforge.tts import VARIANTS, load_tts, save_tts
+from theta_codec import decode_theta, encode_theta
 
 
 def _gen(out, seed=None, classes=3, speakers=2, per_class=6):
@@ -222,7 +224,9 @@ def test_synth_short_texts(workdir, tts_ckpt, tmp_path):
 
 def test_synth_rejects_nonfinite_checkpoints(workdir, tts_ckpt, tmp_path, capsys):
     def poison(p):
-        p["theta"][0] = float("nan")
+        theta = decode_theta(p["theta"])
+        theta[0] = float("nan")
+        p["theta"] = encode_theta(theta)
 
     bad_tts = _edited(tts_ckpt, tmp_path / "tts.json", poison)
     bad_align = _edited(workdir["align"], tmp_path / "align.json", poison)
@@ -317,7 +321,8 @@ def _one_class_as_true(payload, params):
     # n_classes true, with theta cut to a one-class prompt table so the size fits
     a, b = params.layout.slices["prompt_table"]
     payload["n_classes"] = True
-    payload["theta"] = payload["theta"][:a + params.dims["embed"]] + payload["theta"][b:]
+    theta = decode_theta(payload["theta"])
+    payload["theta"] = encode_theta(np.concatenate([theta[:a + params.dims["embed"]], theta[b:]]))
 
 
 def _parent_format(payload, params):
@@ -328,8 +333,20 @@ def _parent_format(payload, params):
     names = [n % mu for mu in ("vis", "audio", "tex")
              for n in ("enc_%s_w1", "enc_%s_b1", "enc_%s_w2", "enc_%s_b2", "w_imp_%s", "w_pro_%s")]
     payload["anchor"] = "tex"
-    payload["theta"] = np.concatenate([blocks.get(n, np.zeros((e, e))).ravel()
-                                       for n in names + ["prompt_table", "log_t"]]).tolist()
+    payload["theta"] = encode_theta(np.concatenate([blocks.get(n, np.zeros((e, e))).ravel()
+                                                    for n in names + ["prompt_table", "log_t"]]))
+
+
+def _format_1(payload, params):
+    # the version-1 file of the same model: θ as a list of floats (a model of
+    # all three modalities has the same dims block in both versions)
+    payload["magic"] = "EPALIGN/1"
+    payload["theta"] = params.theta.tolist()
+
+
+def _ragged_bytes(payload, params):
+    # θ's bytes less the last 3: whole bytes, but not whole float64s
+    payload["theta"] = base64.b64encode(base64.b64decode(payload["theta"])[:-3]).decode()
 
 
 def _audio_only(argv):
@@ -347,6 +364,16 @@ def _eval_align_checkpoint(edit):
         edit(payload, load_epalign(w["align"]))
         return ["eval-align", "--ckpt", _file(tmp / "align.json", json.dumps(payload)),
                 "--data", str(w["data"]), "--out", str(tmp / "r.json")]
+    return argv
+
+
+def _synth_tts_checkpoint(edit):
+    def argv(w, tmp):
+        payload = json.loads(w["tts"].read_text())
+        edit(payload)
+        return ["synth", "--ckpt", _file(tmp / "tts.json", json.dumps(payload)),
+                "--align-ckpt", str(w["align"]), "--text", "pack my box.", "--emotion", "sad",
+                "--out", str(tmp / "x.wav")]
     return argv
 
 
@@ -385,6 +412,16 @@ MALFORMED = {
     "align-bool-classes": _eval_align_checkpoint(_one_class_as_true),
     "align-no-modalities": _eval_align_checkpoint(lambda p, _: p.update(modalities=[])),
     "align-parent-format": _eval_align_checkpoint(_parent_format),
+    "align-format-1": _eval_align_checkpoint(_format_1),
+    "align-theta-ragged-bytes": _eval_align_checkpoint(_ragged_bytes),
+    "align-untrained-dims": _audio_only(
+        _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64))),
+    "align-dims-missing-hidden": _eval_align_checkpoint(lambda p, _: p["dims"].pop("hidden")),
+    "tts-theta-not-base64": _synth_tts_checkpoint(lambda p: p.update(theta="not base64!")),
+    "tts-theta-not-ascii": _synth_tts_checkpoint(lambda p: p.update(theta="\u03b8" * 8)),
+    "tts-dims-unknown-key": _synth_tts_checkpoint(lambda p: p["dims"].update(n_mels=40)),
+    "tts-theta-wrong-size": _synth_tts_checkpoint(
+        lambda p: p.update(theta=encode_theta(decode_theta(p["theta"])[:-1]))),
     # the checkpoint knows classes 0..2 and 64-dim features
     "align-label-past-classes": _eval_align_data(_first_row(emotion=4)),
     "align-label-negative": _eval_align_data(_first_row(emotion=-1)),
@@ -415,6 +452,18 @@ MALFORMED = {
 
 # text each case's error must hold, so that it fails for the reason its name gives
 REASON = {
+    "align-float-dims": "malformed field 'dims.d_vis'",
+    "align-bool-classes": "malformed field 'n_classes'",
+    "align-no-modalities": "names no implicit modality",
+    "align-parent-format": "layout wants",
+    "align-format-1": "is format 'EPALIGN/1', want 'EPALIGN/2'",
+    "align-theta-ragged-bytes": "multiple of element size",
+    "align-untrained-dims": "dims do not match its modalities",
+    "align-dims-missing-hidden": "dims do not match its modalities",
+    "tts-theta-not-base64": "malformed field 'theta'",
+    "tts-theta-not-ascii": "malformed field 'theta'",
+    "tts-dims-unknown-key": "malformed field 'dims'",
+    "tts-theta-wrong-size": "11224 parameters, layout wants 11225",
     "align-label-past-classes": "labels must lie in [0, 3)",
     "align-label-negative": "labels must lie in [0, 3)",
     "align-features-short": "dim 64",
@@ -518,8 +567,11 @@ def test_mos_output(tmp_path, capsys):
 # SHA-256 of every file the session below writes, by path under its output
 # directory, plus each checkpoint's θ as little-endian float64 bytes ("#theta").
 # A change that moves an entry re-pins only that entry and gives the reason.
+# Checkpoint format 2 re-pinned the four checkpoint files (their "#theta"
+# entries held); the version-1 files hashed align 4dcfce52..., vits
+# e950a3bd..., fastspeech 22ca8a1b... and tacotron b1403656....
 PINNED_SESSION_SHA256 = {
-    "align.json": "4dcfce5223d6725e552762baea147e12223e14ae8eb0dcdaccdcd01e112ee9ae",
+    "align.json": "29c694e931cf5d8a2eaa5218e45534d1b81e71f1e652fb3fe507e49d83a19f15",
     "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
     "corpus/manifest.jsonl": "3837f705ea68de28fabefee0b372d9d3c9fe1926a859335b928c2df9df58da3c",
     "corpus/wav/utt_00000.wav": "416a3ac0fd319652d97f741ba2e4bef0d368351ca5ff2a4884025ee73ad0fb70",
@@ -540,9 +592,9 @@ PINNED_SESSION_SHA256 = {
     "eval.json": "8053626c5b60c21564d727336e2db7ce0949ac7cd8fb35ac7e43439e49e5e331",
     "syn/happy.wav": "42a902e7bc75ede91bb4a8ec0e4f6ec94f8ecf8c3807eebcf724d834c54737a5",
     "syn/ref.wav": "950e73018b9301d55d160de5a29a03a2af1925efda6c60551094461ac124eefb",
-    "tts_fastspeech.json": "22ca8a1b8287dd6685e1e29ec954390de35e90b3e568cf3a5f13b4a354dba5ec",
-    "tts_tacotron.json": "b14036569b8fe626f65d082b58f12a64d476b82b3b0c7ef1a75e1f133fc76f80",
-    "tts_vits.json": "e950a3bd1fa7a4e50f039e5fd6f0ecb96f43dc09b51509ca678442194ac19b28",
+    "tts_fastspeech.json": "9484651395a42381064161ebbc771c3389b607e37ed23fe1184303b99cbd17df",
+    "tts_tacotron.json": "9715a9802d602175a2f46af15fd50c0112a653fab1cd6fa38a76e06d39253c7e",
+    "tts_vits.json": "d9d474a5a34b02eb0ec28fb8a95396fe57abb504f9524b4b944aeba00f72e873",
     "align.json#theta": "99d85db9d60beb56dcef0c790d72b2325d4d6141334e0c3522e57a9ef576b9c5",
     "tts_vits.json#theta": "306ed11328f932b599e8b03f07ae2b9e88888f790cc95012d3babf6403ee230b",
     "tts_fastspeech.json#theta": "01973cdcae0ce6afb8a3ab3f0f6e718e483057fdfa9774db3835602f1047564d",

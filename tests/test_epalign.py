@@ -394,6 +394,14 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     assert np.array_equal(a.per_class_similarity, b.per_class_similarity)
 
 
+def test_checkpoint_stores_trained_dims_only(tmp_path):
+    path = tmp_path / "align.ckpt"
+    save_epalign(init_epalign(modalities=("audio",)), path)
+    dims = {"d_audio": 64, "hidden": 64, "embed": 32}
+    assert json.loads(path.read_text())["dims"] == dims
+    assert load_epalign(path).dims == dims
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_text("not json at all {")

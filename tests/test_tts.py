@@ -13,6 +13,7 @@ from emoforge.dsp import HOP, N_MELS, mel_spectrogram, wav_write
 from emoforge.errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
 from emoforge.numeric import l2_normalize_rows, rng_stream
 from emoforge.tts import (
+    CKPT_MAGIC,
     TtsConfig,
     VARIANTS,
     VOCAB,
@@ -26,6 +27,7 @@ from emoforge.tts import (
     train_tts,
     tts_block_shapes,
 )
+from theta_codec import encode_theta
 
 EMBED = 8
 N_SPK = 2
@@ -257,11 +259,13 @@ def test_train_loss_decreases_and_is_deterministic(tmp_path):
 # 6 steps of batch 2, seed 3), trained on the toy set's 16-bit WAVs. A
 # reader that hands back the float renders instead gives the earlier pins
 # (vits 8bc7b468..., fastspeech 865e44ff..., tacotron 4e25a093...), which
-# held from before the tape's parameter blocks were made cheaper.
+# held from before the tape's parameter blocks were made cheaper. The
+# version-1 files of the same θ hashed d34f2288..., 6c95782b... and
+# e7580143...; format 2 moved only the bytes, not θ.
 PINNED_CKPT_SHA256 = {
-    "vits": "d34f228804a28877729f0d42df9dac25df0e077c8405bab6bfb6320c23b401a2",
-    "fastspeech": "6c95782b98b92ac5f48755cf3816b164e9224532660f84d3abc0aea999cdd4f2",
-    "tacotron": "e7580143e12af437c7181b556cf4ed25a809687f93abf1c9a17d02fe3ca117eb",
+    "vits": "41f06592717c2f22eda13bb127784d9e2fd69fb0f84e3c18c38c1d34b2bf7b50",
+    "fastspeech": "df64d6770419c46f3e0cf2799ff5398265bf4e27d3675fdd4ba3377ec267b5b6",
+    "tacotron": "1d60ded5efaaad6803476f7a114f85b16fa92755b3f101b322f249e5899bb43c",
 }
 
 
@@ -328,25 +332,36 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(q.theta, p.theta)
 
 
+def test_checkpoint_theta_round_trips_bit_exact(tmp_path):
+    p = _params("tacotron")
+    p.theta[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    path = tmp_path / "tts.json"
+    save_tts(p, path)
+    q = load_tts(path)
+    assert q.theta.tobytes() == p.theta.tobytes()
+    assert np.signbit(q.theta[0]) and q.theta[1] == 5e-324
+    assert q.theta.flags.writeable
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all {")
     with pytest.raises(FormatError):
         load_tts(bad)
     bad.write_text('{"magic": "OTHER/1"}')
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="format 'OTHER/1'"):
         load_tts(bad)
     p = _params("vits")
-    payload = {"magic": "EMITTS/1", "variant": "vits", "dims": p.dims,
-               "seed": 42, "theta": [1.0, 2.0]}
+    payload = {"magic": CKPT_MAGIC, "variant": "vits", "dims": p.dims,
+               "seed": 42, "theta": encode_theta([1.0, 2.0])}
     bad.write_text(json.dumps(payload))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="has 2 parameters"):
         load_tts(bad)
     # 13,417 values: the fastspeech layout that still carried query/key weights
     p = init_tts("fastspeech", embed=32, n_speakers=4)
-    payload.update(variant="fastspeech", dims=p.dims, theta=[0.0] * 13417)
+    payload.update(variant="fastspeech", dims=p.dims, theta=encode_theta(np.zeros(13417)))
     bad.write_text(json.dumps(payload))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="has 13417 parameters, layout wants 11369"):
         load_tts(bad)
 
 
