@@ -1,23 +1,73 @@
-"""The one JSON checkpoint format that both models save and load.
+"""The one reader of text inputs, and the one checkpoint format both models use.
+
+Every text input (manifest, pairs, reference features, scores, checkpoints)
+goes through `read`, which decodes UTF-8 whatever the locale, and `field`,
+which checks a value's kind.
 
 Format 2 is a JSON object: its magic string (`<MODEL>/2`), the fields a schema
 names (in schema order) and `theta` last, the flat float64 parameter vector as
-base64 of its little-endian bytes. A file of another version is refused."""
+base64 of its little-endian bytes. A file of another version, or with a field
+the schema does not name, is refused."""
 
 import base64
 import json
+import sys
 
 import numpy as np
 
 from .errors import FormatError
 
-# schema kind -> test of a decoded value; a tuple is a dims block of just those names (any if empty)
+# kind -> test of a decoded value; a tuple is a dims block of just those names (any if empty)
 _KINDS = {
     "int": lambda v: type(v) is int,
     "pos": lambda v: type(v) is int and v > 0,
     "str": lambda v: type(v) is str,
     "strs": lambda v: type(v) is list and all(type(s) is str for s in v),
+    "ints": lambda v: type(v) is list and all(type(i) is int for i in v),
+    # numbers that convert to finite float64s
+    "nums": lambda v: type(v) is list and all(type(x) in (int, float)
+                                              and abs(x) <= sys.float_info.max for x in v),
 }
+
+
+def read(path, row=None, parse=json.loads):
+    """Parses the text file `path`, decoded as UTF-8 whatever the locale.
+
+    Returns parse(text), or, given `row`, [row(parse(line), where) for each
+    non-blank line split on "\\n"], `where` naming the line and file. Bytes
+    that are not UTF-8, text `parse` refuses and a ValueError from `row` are
+    a FormatError naming them."""
+    where, rows = path, []
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+        if row is None:
+            return parse(blob.decode("utf-8"))
+        for n, line in enumerate(blob.split(b"\n"), 1):
+            where, line = "line %d of %s" % (n, path), line.decode("utf-8")
+            if line.strip():
+                rows.append(row(parse(line), where))
+        return rows
+    except FormatError:
+        raise
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        raise FormatError("%s: %s" % (where, e))
+
+
+def field(obj, name, kind, where, label=None):
+    """obj[name] if obj is an object holding a `kind` value there, else a
+    FormatError naming `where`; a dims block's values must be "pos"."""
+    label = label or name
+    if type(obj) is not dict:
+        raise FormatError("%s is not a JSON object" % where)
+    if name not in obj:
+        raise FormatError("%s is missing field %r" % (where, label))
+    value = obj[name]
+    if isinstance(kind, tuple) and type(value) is dict and set(value) <= set(kind or value):
+        return {k: field(value, k, "pos", where, label + "." + k) for k in kind or value}
+    if isinstance(kind, tuple) or not _KINDS[kind](value):
+        raise FormatError("%s has a malformed field %r" % (where, label))
+    return value
 
 
 def save(path, magic, schema, params):
@@ -27,37 +77,25 @@ def save(path, magic, schema, params):
         json.dump(payload, f)
 
 
-def _field(obj, name, kind, path, label):
-    if name not in obj:
-        raise FormatError("checkpoint %s missing field %r" % (path, label))
-    value = obj[name]
-    if isinstance(kind, tuple) and type(value) is dict and set(value) <= set(kind or value):
-        return {k: _field(value, k, "pos", path, label + "." + k) for k in kind or value}
-    if isinstance(kind, tuple) or not _KINDS[kind](value):
-        raise FormatError("checkpoint %s has a malformed field %r" % (path, label))
-    return value
-
-
 def load(path, magic, schema, layout_of):
     """Returns (fields, layout, theta); `layout_of(fields)` gives the layout."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-    except (ValueError, RecursionError) as e:
-        raise FormatError("not a valid checkpoint: %s (%s)" % (path, e))
-    found = payload.get("magic") if isinstance(payload, dict) else None
+    payload, where = read(path), "checkpoint %s" % path
+    found = payload.get("magic") if type(payload) is dict else None
     if found != magic:
-        raise FormatError("checkpoint %s is format %r, want %r" % (path, found, magic))
-    fields = {name: _field(payload, name, kind, path, name) for name, kind in schema.items()}
-    raw = _field(payload, "theta", "str", path, "theta")
+        raise FormatError("%s is format %r, want %r" % (where, found, magic))
+    unknown = set(payload) - {"magic", "theta", *schema}
+    if unknown:
+        raise FormatError("%s has fields its format does not name: %s"
+                          % (where, ", ".join(sorted(unknown))))
+    fields = {name: field(payload, name, kind, where) for name, kind in schema.items()}
+    raw = field(payload, "theta", "str", where)
     layout = layout_of(fields)
     try:  # binascii.Error, text that is not ASCII, or bytes that are not whole float64s
         theta = np.frombuffer(base64.b64decode(raw, validate=True), "<f8").astype(np.float64)
     except ValueError as e:
-        raise FormatError("checkpoint %s has a malformed field 'theta': %s" % (path, e))
+        raise FormatError("%s has a malformed field 'theta': %s" % (where, e))
     if theta.size != layout.size:
-        raise FormatError("checkpoint %s has %d parameters, layout wants %d"
-                          % (path, theta.size, layout.size))
+        raise FormatError("%s has %d parameters, layout wants %d" % (where, theta.size, layout.size))
     if not np.isfinite(theta).all():
-        raise FormatError("checkpoint %s has non-finite parameters" % path)
+        raise FormatError("%s has non-finite parameters" % where)
     return fields, layout, theta

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from . import datagen, epalign, metrics, tts
+from .checkpoint import field, read
 from .dsp import wav_read, wav_write
 from .errors import (
     ConfigError,
@@ -180,18 +181,10 @@ def _emotion_embedding(args, align):
             raise InvalidLabelError("emotion %r is class %d but the checkpoint has %d classes"
                                     % (args.emotion, class_id, len(prompts)))
         return prompts[class_id]
-    try:
-        with open(args.ref_features) as f:
-            raw = json.load(f)
-    except (ValueError, RecursionError) as e:
-        raise FormatError("bad feature file %s: %s" % (args.ref_features, e))
-    if not isinstance(raw, dict):
-        raise FormatError("feature file must be a JSON object of modality -> vector")
-    try:
-        features = {k: np.asarray(v, dtype=np.float64) for k, v in raw.items()}
-    except (TypeError, ValueError) as e:
-        raise FormatError("feature file %s: not a numeric vector per modality (%s)"
-                          % (args.ref_features, e))
+    raw, where = read(args.ref_features), "feature file %s" % args.ref_features
+    if type(raw) is not dict:
+        raise FormatError("%s is not a JSON object of modality -> vector" % where)
+    features = {k: np.asarray(field(raw, k, "nums", where), np.float64) for k in raw}
     return epalign.align_infer(features, align).u_emo
 
 
@@ -208,21 +201,8 @@ def _cmd_synth(args):
 
 
 def _read_pairs(path):
-    pairs = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError):
-                raise FormatError("bad pairs line %d in %s" % (lineno, path))
-            if not isinstance(row, dict):
-                raise FormatError("pairs line %d in %s is not a JSON object" % (lineno, path))
-            for key in ("id", "ref", "syn", "ref_text", "hyp_text"):
-                if not isinstance(row.get(key), str):
-                    raise FormatError("pairs line %d needs a string %r" % (lineno, key))
-            pairs.append(row)
+    keys = ("id", "ref", "syn", "ref_text", "hyp_text")
+    pairs = read(path, lambda row, where: {k: field(row, k, "str", where) for k in keys})
     if not pairs:
         raise FormatError("empty pairs file %s" % path)
     return pairs
@@ -245,15 +225,7 @@ def _cmd_eval(args):
 
 
 def _cmd_mos(args):
-    scores = []
-    with open(args.scores) as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                scores.append(float(line))
-            except ValueError:
-                raise FormatError("bad rating on line %d of %s" % (lineno, args.scores))
+    scores = read(args.scores, lambda score, where: score, parse=float)
     print(metrics.mos_aggregate(scores).formatted())
     return 0
 
@@ -282,8 +254,6 @@ def main(argv=None):
         return _COMMANDS[args.cmd](args)
     except ConfigError as e:
         code, exc = 1, e
-    except UnicodeDecodeError as e:  # any text input: manifest, pairs, scores, features
-        code, exc = 2, FormatError("input is not UTF-8 text: %s" % e)
     except _DATA_ERRORS as e:
         code, exc = 2, e
     sys.stderr.write("error: %s\n" % exc)

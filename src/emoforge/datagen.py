@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import field, read
 from .dsp import HOP, SAMPLE_RATE, Waveform, wav_write
 from .errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
 from .numeric import rng_stream
@@ -241,37 +242,25 @@ def gen_corpus(config, out_dir):
     return utts
 
 
+_MANIFEST = {"id": "str", "text": "str", "emotion": "int", "speaker": "int", "wav": "str",
+             "durations": "ints", "feat_vis": "nums", "feat_audio": "nums", "feat_text": "nums"}
+
+
 def load_manifest(path):
-    utts = []
     want = None  # feature shapes of the first line; every line must match them
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                strs, ints = [row["id"], row["text"], row["wav"]], [row["emotion"], row["speaker"]]
-                if not (type(row["durations"]) is list and all(type(v) is str for v in strs)
-                        and all(type(v) is int for v in ints + row["durations"])):
-                    raise TypeError("id, text and wav must be strings and emotion, speaker and "
-                                    "each duration integers")
-                u = Utterance(
-                    id=row["id"], text=row["text"], emotion=row["emotion"],
-                    speaker=row["speaker"], durations=row["durations"],
-                    wav_path=os.path.join(os.path.dirname(path), row["wav"]),
-                    feat_vis=row["feat_vis"], feat_audio=row["feat_audio"],
-                    feat_text=row["feat_text"],
-                )
-            except (KeyError, ValueError, TypeError, RecursionError) as e:
-                raise FormatError("bad manifest line %d in %s: %s" % (lineno, path, e))
-            shapes = [x.shape for x in (u.feat_vis, u.feat_audio, u.feat_text)]
-            want = want or shapes
-            if shapes != want or any(len(s) != 1 or s[0] < 1 for s in shapes):
-                raise FormatError("bad manifest line %d in %s: feature shapes %s, want non-empty "
-                                  "vectors shaped as on the first line %s"
-                                  % (lineno, path, shapes, want))
-            utts.append(u)
+
+    def utterance(row, where):
+        nonlocal want
+        fields = {k: field(row, k, kind, where) for k, kind in _MANIFEST.items()}
+        u = Utterance(wav_path=os.path.join(os.path.dirname(path), fields.pop("wav")), **fields)
+        shapes = [u.feat_vis.shape, u.feat_audio.shape, u.feat_text.shape]
+        want = want or shapes
+        if shapes != want or (0,) in shapes:
+            raise FormatError("%s: feature shapes %s, want non-empty vectors shaped as on the "
+                              "first line %s" % (where, shapes, want))
+        return u
+
+    utts = read(path, utterance)
     if not utts:
         raise FormatError("empty manifest: %s" % path)
     return utts

@@ -220,20 +220,21 @@ def synthesize(text, u_emo, u_spk, params):
 
 def _utterance_batch(utt, prompts, n_speakers):
     ids = _char_ids(utt.text)
-    durations = np.asarray(utt.durations, dtype=int)
-    if len(ids) != len(durations):
+    if len(ids) != len(utt.durations):
         raise InvalidInputError("utterance %s: %d durations for %d characters"
-                                % (utt.id, len(durations), len(ids)))
+                                % (utt.id, len(utt.durations), len(ids)))
     if not 0 <= utt.emotion < len(prompts):
         raise InvalidLabelError("utterance %s: emotion %d out of range" % (utt.id, utt.emotion))
     wav = wav_read(utt.wav_path)
     if wav.sample_rate != SAMPLE_RATE:  # else its mel bands would not be synthesis's
         raise FormatError("%s is %d Hz, not %d Hz" % (utt.wav_path, wav.sample_rate, SAMPLE_RATE))
     ref = mel_spectrogram(wav).frames
-    # center-padded STFT yields one frame beyond the teacher total; trim it
-    if len(ref) != int(durations.sum()) + 1:
+    # center-padded STFT yields one frame beyond the teacher total; trim it.
+    # Summed as Python ints, before a duration past int64 reaches numpy.
+    if len(ref) != sum(utt.durations) + 1:
         raise InvalidInputError("utterance %s: durations sum to %d frames, %s has %d"
-                                % (utt.id, durations.sum(), utt.wav_path, len(ref) - 1))
+                                % (utt.id, sum(utt.durations), utt.wav_path, len(ref) - 1))
+    durations = np.asarray(utt.durations, dtype=int)
     return {
         "ids": ids,
         "durations": durations,
@@ -262,7 +263,7 @@ def train_tts(dataset, prompts, variant, config=None):
     Targets are the mel frames of each utterance's 16 kHz WAV (`wav_path`);
     `prompts` holds one unit-norm alignment prompt per emotion class (as
     `epalign.anchored_prompts` returns them). Returns (params, curve), the
-    mean probe-set loss before any update, then at snapshots to the last step.
+    mean probe-set loss before the first update and after the last.
     """
     config = config or TtsConfig()
     if not dataset:
@@ -283,10 +284,9 @@ def train_tts(dataset, prompts, variant, config=None):
 
     order_rng = rng_stream(config.seed, "tts:order")
     state = AdamState.zeros(params.theta.size)
-    snap_every = max(1, config.steps // 20)
-    curve = [probe_loss(params.theta)]
+    before = probe_loss(params.theta)
     queue = []
-    for step in range(1, config.steps + 1):
+    for _ in range(config.steps):
         while len(queue) < config.batch:
             queue.extend(order_rng.permutation(len(batches)))
         take, queue = queue[: config.batch], queue[config.batch:]
@@ -294,9 +294,7 @@ def train_tts(dataset, prompts, variant, config=None):
         for i in take:
             g += grad(lambda t: _loss_graph(t, params, batches[i]), params.theta)
         params.theta, state = adam_step(params.theta, g / config.batch, state, config.lr)
-        if step % snap_every == 0 or step == config.steps:
-            curve.append(probe_loss(params.theta))
-    return params, curve
+    return params, [before, probe_loss(params.theta)]
 
 
 # -- checkpointing ------------------------------------------------------------

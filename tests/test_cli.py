@@ -5,7 +5,10 @@ import filecmp
 import hashlib
 import json
 import os
+import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -393,6 +396,7 @@ MALFORMED = {
     "features-null": _synth_features(json.dumps({"vis": [None] * 64})),
     "features-not-utf8": _synth_features(b'{"vis": "\xff"}'),
     "features-deeply-nested": _synth_features("[" * 100000),
+    "features-int-past-float": _synth_features('{"vis": [1%s]}' % ("0" * 400)),
     "pairs-number": _eval_pairs("5\n"),
     # a string holding every key name passed the old `key in row` test
     "pairs-string": _eval_pairs('"id ref syn ref_text hyp_text"\n'),
@@ -407,6 +411,7 @@ MALFORMED = {
     "manifest-empty-features": _train_align_manifest(_vis_features(lambda v: [], first=0)),
     "manifest-matrix-features": _train_align_manifest(
         _vis_features(lambda v: [v[:32], v[32:]], first=0)),
+    "manifest-int-past-float": _train_align_manifest(_vis_features(lambda v: [10 ** 400] + v[1:])),
     "scores-not-utf8": lambda w, tmp: ["mos", "--scores", _file(tmp / "s.txt", b"4.0\n\xff\n")],
     "align-float-dims": _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64.0)),
     "align-bool-classes": _eval_align_checkpoint(_one_class_as_true),
@@ -420,6 +425,7 @@ MALFORMED = {
     "tts-theta-not-base64": _synth_tts_checkpoint(lambda p: p.update(theta="not base64!")),
     "tts-theta-not-ascii": _synth_tts_checkpoint(lambda p: p.update(theta="\u03b8" * 8)),
     "tts-dims-unknown-key": _synth_tts_checkpoint(lambda p: p["dims"].update(n_mels=40)),
+    "tts-unknown-field": _synth_tts_checkpoint(lambda p: p.update(extra=[1])),
     "tts-theta-wrong-size": _synth_tts_checkpoint(
         lambda p: p.update(theta=encode_theta(decode_theta(p["theta"])[:-1]))),
     # the checkpoint knows classes 0..2 and 64-dim features
@@ -441,6 +447,8 @@ MALFORMED = {
         _first_row(durations=lambda row: [9] * len(row["durations"]))),
     "durations-huge": _train_tts_manifest(
         _first_row(durations=lambda row: [10 ** 9] * len(row["durations"]))),
+    "durations-past-int64": _train_tts_manifest(
+        _first_row(durations=lambda row: [10 ** 19] * len(row["durations"]))),
     "wav-path-nul": _train_tts_manifest(_first_row(wav="wav/\0.wav")),
     "wav-missing": _train_tts_wav(lambda path: path.unlink()),
     "wav-not-riff": _train_tts_wav(lambda path: path.write_bytes(b"not a wav file")),
@@ -452,10 +460,12 @@ MALFORMED = {
 
 # text each case's error must hold, so that it fails for the reason its name gives
 REASON = {
+    "features-int-past-float": "malformed field 'vis'",
+    "manifest-int-past-float": "malformed field 'feat_vis'",
     "align-float-dims": "malformed field 'dims.d_vis'",
     "align-bool-classes": "malformed field 'n_classes'",
     "align-no-modalities": "names no implicit modality",
-    "align-parent-format": "layout wants",
+    "align-parent-format": "fields its format does not name: anchor",
     "align-format-1": "is format 'EPALIGN/1', want 'EPALIGN/2'",
     "align-theta-ragged-bytes": "multiple of element size",
     "align-untrained-dims": "dims do not match its modalities",
@@ -463,6 +473,7 @@ REASON = {
     "tts-theta-not-base64": "malformed field 'theta'",
     "tts-theta-not-ascii": "malformed field 'theta'",
     "tts-dims-unknown-key": "malformed field 'dims'",
+    "tts-unknown-field": "fields its format does not name: extra",
     "tts-theta-wrong-size": "11224 parameters, layout wants 11225",
     "align-label-past-classes": "labels must lie in [0, 3)",
     "align-label-negative": "labels must lie in [0, 3)",
@@ -471,6 +482,7 @@ REASON = {
     "pairs-wav-0hz": "0 Hz",
     "durations-off-reference": "durations sum to",
     "durations-huge": "durations sum to",
+    "durations-past-int64": "durations sum to",
     "wav-path-nul": "null byte",
     "wav-missing": "No such file",
     "wav-not-riff": "RIFF",
@@ -486,6 +498,92 @@ def test_malformed_input_exits_2_without_traceback(case, workdir, tts_ckpt, tmp_
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert REASON.get(case, "") in err
+
+
+def test_text_inputs_are_utf8_whatever_the_locale(workdir, tmp_path):
+    # under the C locale with UTF-8 mode off, text-mode open() decodes ASCII
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "emoforge", *map(str, argv)], env=env,
+                              capture_output=True, text=True, errors="replace")
+        assert done.returncode == 0, done.stderr
+
+    def raw_utf8(row):
+        return (json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8")
+
+    pairs = _file(tmp_path / "pairs.jsonl", raw_utf8(dict(_PAIR, ref="utt_00000.wav",
+                                                          syn="utt_00000.wav", ref_text="café")))
+    run("eval", "--ref-dir", workdir["data"] / "wav", "--syn-dir", workdir["data"] / "wav",
+        "--pairs", pairs, "--out", tmp_path / "r.json")
+    data = _edited_data(workdir, tmp_path, lambda lines: [
+        raw_utf8(dict(json.loads(lines[0]), text="un café.")), *lines[1:]])
+    run("eval-align", "--ckpt", workdir["align"], "--data", data, "--out", tmp_path / "a.json")
+
+
+def _mutants(blob, rng, n):
+    """n seeded mutants of blob: in turn bit flips, a truncation, inserted
+    bytes, and 100,000 `[` inserted at one place."""
+    for i in range(n):
+        b, at = bytearray(blob), int(rng.integers(len(blob) + 1))
+        if i % 4 == 0:
+            for pos in rng.integers(len(b), size=int(rng.integers(1, 4))):
+                b[pos] ^= 1 << int(rng.integers(8))
+        elif i % 4 == 1:
+            del b[at:]
+        elif i % 4 == 2:
+            b[at:at] = rng.integers(256, size=int(rng.integers(1, 5)), dtype=np.uint8).tobytes()
+        else:
+            b[at:at] = b"[" * 100000
+        yield bytes(b)
+
+
+def _fuzz_inputs(w, tmp):
+    """(name, original bytes, argv of the command reading it from a path)
+    for every text input the CLI reads."""
+    wavs, out = w["data"] / "wav", tmp / "out"
+    row = json.loads((w["data"] / "manifest.jsonl").read_text().splitlines()[0])
+    pairs = "".join(json.dumps(dict(_PAIR, id=i, ref=r, syn=s, hyp_text="a b")) + "\n"
+                    for i, r, s in (("x", "utt_00000.wav", "utt_00001.wav"),
+                                    ("y", "utt_00002.wav", "utt_00002.wav")))
+    synth = ["synth", "--text", "ab.", "--out", out.with_suffix(".wav")]
+    return [
+        ("manifest", (w["data"] / "manifest.jsonl").read_bytes(), lambda path: [
+            "eval-align", "--ckpt", w["align"], "--data", path.parent,
+            "--out", out.with_suffix(".json")]),
+        ("pairs", pairs.encode(), lambda path: [
+            "eval", "--ref-dir", wavs, "--syn-dir", wavs, "--pairs", path,
+            "--out", out.with_suffix(".json")]),
+        ("features", json.dumps({"vis": row["feat_vis"], "tex": row["feat_text"]}).encode(),
+         lambda path: synth + ["--ckpt", w["tts"], "--align-ckpt", w["align"],
+                               "--ref-features", path]),
+        ("tts", w["tts"].read_bytes(), lambda path: synth + [
+            "--ckpt", path, "--align-ckpt", w["align"], "--emotion", "sad"]),
+        ("align", w["align"].read_bytes(), lambda path: [
+            "eval-align", "--ckpt", path, "--data", w["data"], "--out", out.with_suffix(".json")]),
+        ("scores", b"4.0\n3.5\n4.5\n5.0\n", lambda path: ["mos", "--scores", path]),
+    ]
+
+
+def test_mutated_inputs_exit_0_or_2_without_traceback(workdir, tts_ckpt, tmp_path, capsys):
+    rng = np.random.default_rng(13)
+    (tmp_path / "data").mkdir()
+    for name, blob, argv in _fuzz_inputs(dict(workdir, tts=tts_ckpt), tmp_path):
+        path = tmp_path / "data" / ("manifest.jsonl" if name == "manifest" else name)
+        for mutant in _mutants(blob, rng, 40):
+            path.write_bytes(mutant)
+            for old in tmp_path.glob("out.*"):
+                old.unlink()
+            code = main([str(a) for a in argv(path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 2) and "Traceback" not in err, (name, mutant[:200], err)
+            if code == 2:
+                assert "error:" in err, (name, mutant[:200])
+                continue
+            written = out + "".join(p.read_text() for p in tmp_path.glob("out.json"))
+            assert not re.search(r"\b(nan|inf|infinity)\b", written, re.I), (name, mutant[:200])
 
 
 def test_train_tts_reads_corpus_wavs(workdir, tmp_path):
