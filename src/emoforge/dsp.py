@@ -1,10 +1,10 @@
 """Signal-processing substrate: WAV I/O, STFT/ISTFT, log-mel spectrograms,
 mel cepstra and Griffin-Lim phase reconstruction.
 
-All audio is mono float64 in [-1, 1]. One fixed front end (FFT 512, hop
-128, periodic Hann window, 40 mel bands to 8 kHz) is shared by the
-synthesis pipeline and the evaluation metrics, so spectra line up without
-resampling; the pipeline renders and synthesizes at 16 kHz.
+All audio is mono float64 in [-1, 1]; only Griffin-Lim's rounds run in
+float32. One fixed front end (FFT 512, hop 128, periodic Hann window, 40
+mel bands to 8 kHz) serves synthesis and the evaluation metrics, so spectra
+line up without resampling; the pipeline renders and synthesizes at 16 kHz.
 """
 
 import struct
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
@@ -27,6 +28,7 @@ LOG_FLOOR = 1e-10
 # Periodic Hann: satisfies COLA at hop = N_FFT/4, unlike the symmetric variant.
 WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)
 WINDOW.flags.writeable = False
+_WINDOW32 = WINDOW.astype(np.float32)
 
 
 @dataclass
@@ -142,21 +144,26 @@ def stft(w):
 
     The signal is reflect-padded by N_FFT//2 on both sides, so frame t is
     centered on sample t*HOP. Returns a complex (T, N_FFT//2 + 1) array with
-    T = 1 + (padded_length - N_FFT) // HOP.
+    T = 1 + (padded_length - N_FFT) // HOP. float32 samples give complex64
+    by scipy.fft (numpy's float32 FFT is slower than its float64 one); any
+    other input is taken as float64 and transformed by np.fft.
     """
-    x = w.samples if isinstance(w, Waveform) else np.asarray(w, dtype=np.float64)
+    x = w.samples if isinstance(w, Waveform) else np.asarray(w)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     pad = N_FFT // 2
     if x.size <= pad:
         raise InvalidInputError("signal too short: %d samples < %d" % (x.size, pad + 1))
+    rfft, window = (scipy.fft.rfft, _WINDOW32) if x.dtype == np.float32 else (np.fft.rfft, WINDOW)
     x = np.pad(x, pad, mode="reflect")
-    return np.fft.rfft(sliding_window_view(x, N_FFT)[::HOP] * WINDOW, axis=1)
+    return rfft(sliding_window_view(x, N_FFT)[::HOP] * window, axis=1)
 
 
 def _overlap_add(frames):
     """Sum (T, N_FFT) frames HOP apart: block r of frame t lands on block t + r."""
     n_frames, overlap = frames.shape[0], N_FFT // HOP
     blocks = frames.reshape(n_frames, overlap, HOP)
-    out = np.zeros((n_frames + overlap - 1, HOP))
+    out = np.zeros((n_frames + overlap - 1, HOP), dtype=frames.dtype)
     for r in range(overlap - 1, -1, -1):  # r = 3..0: the order istft documents
         out[r:r + n_frames] += blocks[:, r]
     return out.ravel()
@@ -164,10 +171,10 @@ def _overlap_add(frames):
 
 # One entry, for memory: each holds T * HOP floats and Griffin-Lim's rounds share one T.
 @lru_cache(maxsize=1)
-def _window_norm(n_frames):
+def _window_norm(n_frames, dtype):
     """istft's divisor: the squared-window overlap-add, 1 where it is ~0."""
     wsum = _overlap_add(np.broadcast_to(WINDOW * WINDOW, (n_frames, N_FFT)))
-    norm = np.where(wsum > 1e-12, wsum, 1.0)
+    norm = np.where(wsum > 1e-12, wsum, 1.0).astype(dtype)
     norm.flags.writeable = False
     return norm
 
@@ -178,15 +185,17 @@ def istft(spec):
     Returns (T - 1) * HOP samples: the center padding added by `stft` is
     trimmed. Each sample sums its frames in increasing t, as a per-frame
     loop does, so the bits match that loop; that is why `_overlap_add`
-    adds the frames' blocks r = 3, 2, 1, 0 in that order.
+    adds the frames' blocks r = 3, 2, 1, 0 in that order. A complex64
+    spectrum gives float32 samples by scipy.fft, as in `stft`.
     """
     spec = np.asarray(spec)
     if spec.ndim != 2 or spec.shape[1] != N_FFT // 2 + 1:
         raise ShapeError("expected (T, %d) spectrogram, got %s" % (N_FFT // 2 + 1, spec.shape))
-    frames = np.fft.irfft(spec, n=N_FFT, axis=1)
-    frames *= WINDOW
+    irfft, window = (scipy.fft.irfft, _WINDOW32) if spec.dtype == np.complex64 else (np.fft.irfft, WINDOW)
+    frames = irfft(spec, n=N_FFT, axis=1)
+    frames *= window
     out = _overlap_add(frames)
-    out /= _window_norm(frames.shape[0])
+    out /= _window_norm(frames.shape[0], frames.dtype)
     return out[N_FFT // 2:out.size - N_FFT // 2]
 
 
@@ -269,17 +278,20 @@ def griffin_lim(m, iters=32):
     """Reconstruct a waveform from a log-mel spectrogram.
 
     Zero-phase initialization followed by `iters` magnitude-projection
-    rounds; fully deterministic. Output length is (T - 1) * HOP.
+    rounds; fully deterministic. Output length is (T - 1) * HOP. The rounds
+    run in float32: the output is 16-bit PCM, and float64 rounds reach the
+    same spectral convergence in more time.
     """
     if iters < 1:
         raise InvalidInputError("iters must be >= 1")
-    mag = mel_to_linear(m)
-    x = istft(mag.astype(np.complex128))  # zero phase
+    mag = mel_to_linear(m).astype(np.float32)
+    x = istft(mag.astype(np.complex64))  # zero phase
     for _ in range(iters):
         rebuilt = stft(x)
         rebuilt_mag = np.abs(rebuilt)
-        # in place: each fresh spectrum-sized temporary pays its page faults anew
-        phase = np.divide(rebuilt, np.maximum(rebuilt_mag, 1e-16), out=rebuilt)
-        phase[~(rebuilt_mag > 0)] = 1.0
-        x = istft(np.multiply(mag, phase, out=phase))
+        none = ~(rebuilt_mag > 0)  # a bin with no phase to keep takes phase 0
+        rebuilt[none], rebuilt_mag[none] = 1.0, 1.0
+        # mag * rebuilt / |rebuilt|: a real division and a product in place cost less than
+        # a complex division, and each fresh spectrum-sized temporary pays its page faults
+        x = istft(np.multiply(rebuilt, mag / np.maximum(rebuilt_mag, 1e-16), out=rebuilt))
     return Waveform(samples=np.clip(x, -1.0, 1.0), sample_rate=m.sample_rate)

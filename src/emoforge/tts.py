@@ -272,6 +272,9 @@ def train_tts(dataset, prompts, variant, config=None):
     if prompts.ndim != 2:
         raise ConfigError("prompt table must be a C x E matrix")
     n_speakers = max(u.speaker for u in dataset) + 1
+    if n_speakers > len(dataset):  # θ is sized by it: bound it before init_tts allocates
+        raise InvalidLabelError("speaker id %d is not below %d, the number of utterances"
+                                % (n_speakers - 1, len(dataset)))
     params = init_tts(variant, embed=prompts.shape[1], n_speakers=n_speakers,
                       seed=config.seed)
 

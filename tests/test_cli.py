@@ -449,6 +449,8 @@ MALFORMED = {
         _first_row(durations=lambda row: [10 ** 9] * len(row["durations"]))),
     "durations-past-int64": _train_tts_manifest(
         _first_row(durations=lambda row: [10 ** 19] * len(row["durations"]))),
+    # θ is sized by the largest speaker id: 1.05e11 values at this one
+    "manifest-speaker-huge": _train_tts_manifest(_first_row(speaker=999999999)),
     "wav-path-nul": _train_tts_manifest(_first_row(wav="wav/\0.wav")),
     "wav-missing": _train_tts_wav(lambda path: path.unlink()),
     "wav-not-riff": _train_tts_wav(lambda path: path.write_bytes(b"not a wav file")),
@@ -483,6 +485,7 @@ REASON = {
     "durations-off-reference": "durations sum to",
     "durations-huge": "durations sum to",
     "durations-past-int64": "durations sum to",
+    "manifest-speaker-huge": "speaker id 999999999 is not below",
     "wav-path-nul": "null byte",
     "wav-missing": "No such file",
     "wav-not-riff": "RIFF",
@@ -667,7 +670,10 @@ def test_mos_output(tmp_path, capsys):
 # A change that moves an entry re-pins only that entry and gives the reason.
 # Checkpoint format 2 re-pinned the four checkpoint files (their "#theta"
 # entries held); the version-1 files hashed align 4dcfce52..., vits
-# e950a3bd..., fastspeech 22ca8a1b... and tacotron b1403656....
+# e950a3bd..., fastspeech 22ca8a1b... and tacotron b1403656.... Float32
+# Griffin-Lim rounds re-pinned the two synthesized WAVs and the eval report
+# they feed (syn/happy.wav 42a902e7..., syn/ref.wav 950e7301..., eval.json
+# 8053626c... before).
 PINNED_SESSION_SHA256 = {
     "align.json": "29c694e931cf5d8a2eaa5218e45534d1b81e71f1e652fb3fe507e49d83a19f15",
     "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
@@ -687,9 +693,9 @@ PINNED_SESSION_SHA256 = {
     "corpus/wav/utt_00012.wav": "0658939c59578a4ebaa3feb5b2e1a5cd0f14834e62765214135e76744e1c67d1",
     "corpus/wav/utt_00013.wav": "175658e8ad84b55047ac60a1222919523f4026427d46c773200699b4b04624a4",
     "corpus/wav/utt_00014.wav": "b1b51bf958a26611a87e0268506578013e472acff7079831112b07d3002ee9fd",
-    "eval.json": "8053626c5b60c21564d727336e2db7ce0949ac7cd8fb35ac7e43439e49e5e331",
-    "syn/happy.wav": "42a902e7bc75ede91bb4a8ec0e4f6ec94f8ecf8c3807eebcf724d834c54737a5",
-    "syn/ref.wav": "950e73018b9301d55d160de5a29a03a2af1925efda6c60551094461ac124eefb",
+    "eval.json": "a87e6c8e5b0d72beea5132f00972703afd25af111eb31b42165613a636ebe4db",
+    "syn/happy.wav": "24b8b40abb03126c417787fb03022d7d56fbe1df3b0f1fccd0e24640f5c9edd9",
+    "syn/ref.wav": "ae90f471a015ed8081802cf29f4cfcc1ab42c0ebc089787717f769019ab85b78",
     "tts_fastspeech.json": "9484651395a42381064161ebbc771c3389b607e37ed23fe1184303b99cbd17df",
     "tts_tacotron.json": "9715a9802d602175a2f46af15fd50c0112a653fab1cd6fa38a76e06d39253c7e",
     "tts_vits.json": "d9d474a5a34b02eb0ec28fb8a95396fe57abb504f9524b4b944aeba00f72e873",

@@ -193,6 +193,18 @@ def test_stft_round_trip_sine_with_padding():
     assert np.max(np.abs(out - x[:covered])) < 1e-6
 
 
+def test_float32_keeps_its_precision():
+    x = _noise_wave("f32", n=4096).samples.astype(np.float32)
+    spec = stft(x)
+    assert spec.dtype == np.complex64
+    out = istft(spec)
+    assert out.dtype == np.float32
+    assert np.max(np.abs(out - x)) < 1e-5
+    # anything else is float64, as before
+    assert stft(x.astype(np.float16)).dtype == np.complex128
+    assert istft(spec.astype(np.complex128)).dtype == np.float64
+
+
 def test_stft_too_short_raises():
     with pytest.raises(InvalidInputError):
         stft(Waveform(samples=np.zeros(100) + 0.1, sample_rate=16000))
@@ -322,16 +334,16 @@ def test_griffin_lim_rejects_zero_iters():
 
 
 # SHA-256 of griffin_lim(mel_spectrogram(render_reference(...))).samples,
-# recorded with the per-frame overlap-add loop; (text, emotion, speaker)
+# re-recorded when the rounds moved to float32; (text, emotion, speaker)
 # gives 14, 58, 68, 202 and 270 frames.
 PINNED_GRIFFIN_LIM_SHA256 = {
-    ("a.", 0, 0): "03a9464032494b25243482aa10b0fbda43210136da30a7206529b03dbd550e8a",
-    ("hi there.", 1, 1): "baecb76210579f28b76347d933989dd6207c9a4ea68dc409b69fe2006df74604",
-    ("we dig mud.", 2, 0): "cb6b7866f65919db26cb70a1f789d48df68649d5927901f01f81fdae9d38ae86",
+    ("a.", 0, 0): "a310607914cf81bcf0c72ff82c1a5b242a0faf200981568ed81415f91724f0da",
+    ("hi there.", 1, 1): "da04a7e65af4772859c0f11d51e2d54edd5a48262204fcce1f968f76592b91af",
+    ("we dig mud.", 2, 0): "f2c97c11e968650b29e1ffa246dd8add2ec83909dbc6a682e2e306e4bbd01928",
     ("pack my box with five dozen jugs.", 3, 1):
-        "0c0c1e983a1512d07022514f300041a9dd61a59d0ac52754bc0d35d39bf561fc",
+        "d0ff8a96472bd01441d15ef9d69b0b64e5fa8f261e5d0b833fca6d4441298bd7",
     ("the quick brown fox jumps over the lazy dog.", 4, 1):
-        "a050f8ef6a32ce0e60f544cf90edb3dc9f4c3c18a3bf04dbcf3af4e718ba8171",
+        "e18d4756423f2ba751407ff429ae2fb0b508dd8a013eecb1e3e369ebd32855f6",
 }
 
 
@@ -339,3 +351,39 @@ PINNED_GRIFFIN_LIM_SHA256 = {
 def test_griffin_lim_bits_pinned(ref):
     w = griffin_lim(mel_spectrogram(render_reference(*ref)))
     assert hashlib.sha256(w.samples.tobytes()).hexdigest() == PINNED_GRIFFIN_LIM_SHA256[ref]
+
+
+def _griffin_lim_oracle(m, iters=32):
+    """The float64 Griffin-Lim loop that the float32 rounds replaced. Its
+    float64 stft/istft run on np.fft, held bit for bit to the loops above."""
+    mag = mel_to_linear(m)
+    x = istft(mag.astype(np.complex128))
+    for _ in range(iters):
+        rebuilt = stft(x)
+        rebuilt_mag = np.abs(rebuilt)
+        phase = rebuilt / np.maximum(rebuilt_mag, 1e-16)
+        phase[~(rebuilt_mag > 0)] = 1.0
+        x = istft(mag * phase)
+    return np.clip(x, -1.0, 1.0)
+
+
+_GL_TEXTS = ("the quick brown fox jumps over the lazy dog.", "pack my box with five dozen jugs.",
+             "how vexingly quick daft zebras jump.", "bright vixens jump for joy.",
+             "sphinx of black quartz judge my vow.", "waltz bad nymph.", "a.", "hi there.")
+# 24 distinct (text, emotion, speaker) references of 14 to 270 frames
+GL_REFERENCES = [(text, k % 5, k % 4) for k, text in enumerate(_GL_TEXTS * 3)]
+
+
+def test_griffin_lim_converges_as_the_float64_loop():
+    def convergence(x, m):
+        target = mel_to_linear(m)
+        return np.linalg.norm(np.abs(stft(x)) - target) / np.linalg.norm(target)
+
+    ours, oracle = [], []
+    for ref in GL_REFERENCES:
+        m = mel_spectrogram(render_reference(*ref))
+        ours.append(convergence(griffin_lim(m).samples, m))
+        oracle.append(convergence(_griffin_lim_oracle(m), m))
+    ours, oracle = np.array(ours), np.array(oracle)
+    assert np.median(ours) <= np.median(oracle) * 1.001
+    assert np.all(ours <= oracle * 1.02), (ours / oracle).max()
