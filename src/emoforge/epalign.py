@@ -176,7 +176,9 @@ def train_epalign(dataset, config=None):
     labels = np.array([u.emotion for u in dataset])
     if labels.min() < 0:
         raise InvalidLabelError("labels must be non-negative")
-    n_classes = int(labels.max()) + 1
+    n_classes, n = int(labels.max()) + 1, len(dataset)
+    if n_classes > n:  # θ is sized by it: bound it before init_epalign allocates
+        raise InvalidLabelError("emotion id %d is not below %d utterances" % (n_classes - 1, n))
 
     params = init_epalign(
         d_vis=dataset[0].feat_vis.size, d_audio=dataset[0].feat_audio.size,
@@ -189,7 +191,6 @@ def train_epalign(dataset, config=None):
     by_class = [np.flatnonzero(labels == c) for c in np.unique(labels)]
     log_t_at = params.layout.offset("log_t")
 
-    n = len(dataset)
     steps_per_epoch = max(1, n // config.batch)
     curve = []
     for _ in range(config.epochs):

@@ -1,11 +1,13 @@
 """Toy text-to-speech pipeline with pluggable emotion conditioning.
 
 The synthesis path is: character encoder -> conditioning (one of three
-variants) -> duration expansion -> position-wise mel decoder -> Griffin-Lim
-vocoder.  The three variants differ only in where the emotion/speaker
-condition enters:
+variants) -> mel decoder, run once per character -> duration expansion ->
+Griffin-Lim vocoder.  Expanding last relies on no decoder step reading a
+frame's position; a per-frame input (a positional encoding, say) would need
+the old order, expansion first.  The three variants differ only in where
+the emotion/speaker condition enters:
 
-  "vits"        affine coupling flow applied to the decoded mel frames
+  "vits"        affine coupling flow applied to the decoded mel rows
   "fastspeech"  learned condition bias on the text features, h + W_v c
   "tacotron"    plain concatenation of condition onto the text features
 
@@ -168,8 +170,9 @@ def _swap_halves(t):
 
 
 def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, frame_index):
-    h_exp = h_cond_t[frame_index]
-    hidden = (h_exp @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
+    # a lone character goes in as two rows: a one-row gemv rounds unlike gemm
+    rows = h_cond_t if h_cond_t.shape[0] > 1 else h_cond_t[[0, 0]]
+    hidden = (rows @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
     mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
     u = constant(np.concatenate([u_emo, u_spk])[None, :])
     if variant == "vits":
@@ -180,7 +183,7 @@ def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, frame_index):
         mel = _swap_halves(mel)
     else:
         mel = mel + u @ blocks["dec_wc"]
-    return mel
+    return mel[frame_index]
 
 
 def _check_condition(u_emo, u_spk, params):

@@ -449,6 +449,8 @@ MALFORMED = {
         _first_row(durations=lambda row: [10 ** 9] * len(row["durations"]))),
     "durations-past-int64": _train_tts_manifest(
         _first_row(durations=lambda row: [10 ** 19] * len(row["durations"]))),
+    # θ is sized by the largest emotion id: 3.2e10 values at this one
+    "manifest-emotion-huge": _train_align_manifest(_first_row(emotion=999999999)),
     # θ is sized by the largest speaker id: 1.05e11 values at this one
     "manifest-speaker-huge": _train_tts_manifest(_first_row(speaker=999999999)),
     "wav-path-nul": _train_tts_manifest(_first_row(wav="wav/\0.wav")),
@@ -485,6 +487,7 @@ REASON = {
     "durations-off-reference": "durations sum to",
     "durations-huge": "durations sum to",
     "durations-past-int64": "durations sum to",
+    "manifest-emotion-huge": "emotion id 999999999 is not below",
     "manifest-speaker-huge": "speaker id 999999999 is not below",
     "wav-path-nul": "null byte",
     "wav-missing": "No such file",
@@ -673,7 +676,10 @@ def test_mos_output(tmp_path, capsys):
 # e950a3bd..., fastspeech 22ca8a1b... and tacotron b1403656.... Float32
 # Griffin-Lim rounds re-pinned the two synthesized WAVs and the eval report
 # they feed (syn/happy.wav 42a902e7..., syn/ref.wav 950e7301..., eval.json
-# 8053626c... before).
+# 8053626c... before). Decoding once per character re-pinned the three TTS
+# checkpoints and their "#theta" entries, as the gather now sums a character's
+# frame gradients before the decoder's backward (vits d9d474a5... / 306ed113...,
+# fastspeech 94846513... / 01973cdc..., tacotron 9715a980... / 4ca3c758... before).
 PINNED_SESSION_SHA256 = {
     "align.json": "29c694e931cf5d8a2eaa5218e45534d1b81e71f1e652fb3fe507e49d83a19f15",
     "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
@@ -696,13 +702,13 @@ PINNED_SESSION_SHA256 = {
     "eval.json": "a87e6c8e5b0d72beea5132f00972703afd25af111eb31b42165613a636ebe4db",
     "syn/happy.wav": "24b8b40abb03126c417787fb03022d7d56fbe1df3b0f1fccd0e24640f5c9edd9",
     "syn/ref.wav": "ae90f471a015ed8081802cf29f4cfcc1ab42c0ebc089787717f769019ab85b78",
-    "tts_fastspeech.json": "9484651395a42381064161ebbc771c3389b607e37ed23fe1184303b99cbd17df",
-    "tts_tacotron.json": "9715a9802d602175a2f46af15fd50c0112a653fab1cd6fa38a76e06d39253c7e",
-    "tts_vits.json": "d9d474a5a34b02eb0ec28fb8a95396fe57abb504f9524b4b944aeba00f72e873",
+    "tts_fastspeech.json": "d085b3ca69c68ee7b2a520e36359ee3e8b887590f5253d53bf290f8c0769acd5",
+    "tts_tacotron.json": "440329950f13a6d377fae71e8a4c9b8e7e7893dae218f0d21a2f232cda26d316",
+    "tts_vits.json": "64edf66c97ead299705a10c9a4a187808a1c8e2267f4db2d041f261769046c5b",
     "align.json#theta": "99d85db9d60beb56dcef0c790d72b2325d4d6141334e0c3522e57a9ef576b9c5",
-    "tts_vits.json#theta": "306ed11328f932b599e8b03f07ae2b9e88888f790cc95012d3babf6403ee230b",
-    "tts_fastspeech.json#theta": "01973cdcae0ce6afb8a3ab3f0f6e718e483057fdfa9774db3835602f1047564d",
-    "tts_tacotron.json#theta": "4ca3c7584773df913e7b6e1c34024dbd56b0ef8fb0f5d6b73906a6c2639d9764",
+    "tts_vits.json#theta": "1af386ef85fdf3fe00cc53f0865b7c592e10e363f0e660dbdf094599534b33f2",
+    "tts_fastspeech.json#theta": "7688104d999d5ad73f0d546a459ed789c0aec4c6cfa1c233346552fb1af0ca54",
+    "tts_tacotron.json#theta": "9c0ef72e293d6d332897f46560dbb9377574aa0d029121b6e981a136936bcb10",
 }
 
 

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from emoforge import tts
 from emoforge.autodiff import constant, grad
+from emoforge.conditioning import coupling_graph
 from emoforge.datagen import Utterance, render_reference, text_durations
 from emoforge.dsp import HOP, N_MELS, mel_spectrogram, wav_write
 from emoforge.errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
@@ -191,6 +193,67 @@ def test_synthesized_wav_bytes_pinned(variant, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_WAV_SHA256[variant]
 
 
+def _per_frame_decoder(blocks, h_cond_t, u_emo, u_spk, variant, frame_index):
+    """The decoder as it ran before decoding once per character: expand the
+    character rows to frames first, then decode every frame."""
+    h_exp = h_cond_t[frame_index]
+    hidden = (h_exp @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
+    mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
+    u = constant(np.concatenate([u_emo, u_spk])[None, :])
+    if variant == "vits":
+        flow_a = {k[len("flow_a_"):]: v for k, v in blocks.items() if k.startswith("flow_a_")}
+        flow_b = {k[len("flow_b_"):]: v for k, v in blocks.items() if k.startswith("flow_b_")}
+        mel, _ = coupling_graph(flow_a, mel, u)
+        mel, _ = coupling_graph(flow_b, tts._swap_halves(mel), u)
+        mel = tts._swap_halves(mel)
+    else:
+        mel = mel + u @ blocks["dec_wc"]
+    return mel
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decoder_matches_per_frame_oracle(variant, tmp_path, monkeypatch):
+    # the decoder reads no frame position, so decoding each character once and
+    # expanding last gives the same mel bits; gradients differ only by the order
+    # in which a character's frame gradients are summed
+    data, prompts = _toy_dataset(tmp_path), _toy_prompts()
+    p, _ = train_tts(data, prompts, variant, TtsConfig(steps=12, lr=0.05, batch=2, seed=3))
+    texts = ("a", "pack my box with five dozen jugs.",
+             "sphinx of black quartz judge my vow and five boxing wizards.")
+    batches = [_utterance_batch(u, prompts, N_SPK) for u in data]
+    assert len(texts[-1]) > 44 and len(batches) >= 4
+
+    def run():
+        mels = [synthesize(text, prompts[e], speaker_one_hot(e, N_SPK), p)[1].frames
+                for text in texts for e in range(2)]
+        grads = [grad(lambda t: _loss_graph(t, p, b), p.theta) for b in batches]
+        return mels, grads
+
+    mels, grads = run()
+    monkeypatch.setattr(tts, "_decoder_graph", _per_frame_decoder)
+    want_mels, want_grads = run()
+    for mel, want in zip(mels, want_mels):
+        assert np.array_equal(mel, want)
+    for g, want in zip(grads, want_grads):
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_loss_gradient_against_directional_finite_differences(variant, tmp_path):
+    # g·d against the central difference of the whole TTS loss along 3 unit directions
+    p = _params(variant)
+    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), N_SPK)
+    g = grad(lambda t: _loss_graph(t, p, batch), p.theta)
+    eps = 1e-4
+    for i in range(3):
+        d = rng_stream(i, "tts:fd-direction").standard_normal(p.theta.size)
+        d /= np.linalg.norm(d)
+        up, down = (_loss_graph(constant(p.theta + s * eps * d), p, batch).item()
+                    for s in (1.0, -1.0))
+        numeric = (up - down) / (2.0 * eps)
+        assert abs(g @ d - numeric) <= 1e-6 * max(abs(g @ d), abs(numeric))
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_every_block_gets_gradient(variant, tmp_path):
     # a block with an all-zero gradient can never learn
@@ -262,11 +325,14 @@ def test_train_loss_decreases_and_is_deterministic(tmp_path):
 # (vits 8bc7b468..., fastspeech 865e44ff..., tacotron 4e25a093...), which
 # held from before the tape's parameter blocks were made cheaper. The
 # version-1 files of the same θ hashed d34f2288..., 6c95782b... and
-# e7580143...; format 2 moved only the bytes, not θ.
+# e7580143...; format 2 moved only the bytes, not θ. Decoding once per
+# character moved θ by rounding, as the gather now sums a character's frame
+# gradients before the decoder's backward (vits 41f06592..., fastspeech
+# df64d677..., tacotron 1d60ded5... before).
 PINNED_CKPT_SHA256 = {
-    "vits": "41f06592717c2f22eda13bb127784d9e2fd69fb0f84e3c18c38c1d34b2bf7b50",
-    "fastspeech": "df64d6770419c46f3e0cf2799ff5398265bf4e27d3675fdd4ba3377ec267b5b6",
-    "tacotron": "1d60ded5efaaad6803476f7a114f85b16fa92755b3f101b322f249e5899bb43c",
+    "vits": "62b77c9092fd038173dcfda0bcc52e0d749e9fdee7d4227453a9af020f4909e5",
+    "fastspeech": "bb9227606f115b761d7d4876fc1d538d831923141d0a45976a83c1144d298bf6",
+    "tacotron": "615531ca68d0c48bebbfbfe389933990f302ec71657d002ec394e1197d829595",
 }
 
 
