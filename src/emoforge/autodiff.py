@@ -1,15 +1,16 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A small tape: every arithmetic op builds a `Tensor` node holding its value,
-its parents and a closure that routes the output gradient back to them.
-`grad` differentiates a scalar loss with respect to a flat parameter vector,
-`finite_diff_check` verifies any such gradient against central differences,
-and `adam_step` is the optimizer used by all trainers in this package.
+Every arithmetic op builds a `Tensor` node holding its value and a closure
+that routes the output gradient back to its parents. While `grad` runs the
+loss, each such node appends itself to that call's tape: creation order is a
+topological order, so backward walks the tape in reverse, and `grad` drops
+it on return. `finite_diff_check` verifies a gradient against central
+differences; `adam_step` is the optimizer of every trainer in this package.
 
 Constants (`constant()` leaves, wrapped raw values and ops on constants
-only) record no tape and never receive a gradient. No closure refers to its
-own output node, so a graph holds no reference cycle and is freed by
-reference counting as soon as its last node is dropped.
+only) and nodes built outside `grad` are not recorded. No node refers to a
+tape and no closure to its own output node, so a graph holds no reference
+cycle and is freed by reference counting once its last node is dropped.
 """
 
 from dataclasses import dataclass
@@ -19,8 +20,13 @@ import numpy as np
 from .errors import ShapeError, UnsupportedOpError
 
 
+_TAPES = []  # the tape of each running `grad` call, innermost last
+
+
 def _unbroadcast(g, shape):
     # Sum the gradient over axes that were added or broadcast in the forward op.
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -34,10 +40,10 @@ class Tensor:
 
     `const` marks a node that takes no gradient: a `constant()` leaf, a
     wrapped raw value, or an op whose parents are all constant. Such an op
-    keeps neither its parents nor its backward closure.
+    keeps no backward closure and is not recorded.
     """
 
-    __slots__ = ("data", "grad", "const", "_parents", "_backward")
+    __slots__ = ("data", "grad", "const", "_backward")
 
     # Keep numpy from silently consuming Tensors in ufunc expressions; the
     # supported op set is exactly what the methods below define.
@@ -46,11 +52,15 @@ class Tensor:
     def __init__(self, data, parents=(), backward=None, const=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        if parents and all(p.const for p in parents):
-            const, parents, backward = True, (), None
         self.const = const
-        self._parents = parents
         self._backward = backward
+        for p in parents:
+            if not p.const:
+                if _TAPES:
+                    _TAPES[-1].append(self)
+                return
+        if parents:
+            self.const, self._backward = True, None
 
     @property
     def shape(self):
@@ -146,11 +156,8 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         def back(g):
-            if axis is None:
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(gg, self.data.shape).copy())
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(gg, self.data.shape).copy())
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def mean(self, axis=None, keepdims=False):
@@ -158,8 +165,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
         return Tensor(self.data.reshape(shape), (self,),
                       lambda g: self._accum(g.reshape(self.data.shape)))
 
@@ -203,12 +208,23 @@ def concat(tensors, axis=0):
     offsets = np.cumsum([0] + sizes)
     def back(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.const:
-                continue
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(a, b)
-            t._accum(g[tuple(sl)])
+            if not t.const:
+                t._accum(g[(slice(None),) * (axis % g.ndim) + (slice(a, b),)])
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+
+
+def repeat_rows(t, counts):
+    """np.repeat(t, counts, axis=0). Backward adds each row's run of gradients
+    in order from +0.0, so it equals np.add.at's scatter bit for bit."""
+    counts = np.asarray(counts, dtype=np.intp)
+    def back(g):
+        # the gradient of each row's k-th copy goes to slab k; the slabs add in turn
+        rows = np.repeat(np.arange(len(counts)), counts)
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        slabs = np.zeros((counts.max(initial=0), len(counts)) + g.shape[1:])
+        slabs[rank, rows] = g
+        t._accum(slabs.sum(axis=0, initial=0.0))  # from +0.0, as add.at's zeros start
+    return Tensor(np.repeat(t.data, counts, axis=0), (t,), back)
 
 
 def log_softmax_rows(t):
@@ -221,27 +237,13 @@ def log_softmax_rows(t):
     return shift - shift.exp().sum(axis=1, keepdims=True).log()
 
 
-def backward(out):
-    """Accumulate gradients of a scalar Tensor into every reachable non-constant node."""
+def backward(out, tape):
+    """Accumulate gradients of a scalar Tensor through `tape`, last node first."""
     if out.data.size != 1:
         raise UnsupportedOpError("backward requires a scalar output")
-    topo, seen = [], set()
-    stack = [(out, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if not p.const:
-                stack.append((p, False))
     out.grad = np.ones_like(out.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    for node in reversed(tape):
+        if node.grad is not None:
             node._backward(node.grad)
 
 
@@ -254,13 +256,16 @@ def grad(loss_fn, params, return_loss=False):
     forward pass.
     """
     theta = Tensor(np.asarray(params, dtype=np.float64))
+    _TAPES.append(tape := [])
     try:
         out = loss_fn(theta)
     except TypeError as exc:
         raise UnsupportedOpError("loss used an operation outside the tape: %s" % exc) from exc
+    finally:
+        _TAPES.pop()
     if not isinstance(out, Tensor):
         raise UnsupportedOpError("loss must return a Tensor, got %r" % type(out).__name__)
-    backward(out)
+    backward(out, tape)
     g = np.zeros_like(theta.data) if theta.grad is None else theta.grad
     if return_loss:
         return g, float(out.data)

@@ -1,7 +1,7 @@
 """Command-line front end for the full workflow.
 
-Exit codes: 0 success, 1 usage error (bad flags or option values),
-2 data/format error (malformed or missing input files).
+Exit codes: 0 success, 1 usage error (bad flags or option values), 2 data
+error (malformed or missing input, or a float overflow, 0-division or NaN).
 """
 
 import argparse
@@ -21,6 +21,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     InvalidLabelError,
+    NumericalError,
     ShapeError,
     UndefinedMetricError,
 )
@@ -251,10 +252,13 @@ def main(argv=None):
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
-        return _COMMANDS[args.cmd](args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow passes
+            return _COMMANDS[args.cmd](args)
     except ConfigError as e:
         code, exc = 1, e
     except _DATA_ERRORS as e:
         code, exc = 2, e
+    except FloatingPointError as e:
+        code, exc = 2, NumericalError("%s stopped on a floating-point error: %s" % (args.cmd, e))
     sys.stderr.write("error: %s\n" % exc)
     return code

@@ -94,8 +94,8 @@ def _encode_t(blocks, x_t, mu):
 
 def _l2rows_t(t):
     n2 = (t * t).sum(axis=1, keepdims=True)
-    if np.any(n2.data <= 0.0):
-        raise DegenerateInputError("cannot normalize a zero-norm embedding row")
+    if not np.isfinite(n2.data).all() or (n2.data <= 0.0).any():
+        raise DegenerateInputError("cannot normalize an embedding row of zero or non-finite norm")
     return t * n2 ** -0.5
 
 

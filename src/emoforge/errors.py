@@ -41,3 +41,7 @@ class UndefinedMetricError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Not enough data points to aggregate."""
+
+
+class NumericalError(ArithmeticError):
+    """A command overflowed, divided by zero or made a NaN."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .autodiff import ParamLayout, AdamState, adam_step, constant, concat, grad
+from .autodiff import ParamLayout, AdamState, adam_step, constant, concat, grad, repeat_rows
 from .conditioning import (
     attention_block_shapes,
     attention_graph,
@@ -82,21 +82,14 @@ def _posenc(t_len, dim):
     pos = np.arange(t_len, dtype=np.float64)[:, None]
     k = np.arange(dim, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * (k // 2) / dim)
-    pe = np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
-    return pe
-
-
-def _cond_width(variant, char_dim, embed, n_speakers):
-    if variant == "tacotron":
-        return char_dim + embed + n_speakers
-    return char_dim
+    return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 def tts_block_shapes(variant, char_dim=CHAR_DIM, embed=32, n_speakers=4,
                      dec_hidden=DEC_HIDDEN, gate=COUPLING_GATE):
     if variant not in VARIANTS:
         raise ConfigError("unknown variant %r (want one of %s)" % (variant, "/".join(VARIANTS)))
-    d_cond = _cond_width(variant, char_dim, embed, n_speakers)
+    d_cond = char_dim + embed + n_speakers if variant == "tacotron" else char_dim
     shapes = {
         "char_emb": (len(VOCAB), char_dim),
         "enc_w1": (char_dim, char_dim),
@@ -143,8 +136,8 @@ def speaker_one_hot(speaker, n_speakers):
 
 # -- graph construction -------------------------------------------------------
 
-def _text_graph(blocks, ids):
-    e = blocks["char_emb"][ids] + constant(_posenc(len(ids), blocks["char_emb"].shape[1]))
+def _text_graph(blocks, ids, posenc):
+    e = blocks["char_emb"][ids] + constant(posenc)
     hidden = (e @ blocks["enc_w1"] + blocks["enc_b1"]).tanh()
     return hidden @ blocks["enc_w2"] + blocks["enc_b2"]
 
@@ -169,9 +162,10 @@ def _swap_halves(t):
     return concat([t[:, half:], t[:, :half]], axis=1)
 
 
-def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, frame_index):
-    # a lone character goes in as two rows: a one-row gemv rounds unlike gemm
-    rows = h_cond_t if h_cond_t.shape[0] > 1 else h_cond_t[[0, 0]]
+def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, durations):
+    # a lone character runs as two rows, its copy given no frames: one-row gemv rounds unlike gemm
+    rows, counts = ((h_cond_t, durations) if h_cond_t.shape[0] > 1
+                    else (h_cond_t[[0, 0]], [durations[0], 0]))
     hidden = (rows @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
     mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
     u = constant(np.concatenate([u_emo, u_spk])[None, :])
@@ -183,7 +177,7 @@ def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, frame_index):
         mel = _swap_halves(mel)
     else:
         mel = mel + u @ blocks["dec_wc"]
-    return mel[frame_index]
+    return repeat_rows(mel, counts)
 
 
 def _check_condition(u_emo, u_spk, params):
@@ -206,14 +200,13 @@ def synthesize(text, u_emo, u_spk, params):
     _check_condition(u_emo, u_spk, params)
     ids = _char_ids(text)
     blocks = {k: constant(v) for k, v in params.layout.unpack(params.theta).items()}
-    h_lg = _text_graph(blocks, ids)
+    h_lg = _text_graph(blocks, ids, _posenc(len(ids), params.dims["char_dim"]))
     h_cond = _condition_graph(blocks, h_lg, u_emo, u_spk, params.variant)
     raw = _duration_graph(blocks, h_cond).data
     durations = np.clip(np.rint(raw[:, 0]), 1, MAX_FRAMES_PER_CHAR).astype(int)
     # a short text holds its last character until the vocoder has enough frames
     durations[-1] += max(0, MIN_FRAMES - int(durations.sum()))
-    frame_index = np.repeat(np.arange(len(ids)), durations)
-    mel_t = _decoder_graph(blocks, h_cond, u_emo, u_spk, params.variant, frame_index)
+    mel_t = _decoder_graph(blocks, h_cond, u_emo, u_spk, params.variant, durations)
     mel = MelSpectrogram(frames=mel_t.data, sample_rate=SAMPLE_RATE)
     wav = griffin_lim(mel)
     return wav, mel
@@ -241,20 +234,20 @@ def _utterance_batch(utt, prompts, n_speakers):
     return {
         "ids": ids,
         "durations": durations,
-        "frame_index": np.repeat(np.arange(len(ids)), durations),
         "u_emo": prompts[utt.emotion],
         "u_spk": speaker_one_hot(utt.speaker, n_speakers),
         "target": ref[:-1],
+        "posenc": _posenc(len(ids), CHAR_DIM),
     }
 
 
 def _loss_graph(theta_t, params, batch):
     blocks = params.layout.unpack(theta_t)
-    h_lg = _text_graph(blocks, batch["ids"])
+    h_lg = _text_graph(blocks, batch["ids"], batch["posenc"])
     h_cond = _condition_graph(blocks, h_lg, batch["u_emo"], batch["u_spk"], params.variant)
     dur_soft = _duration_graph(blocks, h_cond)
     mel = _decoder_graph(blocks, h_cond, batch["u_emo"], batch["u_spk"],
-                         params.variant, batch["frame_index"])
+                         params.variant, batch["durations"])
     mel_err = mel - constant(batch["target"])
     dur_err = dur_soft - constant(batch["durations"].astype(np.float64)[:, None])
     return (mel_err * mel_err).mean() + (dur_err * dur_err).mean()

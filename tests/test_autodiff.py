@@ -1,18 +1,22 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from emoforge import autodiff
 from emoforge.autodiff import (
     AdamState,
     ParamLayout,
     Tensor,
     _wrap,
     adam_step,
-    backward,
     concat,
     constant,
     finite_diff_check,
     grad,
     log_softmax_rows,
+    repeat_rows,
 )
 from emoforge.errors import ShapeError, UnsupportedOpError
 
@@ -93,14 +97,108 @@ def test_getitem_scatter_handles_repeated_indices():
 
 
 def test_constants_take_no_gradient():
-    x = Tensor(np.array([1.0, -2.0]))
     c = constant(np.array([3.0, 4.0]))
     s = _wrap(2.5)
-    cs = c * s  # an op on constants only is itself a constant, with no tape
-    assert cs.const and cs._parents == () and cs._backward is None
-    backward(((x * c + s) * x + cs).sum())
+    cs = c * s  # an op on constants only is itself a constant, with no closure
+    assert cs.const and cs._backward is None
+    g = grad(lambda x: ((x * c + s) * x + cs).sum(), np.array([1.0, -2.0]))
     assert c.grad is None and s.grad is None and cs.grad is None
-    np.testing.assert_array_equal(x.grad, [2 * 1.0 * 3.0 + 2.5, 2 * -2.0 * 4.0 + 2.5])
+    np.testing.assert_array_equal(g, [2 * 1.0 * 3.0 + 2.5, 2 * -2.0 * 4.0 + 2.5])
+
+
+def test_repeat_rows_against_finite_differences():
+    w = np.random.default_rng(3).normal(size=(6, 2))
+    loss = lambda t: (repeat_rows(t.reshape(3, 2), [2, 0, 4]).tanh() * constant(w)).sum()
+    report = finite_diff_check(loss, np.random.default_rng(8).normal(0, 0.8, size=6),
+                               epsilon=1e-5)
+    assert report.max_rel_error < 1e-6
+
+
+def test_repeat_rows_gradient_is_add_at_bit_for_bit():
+    # each row's run of frame gradients is summed in frame order from +0.0,
+    # as np.add.at does: runs of 1-20 frames, a zero count, a one-character
+    # text with its padded row, and -0.0 gradients, alone or in a run
+    rng = np.random.default_rng(21)
+    cases = [rng.integers(1, 21, size=int(n)) for n in rng.integers(1, 60, size=30)]
+    cases += [np.array([3, 0, 5, 0]), np.array([7, 0]), np.array([1, 0]), np.array([0, 0])]
+    for counts in cases:
+        n, frames = len(counts), int(counts.sum())
+        w = rng.normal(size=(frames, 5)) * 10.0 ** rng.integers(-8, 9, size=(frames, 5))
+        w[rng.random(w.shape) < 0.3] = -0.0
+        if frames:
+            w[-1] = -0.0
+        want = np.zeros((n, 5))
+        np.add.at(want, np.repeat(np.arange(n), counts), w)
+        g = grad(lambda t: (repeat_rows(t.reshape(n, 5), counts) * constant(w)).sum(),
+                 np.ones(n * 5))
+        assert g.tobytes() == want.tobytes(), counts
+
+
+def test_repeat_rows_forward_is_np_repeat():
+    x = np.arange(8.0).reshape(4, 2)
+    out = repeat_rows(constant(x), [1, 0, 3, 2])
+    assert out.const and np.array_equal(out.data, np.repeat(x, [1, 0, 3, 2], axis=0))
+
+
+class _Probe(Tensor):
+    # a weakly referenceable node: an identity op on its parent
+    __slots__ = ("__weakref__",)
+
+    def __init__(self, parent):
+        super().__init__(parent.data, (parent,), parent._accum)
+
+
+def test_finished_grad_graph_is_freed_without_the_cycle_collector():
+    probes = []
+
+    def loss(t):
+        probe = _Probe(t * 2.0)
+        probes.append(weakref.ref(probe))
+        return (probe * probe).sum()
+
+    gc.collect()
+    gc.disable()
+    try:
+        g = grad(loss, np.array([1.0, -3.0]))
+        freed = probes[0]() is None
+    finally:
+        gc.enable()
+    assert freed
+    np.testing.assert_array_equal(g, [8.0, -24.0])
+
+
+@pytest.mark.parametrize("op, error", [(np.sin, UnsupportedOpError),
+                                       (lambda t: t.reshape(5, 5), ValueError)])
+def test_tape_stack_is_empty_after_the_loss_raises(op, error):
+    with pytest.raises(error):
+        grad(lambda t: op(t * 2.0), np.ones(3))
+    assert autodiff._TAPES == []
+
+
+def test_nodes_built_outside_grad_are_not_recorded():
+    x = Tensor(np.array([1.0, 2.0]))
+    h = x * 3.0  # built with no grad running: not on any tape
+    assert autodiff._TAPES == []
+    g = grad(lambda t: (t * h).sum(), np.array([5.0, 7.0]))
+    np.testing.assert_array_equal(g, [3.0, 6.0])
+    assert x.grad is None and h.grad is not None
+
+
+def test_nested_grad_matches_unnested():
+    inner_loss = lambda t: (t.tanh() * t).sum() + (t * t * t).sum()
+    theta = np.array([0.3, -1.2, 2.0])
+    want = grad(inner_loss, theta)
+    seen = []
+
+    def outer(t):
+        h = (t * t).sum()
+        seen.append(grad(inner_loss, theta))
+        return h * 2.0
+
+    g = grad(outer, theta)
+    assert seen[0].tobytes() == want.tobytes()
+    np.testing.assert_array_equal(g, 4.0 * theta)
+    assert autodiff._TAPES == []
 
 
 def test_finite_diff_through_param_blocks_and_basic_slices():

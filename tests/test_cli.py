@@ -352,6 +352,14 @@ def _ragged_bytes(payload, params):
     payload["theta"] = base64.b64encode(base64.b64decode(payload["theta"])[:-3]).decode()
 
 
+def _huge_weight(payload, params):
+    # finite, so the checkpoint loads; its square overflows in the row norm,
+    # which zeroed every fused row and scored every utterance as class 0
+    theta = decode_theta(payload["theta"])
+    theta[params.layout.offset("w_imp_vis")] = 1.94e307
+    payload["theta"] = encode_theta(theta)
+
+
 def _audio_only(argv):
     """The same command against an alignment checkpoint of an audio-only model."""
     def with_audio_only(w, tmp):
@@ -422,6 +430,7 @@ MALFORMED = {
     "align-untrained-dims": _audio_only(
         _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64))),
     "align-dims-missing-hidden": _eval_align_checkpoint(lambda p, _: p["dims"].pop("hidden")),
+    "align-weight-huge": _eval_align_checkpoint(_huge_weight),
     "tts-theta-not-base64": _synth_tts_checkpoint(lambda p: p.update(theta="not base64!")),
     "tts-theta-not-ascii": _synth_tts_checkpoint(lambda p: p.update(theta="\u03b8" * 8)),
     "tts-dims-unknown-key": _synth_tts_checkpoint(lambda p: p["dims"].update(n_mels=40)),
@@ -474,6 +483,7 @@ REASON = {
     "align-theta-ragged-bytes": "multiple of element size",
     "align-untrained-dims": "dims do not match its modalities",
     "align-dims-missing-hidden": "dims do not match its modalities",
+    "align-weight-huge": "eval-align stopped on a floating-point error: overflow",
     "tts-theta-not-base64": "malformed field 'theta'",
     "tts-theta-not-ascii": "malformed field 'theta'",
     "tts-dims-unknown-key": "malformed field 'dims'",

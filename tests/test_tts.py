@@ -193,10 +193,10 @@ def test_synthesized_wav_bytes_pinned(variant, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_WAV_SHA256[variant]
 
 
-def _per_frame_decoder(blocks, h_cond_t, u_emo, u_spk, variant, frame_index):
+def _per_frame_decoder(blocks, h_cond_t, u_emo, u_spk, variant, durations):
     """The decoder as it ran before decoding once per character: expand the
     character rows to frames first, then decode every frame."""
-    h_exp = h_cond_t[frame_index]
+    h_exp = h_cond_t[np.repeat(np.arange(len(durations)), durations)]
     hidden = (h_exp @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
     mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
     u = constant(np.concatenate([u_emo, u_spk])[None, :])
