@@ -7,9 +7,9 @@ topological order, so backward walks the tape in reverse, and `grad` drops
 it on return. `finite_diff_check` verifies a gradient against central
 differences; `adam_step` is the optimizer of every trainer in this package.
 
-Constants (`constant()` leaves, wrapped raw values and ops on constants
-only) and nodes built outside `grad` are not recorded. No node refers to a
-tape and no closure to its own output node, so a graph holds no reference
+Constants (`constant()` leaves, wrapped raw values, ops on constants only
+and every op built while no `grad` runs) are not recorded. No node refers to
+a tape and no closure to its own output node, so a graph holds no reference
 cycle and is freed by reference counting once its last node is dropped.
 """
 
@@ -39,8 +39,8 @@ class Tensor:
     """One node of the tape. Wraps a float64 array; never mutate `.data`.
 
     `const` marks a node that takes no gradient: a `constant()` leaf, a
-    wrapped raw value, or an op whose parents are all constant. Such an op
-    keeps no backward closure and is not recorded.
+    wrapped raw value, or an op on constants only or built while no `grad`
+    runs. Such an op keeps no backward closure and is not recorded.
     """
 
     __slots__ = ("data", "grad", "const", "_backward")
@@ -54,11 +54,11 @@ class Tensor:
         self.grad = None
         self.const = const
         self._backward = backward
-        for p in parents:
-            if not p.const:
-                if _TAPES:
+        if _TAPES:
+            for p in parents:
+                if not p.const:
                     _TAPES[-1].append(self)
-                return
+                    return
         if parents:
             self.const, self._backward = True, None
 

@@ -4,7 +4,7 @@ Every text input (manifest, pairs, reference features, scores, checkpoints)
 goes through `read`, which decodes UTF-8 whatever the locale, and `field`,
 which checks a value's kind.
 
-Format 2 is a JSON object: its magic string (`<MODEL>/2`), the fields a schema
+Format 3 is a JSON object: its magic string (`<MODEL>/3`), the fields a schema
 names (in schema order) and `theta` last, the flat float64 parameter vector as
 base64 of its little-endian bytes. A file of another version, or with a field
 the schema does not name, is refused."""

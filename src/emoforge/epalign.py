@@ -30,6 +30,8 @@ from .numeric import rng_stream
 
 MODALITIES = ("vis", "audio", "tex")
 MAX_TEMPERATURE = 100.0
+HIDDEN = 64  # encoder hidden width
+EMBED = 32  # width of the shared space: the emotion vector synthesis reads
 
 _FEAT_ATTR = {"vis": "feat_vis", "audio": "feat_audio", "tex": "feat_text"}
 
@@ -38,7 +40,7 @@ _FEAT_ATTR = {"vis": "feat_vis", "audio": "feat_audio", "tex": "feat_text"}
 class EpAlignParams:
     theta: np.ndarray
     layout: ParamLayout
-    dims: dict  # d_<mu> for each trained modality, hidden, embed
+    dims: dict  # d_<mu> for each trained modality: the input widths; the rest are constants
     n_classes: int
     modalities: tuple
     seed: int
@@ -47,7 +49,7 @@ class EpAlignParams:
 @dataclass
 class AlignmentResult:
     predicted_class: int
-    u_emo: np.ndarray  # unit norm, dim embed
+    u_emo: np.ndarray  # unit norm, dim EMBED
     per_class_similarity: np.ndarray
 
 
@@ -56,26 +58,24 @@ def _block_shapes(dims, n_classes, modalities):
     text space: the blocks the loss reads, and no others."""
     shapes = {}
     for mu in modalities:
-        shapes["enc_%s_w1" % mu] = (dims["d_" + mu], dims["hidden"])
-        shapes["enc_%s_b1" % mu] = (dims["hidden"],)
-        shapes["enc_%s_w2" % mu] = (dims["hidden"], dims["embed"])
-        shapes["enc_%s_b2" % mu] = (dims["embed"],)
-        shapes["w_imp_" + mu] = (dims["embed"], dims["embed"])
-    shapes["w_pro_tex"] = (dims["embed"], dims["embed"])
-    shapes["prompt_table"] = (n_classes, dims["embed"])
+        shapes["enc_%s_w1" % mu] = (dims["d_" + mu], HIDDEN)
+        shapes["enc_%s_b1" % mu] = (HIDDEN,)
+        shapes["enc_%s_w2" % mu] = (HIDDEN, EMBED)
+        shapes["enc_%s_b2" % mu] = (EMBED,)
+        shapes["w_imp_" + mu] = (EMBED, EMBED)
+    shapes["w_pro_tex"] = (EMBED, EMBED)
+    shapes["prompt_table"] = (n_classes, EMBED)
     shapes["log_t"] = ()
     return shapes
 
 
-def init_epalign(d_vis=64, d_audio=64, d_tex=64, hidden=64, embed=32,
-                 n_classes=5, seed=42, modalities=MODALITIES):
+def init_epalign(d_vis=64, d_audio=64, d_tex=64, n_classes=5, seed=42, modalities=MODALITIES):
     for mu in modalities:
         if mu not in MODALITIES:
             raise ConfigError("unknown modality %r" % mu)
     if not modalities:
         raise ConfigError("need at least one implicit modality")
     dims = {"d_" + mu: d for mu, d in zip(MODALITIES, (d_vis, d_audio, d_tex)) if mu in modalities}
-    dims.update(hidden=hidden, embed=embed)
     layout = ParamLayout(_block_shapes(dims, n_classes, modalities))
     theta = layout.init(lambda name: rng_stream(seed, "epalign:" + name), unit=("prompt_table",))
     theta[layout.offset("log_t")] = np.log(1.0 / 0.07)  # CLIP-style warm start
@@ -223,7 +223,7 @@ def train_epalign(dataset, config=None):
 # ---------------------------------------------------------------------------
 
 def anchored_prompts(params):
-    """All C prompt embeddings in the text space, L2-normalized (C x embed)."""
+    """All C prompt embeddings in the text space, L2-normalized (C x EMBED)."""
     return _prompts_t(params.layout.unpack(constant(params.theta))).data
 
 
@@ -306,7 +306,7 @@ def eval_alignment(params, dataset, modalities=None):
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-_MAGIC = "EPALIGN/2"
+_MAGIC = "EPALIGN/3"
 _SCHEMA = {"dims": (), "n_classes": "pos", "modalities": "strs", "seed": "int"}
 
 
@@ -322,7 +322,7 @@ def load_epalign(path):
         for mu in mods:
             if mu not in MODALITIES:
                 raise FormatError("checkpoint %s names unknown modality %r" % (path, mu))
-        if set(fields["dims"]) != {"d_" + mu for mu in mods} | {"hidden", "embed"}:
+        if set(fields["dims"]) != {"d_" + mu for mu in mods}:
             raise FormatError("checkpoint %s dims do not match its modalities" % path)
         return ParamLayout(_block_shapes(fields["dims"], fields["n_classes"], mods))
 

@@ -43,7 +43,7 @@ MAX_FRAMES_PER_CHAR = 20
 # Griffin-Lim's centered STFT needs more than N_FFT/2 samples, and T frames
 # give (T - 1) * HOP of them, so T must be at least N_FFT // (2 * HOP) + 2.
 MIN_FRAMES = N_FFT // (2 * HOP) + 2
-CKPT_MAGIC = "EMITTS/2"
+CKPT_MAGIC = "EMITTS/3"
 
 
 @dataclass
@@ -67,7 +67,7 @@ class TtsParams:
     theta: np.ndarray
     layout: ParamLayout
     variant: str
-    dims: dict  # char_dim, embed, n_speakers, dec_hidden, gate
+    dims: dict  # embed, n_speakers: the widths a model is built for; the rest are constants
     seed: int
 
 
@@ -78,51 +78,50 @@ def _char_ids(text):
     return np.asarray(ids, dtype=np.intp)
 
 
-def _posenc(t_len, dim):
+def _posenc(t_len):
     pos = np.arange(t_len, dtype=np.float64)[:, None]
-    k = np.arange(dim, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, 2.0 * (k // 2) / dim)
+    k = np.arange(CHAR_DIM, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, 2.0 * (k // 2) / CHAR_DIM)
     return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def tts_block_shapes(variant, char_dim=CHAR_DIM, embed=32, n_speakers=4,
-                     dec_hidden=DEC_HIDDEN, gate=COUPLING_GATE):
+def tts_block_shapes(variant, embed, n_speakers):
     if variant not in VARIANTS:
         raise ConfigError("unknown variant %r (want one of %s)" % (variant, "/".join(VARIANTS)))
-    d_cond = char_dim + embed + n_speakers if variant == "tacotron" else char_dim
+    d_u = embed + n_speakers  # the condition [u_emo; u_spk]
+    d_cond = CHAR_DIM + d_u if variant == "tacotron" else CHAR_DIM
     shapes = {
-        "char_emb": (len(VOCAB), char_dim),
-        "enc_w1": (char_dim, char_dim),
-        "enc_b1": (char_dim,),
-        "enc_w2": (char_dim, char_dim),
-        "enc_b2": (char_dim,),
+        "char_emb": (len(VOCAB), CHAR_DIM),
+        "enc_w1": (CHAR_DIM, CHAR_DIM),
+        "enc_b1": (CHAR_DIM,),
+        "enc_w2": (CHAR_DIM, CHAR_DIM),
+        "enc_b2": (CHAR_DIM,),
         "dur_w": (d_cond, 1),
         "dur_b": (1,),
-        "dec_w1": (d_cond, dec_hidden),
-        "dec_b1": (dec_hidden,),
-        "dec_w2": (dec_hidden, N_MELS),
+        "dec_w1": (d_cond, DEC_HIDDEN),
+        "dec_b1": (DEC_HIDDEN,),
+        "dec_w2": (DEC_HIDDEN, N_MELS),
         "dec_b2": (N_MELS,),
     }
     if variant == "vits":
         # two coupling blocks with a half-swap between them, so both halves
         # of the mel frame are transformable (a single block pins the first)
         for prefix in ("flow_a_", "flow_b_"):
-            for name, shape in coupling_block_shapes(N_MELS, embed + n_speakers, gate).items():
+            for name, shape in coupling_block_shapes(N_MELS, d_u, COUPLING_GATE).items():
                 shapes[prefix + name] = shape
     else:
         # condition-to-output linear bias so per-emotion spectral offsets
         # don't have to route through the shared tanh layer
-        shapes["dec_wc"] = (embed + n_speakers, N_MELS)
+        shapes["dec_wc"] = (d_u, N_MELS)
         if variant == "fastspeech":
-            shapes.update(attention_block_shapes(char_dim, embed + n_speakers))
+            shapes.update(attention_block_shapes(CHAR_DIM, d_u))
     return shapes
 
 
-def init_tts(variant, embed, n_speakers, seed=42, char_dim=CHAR_DIM,
-             dec_hidden=DEC_HIDDEN, gate=COUPLING_GATE):
-    layout = ParamLayout(tts_block_shapes(variant, char_dim, embed, n_speakers, dec_hidden, gate))
+def init_tts(variant, embed, n_speakers, seed=42):
+    layout = ParamLayout(tts_block_shapes(variant, embed, n_speakers))
     theta = layout.init(lambda name: rng_stream(seed, "tts:" + name), unit=("char_emb",))
-    dims = dict(char_dim=char_dim, embed=embed, n_speakers=n_speakers, dec_hidden=dec_hidden, gate=gate)
+    dims = dict(embed=embed, n_speakers=n_speakers)
     return TtsParams(theta=theta, layout=layout, variant=variant, dims=dims, seed=seed)
 
 
@@ -200,7 +199,7 @@ def synthesize(text, u_emo, u_spk, params):
     _check_condition(u_emo, u_spk, params)
     ids = _char_ids(text)
     blocks = {k: constant(v) for k, v in params.layout.unpack(params.theta).items()}
-    h_lg = _text_graph(blocks, ids, _posenc(len(ids), params.dims["char_dim"]))
+    h_lg = _text_graph(blocks, ids, _posenc(len(ids)))
     h_cond = _condition_graph(blocks, h_lg, u_emo, u_spk, params.variant)
     raw = _duration_graph(blocks, h_cond).data
     durations = np.clip(np.rint(raw[:, 0]), 1, MAX_FRAMES_PER_CHAR).astype(int)
@@ -237,7 +236,7 @@ def _utterance_batch(utt, prompts, n_speakers):
         "u_emo": prompts[utt.emotion],
         "u_spk": speaker_one_hot(utt.speaker, n_speakers),
         "target": ref[:-1],
-        "posenc": _posenc(len(ids), CHAR_DIM),
+        "posenc": _posenc(len(ids)),
     }
 
 
@@ -298,8 +297,7 @@ def train_tts(dataset, prompts, variant, config=None):
 
 # -- checkpointing ------------------------------------------------------------
 
-_SCHEMA = {"variant": "str",
-           "dims": ("char_dim", "embed", "n_speakers", "dec_hidden", "gate"), "seed": "int"}
+_SCHEMA = {"variant": "str", "dims": ("embed", "n_speakers"), "seed": "int"}
 
 
 def save_tts(params, path):

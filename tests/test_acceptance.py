@@ -13,9 +13,16 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from emoforge import epalign
 from emoforge.autodiff import ParamLayout, constant, finite_diff_check
 from emoforge.cli import main as cli_main
-from emoforge.conditioning import attention_graph, build_condition_graph, coupling_graph
+from emoforge.conditioning import (
+    attention_block_shapes,
+    attention_graph,
+    build_condition_graph,
+    coupling_block_shapes,
+    coupling_graph,
+)
 from emoforge.datagen import CorpusConfig, _TEXT_POOL, gen_corpus, render_reference
 from emoforge.dsp import (
     N_MELS,
@@ -123,8 +130,10 @@ def test_criterion_02_gradient_fidelity(verdict):
     for seed in (1, 2, 3):
         rng = rng_stream(seed, "acceptance:grad")
 
-        p = init_epalign(d_vis=5, d_audio=5, d_tex=5, hidden=6, embed=4,
-                         n_classes=3, seed=seed)
+        with pytest.MonkeyPatch.context() as narrow:
+            narrow.setattr(epalign, "HIDDEN", 6)
+            narrow.setattr(epalign, "EMBED", 4)
+            p = init_epalign(d_vis=5, d_audio=5, d_tex=5, n_classes=3, seed=seed)
         # moderate temperature: finite differences themselves lose accuracy
         # at the warm-start scale, so check the gradient where FD is reliable
         p.theta[p.layout.offset("log_t")] = 0.0
@@ -134,22 +143,23 @@ def test_criterion_02_gradient_fidelity(verdict):
             lambda t: _batch_loss_graph(t, p, feats, labels), p.theta, epsilon=eps)
         worst["contrastive"] = max(worst["contrastive"], rep.max_rel_error)
 
-        cl, ct = _block_set(init_tts("vits", embed=3, n_speakers=1, gate=8, seed=seed),
-                            "flow_a_")
+        # small blocks drawn from the streams init_tts draws a model's from
+        cl = ParamLayout(coupling_block_shapes(N_MELS, 3 + 1, 8))
+        ct = cl.init(lambda name: rng_stream(seed, "tts:flow_a_" + name))
         h = constant(rng.standard_normal((4, N_MELS)))
         u = constant(rng.standard_normal((1, 3 + 1)))
         rep = finite_diff_check(
             lambda t: coupling_graph(cl.unpack(t), h, u)[1], ct, epsilon=eps)
         worst["log_det"] = max(worst["log_det"], rep.max_rel_error)
 
-        al, at = _block_set(init_tts("fastspeech", embed=3, n_speakers=2, char_dim=4,
-                                     seed=seed), "att_")
+        al = ParamLayout(attention_block_shapes(4, 3 + 2))
+        at = al.init(lambda name: rng_stream(seed, "tts:" + name))
         ah = constant(rng.standard_normal((3, 4)))
         u_emo = constant(rng.standard_normal((1, 3)))
         u_spk = constant(rng.standard_normal((1, 2)))
 
         def att_loss(t):
-            blocks = {"att_" + k: v for k, v in al.unpack(t).items()}
+            blocks = al.unpack(t)
             out = attention_graph(blocks, ah, build_condition_graph(blocks, u_emo, u_spk))
             return (out * out).sum()
 

@@ -1,9 +1,12 @@
-"""Every public function, class and method in src/emoforge has a caller there.
+"""Every public function, class and method in src/emoforge has a caller there,
+and every default a public function offers is overridden by one.
 
 A library function that only tests call is a second API to keep in step
 with the one the CLI runs. This guard parses the package with `ast` and
 fails on any public top-level function or class, or public method, whose
 name is not used anywhere in the package outside its own definition.
+Likewise a defaulted parameter that no call in the package passes is a
+setting with one value: a constant dressed as a knob.
 
 A top-level name counts as used only when read bare or as
 `<defining module>.<name>`; an attribute of another object that happens to
@@ -67,4 +70,59 @@ def unreferenced(src=SRC):
 def test_every_public_name_has_a_caller_in_the_package():
     assert unreferenced() == sorted(ALLOWED)
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+# qualified name.parameter -> why no call in the package need pass it
+ALLOWED_KNOBS = {
+    "autodiff.finite_diff_check.epsilon": "the step of the test oracle; tests pick it "
+                                          "per loss curvature",
+    "cli.main.argv": "the entry point: None reads sys.argv, tests pass a list",
+    "conditioning.coupling_graph.inverse": "the flow's inverse direction, which "
+                                           "acceptance criterion 1 runs",
+    "dsp.griffin_lim.iters": "the round count the convergence sweep in test_dsp.py "
+                             "varies, until the vocoder's rounds are settled",
+}
+
+
+def _calls(tree):
+    """(name, owner, positional count, keywords, *args given) of every call;
+    owner as in `_uses`. A `**mapping` names no keyword it could be seen to pass."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            name, owner = node.func.id, None
+        elif isinstance(node.func, ast.Attribute):
+            value = node.func.value
+            name, owner = node.func.attr, value.id if isinstance(value, ast.Name) else ""
+        else:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        yield name, owner, len(node.args), {k.arg for k in node.keywords if k.arg}, starred
+
+
+def unpassed_defaults(src=SRC):
+    trees = {p: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    calls = [c for tree in trees.values() for c in _calls(tree)]
+    missing = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            mine = [c for c in calls if c[0] == node.name and c[1] in (None, path.stem)]
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            knobs = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            knobs += [(None, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                      if d is not None]
+            for i, arg in knobs:
+                if not any(arg in kws or (i is not None and (n_pos > i or starred))
+                           for _, _, n_pos, kws, starred in mine):
+                    missing.append("%s.%s.%s" % (path.stem, node.name, arg))
+    return sorted(missing)
+
+
+def test_every_default_is_passed_by_some_call_in_the_package():
+    assert unpassed_defaults() == sorted(ALLOWED_KNOBS)
+    assert all(reason.strip() for reason in ALLOWED_KNOBS.values())
 

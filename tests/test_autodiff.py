@@ -177,11 +177,14 @@ def test_tape_stack_is_empty_after_the_loss_raises(op, error):
 
 def test_nodes_built_outside_grad_are_not_recorded():
     x = Tensor(np.array([1.0, 2.0]))
-    h = x * 3.0  # built with no grad running: not on any tape
+    h = x * 3.0  # built with no grad running: a constant, on no tape
     assert autodiff._TAPES == []
+    assert h.const and h._backward is None
     g = grad(lambda t: (t * h).sum(), np.array([5.0, 7.0]))
     np.testing.assert_array_equal(g, [3.0, 6.0])
-    assert x.grad is None and h.grad is not None
+    assert x.grad is None and h.grad is None
+    # nothing stale accumulates between calls
+    assert grad(lambda t: (t * h).sum(), np.array([5.0, 7.0])).tobytes() == g.tobytes()
 
 
 def test_nested_grad_matches_unnested():

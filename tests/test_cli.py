@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from emoforge.cli import main
 from emoforge.datagen import render_reference
 from emoforge.dsp import HOP, SAMPLE_RATE, Waveform, wav_read, wav_write
-from emoforge.epalign import init_epalign, load_epalign, save_epalign
+from emoforge.epalign import EMBED, HIDDEN, init_epalign, load_epalign, save_epalign
 from emoforge.tts import VARIANTS, load_tts, save_tts
 from theta_codec import decode_theta, encode_theta
 
@@ -192,8 +193,7 @@ def _edited(src, dst, edit):
 
 def test_synth_rejects_tts_checkpoint_missing_fields(workdir, tts_ckpt, tmp_path, capsys):
     edits = [lambda p, k=k: p.pop(k) for k in ("dims", "seed", "theta")]
-    edits += [lambda p, k=k: p["dims"].pop(k)
-              for k in ("embed", "n_speakers", "char_dim", "dec_hidden", "gate")]
+    edits += [lambda p, k=k: p["dims"].pop(k) for k in ("embed", "n_speakers")]
     for edit in edits:
         bad = _edited(tts_ckpt, tmp_path / "tts.json", edit)
         assert _synth_exit(bad, workdir["align"], tmp_path / "x.wav") == 2
@@ -325,14 +325,14 @@ def _one_class_as_true(payload, params):
     a, b = params.layout.slices["prompt_table"]
     payload["n_classes"] = True
     theta = decode_theta(payload["theta"])
-    payload["theta"] = encode_theta(np.concatenate([theta[:a + params.dims["embed"]], theta[b:]]))
+    payload["theta"] = encode_theta(np.concatenate([theta[:a + EMBED], theta[b:]]))
 
 
 def _parent_format(payload, params):
     # the layout before untrained blocks were dropped: all three prompt
     # projections, and an anchor naming the one the loss read
     blocks = params.layout.unpack(params.theta)
-    e = params.dims["embed"]
+    e = EMBED
     names = [n % mu for mu in ("vis", "audio", "tex")
              for n in ("enc_%s_w1", "enc_%s_b1", "enc_%s_w2", "enc_%s_b2", "w_imp_%s", "w_pro_%s")]
     payload["anchor"] = "tex"
@@ -341,10 +341,18 @@ def _parent_format(payload, params):
 
 
 def _format_1(payload, params):
-    # the version-1 file of the same model: θ as a list of floats (a model of
-    # all three modalities has the same dims block in both versions)
+    # the version-1 file of the same model: θ as a list of floats, and dims
+    # that still hold the encoder widths
     payload["magic"] = "EPALIGN/1"
+    payload["dims"].update(hidden=HIDDEN, embed=EMBED)
     payload["theta"] = params.theta.tolist()
+
+
+def _tts_format_2(payload):
+    # the format-2 file of the same model: dims that still hold the three
+    # widths format 3 made constants
+    payload["magic"] = "EMITTS/2"
+    payload["dims"] = dict(char_dim=32, **payload["dims"], dec_hidden=64, gate=16)
 
 
 def _ragged_bytes(payload, params):
@@ -429,12 +437,13 @@ MALFORMED = {
     "align-theta-ragged-bytes": _eval_align_checkpoint(_ragged_bytes),
     "align-untrained-dims": _audio_only(
         _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64))),
-    "align-dims-missing-hidden": _eval_align_checkpoint(lambda p, _: p["dims"].pop("hidden")),
+    "align-dims-stale-hidden": _eval_align_checkpoint(lambda p, _: p["dims"].update(hidden=64)),
     "align-weight-huge": _eval_align_checkpoint(_huge_weight),
     "tts-theta-not-base64": _synth_tts_checkpoint(lambda p: p.update(theta="not base64!")),
     "tts-theta-not-ascii": _synth_tts_checkpoint(lambda p: p.update(theta="\u03b8" * 8)),
     "tts-dims-unknown-key": _synth_tts_checkpoint(lambda p: p["dims"].update(n_mels=40)),
     "tts-unknown-field": _synth_tts_checkpoint(lambda p: p.update(extra=[1])),
+    "tts-format-2": _synth_tts_checkpoint(_tts_format_2),
     "tts-theta-wrong-size": _synth_tts_checkpoint(
         lambda p: p.update(theta=encode_theta(decode_theta(p["theta"])[:-1]))),
     # the checkpoint knows classes 0..2 and 64-dim features
@@ -479,15 +488,16 @@ REASON = {
     "align-bool-classes": "malformed field 'n_classes'",
     "align-no-modalities": "names no implicit modality",
     "align-parent-format": "fields its format does not name: anchor",
-    "align-format-1": "is format 'EPALIGN/1', want 'EPALIGN/2'",
+    "align-format-1": "is format 'EPALIGN/1', want 'EPALIGN/3'",
     "align-theta-ragged-bytes": "multiple of element size",
     "align-untrained-dims": "dims do not match its modalities",
-    "align-dims-missing-hidden": "dims do not match its modalities",
+    "align-dims-stale-hidden": "dims do not match its modalities",
     "align-weight-huge": "eval-align stopped on a floating-point error: overflow",
     "tts-theta-not-base64": "malformed field 'theta'",
     "tts-theta-not-ascii": "malformed field 'theta'",
     "tts-dims-unknown-key": "malformed field 'dims'",
     "tts-unknown-field": "fields its format does not name: extra",
+    "tts-format-2": "is format 'EMITTS/2', want 'EMITTS/3'",
     "tts-theta-wrong-size": "11224 parameters, layout wants 11225",
     "align-label-past-classes": "labels must lie in [0, 3)",
     "align-label-negative": "labels must lie in [0, 3)",
@@ -592,9 +602,14 @@ def test_mutated_inputs_exit_0_or_2_without_traceback(workdir, tts_ckpt, tmp_pat
             path.write_bytes(mutant)
             for old in tmp_path.glob("out.*"):
                 old.unlink()
-            code = main([str(a) for a in argv(path)])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([str(a) for a in argv(path)])
             out, err = capsys.readouterr()
             assert code in (0, 2) and "Traceback" not in err, (name, mutant[:200], err)
+            # an overflow is a hole too, though it may end in a plausible exit 0
+            numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert not numeric, (name, mutant[:200], numeric)
             if code == 2:
                 assert "error:" in err, (name, mutant[:200])
                 continue
@@ -690,8 +705,11 @@ def test_mos_output(tmp_path, capsys):
 # checkpoints and their "#theta" entries, as the gather now sums a character's
 # frame gradients before the decoder's backward (vits d9d474a5... / 306ed113...,
 # fastspeech 94846513... / 01973cdc..., tacotron 9715a980... / 4ca3c758... before).
+# Checkpoint format 3 re-pinned the four checkpoint files, as their magic and
+# dims changed (their "#theta" entries held); format 2 hashed align 29c694e9...,
+# vits 64edf66c..., fastspeech d085b3ca... and tacotron 44032995....
 PINNED_SESSION_SHA256 = {
-    "align.json": "29c694e931cf5d8a2eaa5218e45534d1b81e71f1e652fb3fe507e49d83a19f15",
+    "align.json": "152487768505934a6632b29d37590d58504126931527a895be6efeb1bd3519f3",
     "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
     "corpus/manifest.jsonl": "3837f705ea68de28fabefee0b372d9d3c9fe1926a859335b928c2df9df58da3c",
     "corpus/wav/utt_00000.wav": "416a3ac0fd319652d97f741ba2e4bef0d368351ca5ff2a4884025ee73ad0fb70",
@@ -712,9 +730,9 @@ PINNED_SESSION_SHA256 = {
     "eval.json": "a87e6c8e5b0d72beea5132f00972703afd25af111eb31b42165613a636ebe4db",
     "syn/happy.wav": "24b8b40abb03126c417787fb03022d7d56fbe1df3b0f1fccd0e24640f5c9edd9",
     "syn/ref.wav": "ae90f471a015ed8081802cf29f4cfcc1ab42c0ebc089787717f769019ab85b78",
-    "tts_fastspeech.json": "d085b3ca69c68ee7b2a520e36359ee3e8b887590f5253d53bf290f8c0769acd5",
-    "tts_tacotron.json": "440329950f13a6d377fae71e8a4c9b8e7e7893dae218f0d21a2f232cda26d316",
-    "tts_vits.json": "64edf66c97ead299705a10c9a4a187808a1c8e2267f4db2d041f261769046c5b",
+    "tts_fastspeech.json": "bf6eab914cb10c72c9537661573d87f2759a6e8dfcf55c1ba4f0130460f589a7",
+    "tts_tacotron.json": "d896d60576cefeed2b9e1c5cb8fbc7389dcc79d0389587f0c4b144daf8f9c41e",
+    "tts_vits.json": "68ba7fa972c3f8b0ca5fc35441678c2baeeac2f53ad1d2ae524152589c88dc62",
     "align.json#theta": "99d85db9d60beb56dcef0c790d72b2325d4d6141334e0c3522e57a9ef576b9c5",
     "tts_vits.json#theta": "1af386ef85fdf3fe00cc53f0865b7c592e10e363f0e660dbdf094599534b33f2",
     "tts_fastspeech.json#theta": "7688104d999d5ad73f0d546a459ed789c0aec4c6cfa1c233346552fb1af0ca54",

@@ -5,15 +5,17 @@ import pytest
 
 from emoforge.autodiff import ParamLayout, constant, finite_diff_check
 from emoforge.conditioning import (
+    attention_block_shapes,
     attention_graph,
     build_condition_graph,
+    coupling_block_shapes,
     coupling_graph,
     ewn_graph,
 )
 from emoforge.dsp import N_MELS
 from emoforge.errors import InvalidInputError
 from emoforge.numeric import rng_stream
-from emoforge.tts import _check_condition, _condition_graph, init_tts
+from emoforge.tts import CHAR_DIM, COUPLING_GATE, _check_condition, _condition_graph, init_tts
 
 EMBED, N_SPK = 8, 2
 COND = EMBED + N_SPK
@@ -21,39 +23,37 @@ HALF = N_MELS // 2
 EWN = ("ewn_wf", "ewn_bf", "ewn_wg", "ewn_bg", "ewn_wo", "ewn_bo")
 
 
-def _sub_blocks(params, prefix):
-    return {k[len(prefix):]: np.array(v) for k, v in params.layout.unpack(params.theta).items()
-            if k.startswith(prefix)}
+def _init_blocks(shapes, prefix, seed):
+    """(layout, flat vector) of blocks of any size, each drawn from the
+    tts:<prefix><name> stream `init_tts` draws it from, so at the model's
+    sizes the bits are the model's."""
+    layout = ParamLayout(shapes)
+    return layout, layout.init(lambda name: rng_stream(seed, "tts:" + prefix + name))
 
 
 def _flow(prefix="flow_a_", seed=42, zero=(), **arrays):
     """One coupling block set of a vits model, as Tensor constants."""
-    blocks = _sub_blocks(init_tts("vits", embed=EMBED, n_speakers=N_SPK, seed=seed), prefix)
+    layout, theta = _init_blocks(coupling_block_shapes(N_MELS, COND, COUPLING_GATE), prefix, seed)
+    blocks = {k: np.array(v) for k, v in layout.unpack(theta).items()}
     for name in zero:
         blocks[name] = np.zeros_like(blocks[name])
     blocks.update(arrays)
     return {k: constant(v) for k, v in blocks.items()}
 
 
-def _att(seed=42, char_dim=32, embed=EMBED, n_speakers=N_SPK, **arrays):
-    """The condition-bias blocks of a fastspeech model, as Tensor constants."""
-    p = init_tts("fastspeech", embed=embed, n_speakers=n_speakers, seed=seed, char_dim=char_dim)
-    blocks = _sub_blocks(p, "att_")
-    blocks.update(arrays)
-    return {"att_" + k: constant(v) for k, v in blocks.items()}
+def _att(seed=42, d=CHAR_DIM, cond=COND, **arrays):
+    """The condition-bias blocks of a fastspeech model (of text width `d`),
+    as Tensor constants."""
+    layout, theta = _init_blocks(attention_block_shapes(d, cond), "", seed)
+    blocks = {k: np.array(v) for k, v in layout.unpack(theta).items()}
+    blocks.update({"att_" + k: v for k, v in arrays.items()})
+    return {k: constant(v) for k, v in blocks.items()}
 
 
 def _run(blocks, h, u, inverse=False):
     out, log_det = coupling_graph(blocks, constant(h), constant(np.asarray(u)[None, :]),
                                   inverse=inverse)
     return out.data, float(log_det.data)
-
-
-def _fd_layout(params, prefix):
-    """A flat vector over one block set, for finite-difference checks."""
-    arrays = _sub_blocks(params, prefix)
-    layout = ParamLayout({k: v.shape for k, v in arrays.items()})
-    return layout, layout.pack(arrays)
 
 
 # -- coupling flow -------------------------------------------------------------
@@ -126,8 +126,7 @@ def test_coupling_log_det_equals_log_s_sum():
 
 
 def test_coupling_log_det_gradient():
-    layout, theta = _fd_layout(init_tts("vits", embed=3, n_speakers=1, gate=4, seed=9),
-                               "flow_a_")
+    layout, theta = _init_blocks(coupling_block_shapes(N_MELS, 3 + 1, 4), "flow_a_", 9)
     rng = rng_stream(7, "cplgrad")
     h = constant(rng.standard_normal((4, N_MELS)))
     u = constant(rng.standard_normal((1, 4)))
@@ -158,15 +157,14 @@ def test_attention_zero_wv_is_residual_passthrough():
 
 
 def test_attention_gradient():
-    p = init_tts("fastspeech", embed=3, n_speakers=2, char_dim=4, seed=13)
-    layout, theta = _fd_layout(p, "att_")
+    layout, theta = _init_blocks(attention_block_shapes(4, 3 + 2), "", 13)
     rng = rng_stream(7, "attgrad")
     h = constant(rng.standard_normal((3, 4)))
     u_emo = constant(rng.standard_normal((1, 3)))
     u_spk = constant(rng.standard_normal((1, 2)))
 
     def loss(t):
-        blocks = {"att_" + k: v for k, v in layout.unpack(t).items()}
+        blocks = layout.unpack(t)
         out = attention_graph(blocks, h, build_condition_graph(blocks, u_emo, u_spk))
         return (out * out).sum()
 
@@ -181,17 +179,24 @@ def _fuse(blocks, u_emo, u_spk):
 
 
 def test_build_condition_zero_identity_and_hand_case():
-    dims = dict(char_dim=5, embed=3, n_speakers=2)
-    blocks = _att(cproj=np.zeros((5, 5)), **dims)
+    blocks = _att(d=5, cond=3 + 2, cproj=np.zeros((5, 5)))
     assert np.array_equal(_fuse(blocks, np.ones(3), np.ones(2)), np.zeros(5))
 
-    blocks = _att(cproj=np.eye(5), **dims)
+    blocks = _att(d=5, cond=3 + 2, cproj=np.eye(5))
     got = _fuse(blocks, np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]))
     assert np.array_equal(got, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
 
-    blocks = _att(char_dim=2, embed=1, n_speakers=1, cproj=np.array([[1.0, 2.0], [3.0, 4.0]]))
+    blocks = _att(d=2, cond=1 + 1, cproj=np.array([[1.0, 2.0], [3.0, 4.0]]))
     got2 = _fuse(blocks, np.array([5.0]), np.array([6.0]))
     assert np.allclose(got2, np.array([5 * 1 + 6 * 3, 5 * 2 + 6 * 4]))
+
+
+def test_block_sets_are_the_models_own_at_its_sizes():
+    for variant, prefix, blocks in (("vits", "flow_b_", _flow("flow_b_", seed=4)),
+                                    ("fastspeech", "att_", _att(seed=4))):
+        model = init_tts(variant, embed=EMBED, n_speakers=N_SPK, seed=4)
+        want = [v for k, v in model.layout.unpack(model.theta).items() if k.startswith(prefix)]
+        assert [b.data.tobytes() for b in blocks.values()] == [v.tobytes() for v in want]
 
 
 def test_concat_condition():

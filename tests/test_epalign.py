@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from emoforge import epalign
 from emoforge.autodiff import constant, finite_diff_check, grad
 from emoforge.datagen import CorpusConfig, gen_corpus
 from emoforge.epalign import (
@@ -33,10 +34,14 @@ from emoforge.errors import (
 from emoforge.numeric import rng_stream
 
 
-def _tiny_params(**kw):
-    base = dict(d_vis=4, d_audio=4, d_tex=4, hidden=4, embed=4, n_classes=3, seed=7)
+def _tiny_params(hidden=4, embed=4, **kw):
+    """A model with narrowed encoder and embedding widths."""
+    base = dict(d_vis=4, d_audio=4, d_tex=4, n_classes=3, seed=7)
     base.update(kw)
-    return init_epalign(**base)
+    with pytest.MonkeyPatch.context() as narrow:
+        narrow.setattr(epalign, "HIDDEN", hidden)
+        narrow.setattr(epalign, "EMBED", embed)
+        return init_epalign(**base)
 
 
 def _with_blocks(params, **overrides):
@@ -397,7 +402,7 @@ def test_checkpoint_round_trip(tmp_path, corpus):
 def test_checkpoint_stores_trained_dims_only(tmp_path):
     path = tmp_path / "align.ckpt"
     save_epalign(init_epalign(modalities=("audio",)), path)
-    dims = {"d_audio": 64, "hidden": 64, "embed": 32}
+    dims = {"d_audio": 64}
     assert json.loads(path.read_text())["dims"] == dims
     assert load_epalign(path).dims == dims
 

@@ -328,11 +328,13 @@ def test_train_loss_decreases_and_is_deterministic(tmp_path):
 # e7580143...; format 2 moved only the bytes, not θ. Decoding once per
 # character moved θ by rounding, as the gather now sums a character's frame
 # gradients before the decoder's backward (vits 41f06592..., fastspeech
-# df64d677..., tacotron 1d60ded5... before).
+# df64d677..., tacotron 1d60ded5... before). Format 3 moved only the bytes:
+# its magic and a dims block of embed and n_speakers alone (format 2: vits
+# 62b77c90..., fastspeech bb922760..., tacotron 615531ca...).
 PINNED_CKPT_SHA256 = {
-    "vits": "62b77c9092fd038173dcfda0bcc52e0d749e9fdee7d4227453a9af020f4909e5",
-    "fastspeech": "bb9227606f115b761d7d4876fc1d538d831923141d0a45976a83c1144d298bf6",
-    "tacotron": "615531ca68d0c48bebbfbfe389933990f302ec71657d002ec394e1197d829595",
+    "vits": "7d59f8709ee91f2bb2a937399a2080fd1c7c3040271a86e00acdaa908916a070",
+    "fastspeech": "67d5c3623a1e8946a1fb33ae2ef4c718cdd70d4b587ee1f348a3baa4a1b00159",
+    "tacotron": "b35c0deb8596ff3b74652f01c08b68eeb1a9d7718a9f398bc44401707da97f6c",
 }
 
 

@@ -1,4 +1,4 @@
-"""The θ field of a format-2 checkpoint: base64 of little-endian float64 bytes."""
+"""The θ field of a checkpoint (formats 2 and 3): base64 of little-endian float64 bytes."""
 
 import base64
 
