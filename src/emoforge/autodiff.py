@@ -202,15 +202,15 @@ def constant(x):
     return Tensor(x, const=True)
 
 
-def concat(tensors, axis=0):
+def concat(tensors):
+    """Join 2-D tensors' columns."""
     tensors = [_wrap(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
     def back(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
             if not t.const:
-                t._accum(g[(slice(None),) * (axis % g.ndim) + (slice(a, b),)])
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+                t._accum(g[:, a:b])
+    return Tensor(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), back)
 
 
 def repeat_rows(t, counts):

@@ -5,6 +5,7 @@ error (malformed or missing input, or a float overflow, 0-division or NaN).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,16 +38,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _default_seed():
-    raw = os.environ.get("EMOFORGE_SEED")
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError("EMOFORGE_SEED=%r is not an integer" % raw)
-
-
 def _parse_modalities(raw):
     mods = tuple(m.strip() for m in raw.split(",") if m.strip())
     for m in mods:
@@ -65,27 +56,36 @@ def _load_dataset(data_dir):
     return datagen.load_manifest(manifest)
 
 
+def _config(cls, args):
+    """cls built from the flags given; a flag left out takes the field's default."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
+
+
 def _build_parser():
     p = _Parser(prog="emoforge", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
+    # each flag of these three is a field of the stage's config, which owns its default
+    no_default = dict(argument_default=argparse.SUPPRESS)
 
-    g = sub.add_parser("gen-data", help="render a synthetic multimodal corpus")
+    g = sub.add_parser("gen-data", help="render a synthetic multimodal corpus", **no_default)
     g.add_argument("--out", required=True, metavar="DIR")
-    g.add_argument("--classes", type=int, default=5)
-    g.add_argument("--speakers", type=int, default=4)
-    g.add_argument("--per-class", type=int, default=200)
-    g.add_argument("--sep", type=float, default=4.0)
-    g.add_argument("--noise", type=float, default=1.0)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--classes", type=int, dest="n_classes")
+    g.add_argument("--speakers", type=int, dest="n_speakers")
+    g.add_argument("--per-class", type=int, dest="samples_per_class")
+    g.add_argument("--sep", type=float, dest="separation")
+    g.add_argument("--noise", type=float, dest="noise_std")
+    g.add_argument("--seed", type=int)
 
-    t = sub.add_parser("train-align", help="train the emotion-prompt alignment model")
+    t = sub.add_parser("train-align", help="train the emotion-prompt alignment model",
+                       **no_default)
     t.add_argument("--data", required=True, metavar="DIR")
     t.add_argument("--out", required=True, metavar="CKPT")
-    t.add_argument("--modalities", default="vis,audio,tex")
-    t.add_argument("--epochs", type=int, default=30)
-    t.add_argument("--batch", type=int, default=16)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--modalities")
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--batch", type=int)
+    t.add_argument("--lr", type=float)
+    t.add_argument("--seed", type=int)
 
     e = sub.add_parser("eval-align", help="classification report for an alignment checkpoint")
     e.add_argument("--ckpt", required=True)
@@ -93,15 +93,15 @@ def _build_parser():
     e.add_argument("--modalities", default=None)
     e.add_argument("--out", default="eval_align.json", metavar="JSON")
 
-    tt = sub.add_parser("train-tts", help="train the toy synthesizer")
+    tt = sub.add_parser("train-tts", help="train the toy synthesizer", **no_default)
     tt.add_argument("--data", required=True, metavar="DIR")
     tt.add_argument("--variant", required=True, choices=tts.VARIANTS)
     tt.add_argument("--align-ckpt", required=True)
     tt.add_argument("--out", required=True, metavar="CKPT")
-    tt.add_argument("--steps", type=int, default=2000)
-    tt.add_argument("--batch", type=int, default=8)
-    tt.add_argument("--lr", type=float, default=0.05)
-    tt.add_argument("--seed", type=int, default=None)
+    tt.add_argument("--steps", type=int)
+    tt.add_argument("--batch", type=int)
+    tt.add_argument("--lr", type=float)
+    tt.add_argument("--seed", type=int)
 
     s = sub.add_parser("synth", help="synthesize a waveform from text")
     s.add_argument("--ckpt", required=True)
@@ -127,20 +127,16 @@ def _build_parser():
 # -- subcommand bodies ---------------------------------------------------------
 
 def _cmd_gen_data(args):
-    config = datagen.CorpusConfig(n_classes=args.classes, n_speakers=args.speakers,
-                                  samples_per_class=args.per_class,
-                                  separation=args.sep, noise_std=args.noise, seed=args.seed)
-    utts = datagen.gen_corpus(config, args.out)
+    utts = datagen.gen_corpus(_config(datagen.CorpusConfig, args), args.out)
     print("wrote %d utterances to %s" % (len(utts), args.out))
     return 0
 
 
 def _cmd_train_align(args):
     dataset = _load_dataset(args.data)
-    config = epalign.AlignTrainConfig(batch=args.batch, epochs=args.epochs, lr=args.lr,
-                                      seed=args.seed,
-                                      modalities=_parse_modalities(args.modalities))
-    params, curve = epalign.train_epalign(dataset, config)
+    if "modalities" in args:
+        args.modalities = _parse_modalities(args.modalities)
+    params, curve = epalign.train_epalign(dataset, _config(epalign.AlignTrainConfig, args))
     epalign.save_epalign(params, args.out)
     print("trained %d epochs, loss %.4f -> %.4f, checkpoint %s"
           % (len(curve), curve[0], curve[-1], args.out))
@@ -166,11 +162,11 @@ def _cmd_train_tts(args):
     dataset = _load_dataset(args.data)
     align = epalign.load_epalign(args.align_ckpt)
     prompts = epalign.anchored_prompts(align)
-    config = tts.TtsConfig(steps=args.steps, lr=args.lr, batch=args.batch, seed=args.seed)
+    config = _config(tts.TtsConfig, args)
     params, curve = tts.train_tts(dataset, prompts, args.variant, config)
     tts.save_tts(params, args.out)
     print("trained %s for %d steps, loss %.2f -> %.2f, checkpoint %s"
-          % (args.variant, args.steps, curve[0], curve[-1], args.out))
+          % (args.variant, config.steps, curve[0], curve[-1], args.out))
     return 0
 
 
@@ -250,8 +246,6 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if getattr(args, "seed", 0) is None:
-            args.seed = _default_seed()
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow passes
             return _COMMANDS[args.cmd](args)
     except ConfigError as e:

@@ -64,7 +64,7 @@ def coupling_graph(blocks, h_t, u_t, inverse=False):
     else:
         h1_out = log_s.exp() * h1 + b
     log_det = log_s.sum()
-    return concat([h0, h1_out], axis=1), log_det
+    return concat([h0, h1_out]), log_det
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def attention_block_shapes(d, cond_dim):
 
 def build_condition_graph(blocks, u_emo_t, u_spk_t):
     """Fuse emotion and speaker vectors into one condition token c (1 x d)."""
-    return concat([u_emo_t, u_spk_t], axis=1) @ blocks["att_cproj"]
+    return concat([u_emo_t, u_spk_t]) @ blocks["att_cproj"]
 
 
 def attention_graph(blocks, h_t, c_t):

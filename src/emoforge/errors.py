@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 
 
 class FormatError(ValueError):
-    """Malformed file content. Carries the byte offset where parsing failed."""
+    """Malformed file content. A WAV error carries the byte offset where parsing failed."""
 
     def __init__(self, message, offset=None):
         if offset is not None:

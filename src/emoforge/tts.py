@@ -118,7 +118,7 @@ def tts_block_shapes(variant, embed, n_speakers):
     return shapes
 
 
-def init_tts(variant, embed, n_speakers, seed=42):
+def init_tts(variant, embed, n_speakers, seed):
     layout = ParamLayout(tts_block_shapes(variant, embed, n_speakers))
     theta = layout.init(lambda name: rng_stream(seed, "tts:" + name), unit=("char_emb",))
     dims = dict(embed=embed, n_speakers=n_speakers)
@@ -145,7 +145,7 @@ def _condition_graph(blocks, h_t, u_emo, u_spk, variant):
     if variant == "tacotron":
         t_len = h_t.shape[0]
         pads = [constant(np.tile(u_emo, (t_len, 1))), constant(np.tile(u_spk, (t_len, 1)))]
-        return concat([h_t] + pads, axis=1)
+        return concat([h_t] + pads)
     if variant == "fastspeech":
         c_t = build_condition_graph(blocks, constant(u_emo[None, :]), constant(u_spk[None, :]))
         return attention_graph(blocks, h_t, c_t)
@@ -158,7 +158,7 @@ def _duration_graph(blocks, h_cond_t):
 
 def _swap_halves(t):
     half = t.shape[1] // 2
-    return concat([t[:, half:], t[:, :half]], axis=1)
+    return concat([t[:, half:], t[:, :half]])
 
 
 def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, durations):
@@ -252,7 +252,7 @@ def _loss_graph(theta_t, params, batch):
     return (mel_err * mel_err).mean() + (dur_err * dur_err).mean()
 
 
-def train_tts(dataset, prompts, variant, config=None):
+def train_tts(dataset, prompts, variant, config):
     """Teacher-forced trainer: L2 on mel frames plus L2 on soft durations.
 
     Targets are the mel frames of each utterance's 16 kHz WAV (`wav_path`);
@@ -260,7 +260,6 @@ def train_tts(dataset, prompts, variant, config=None):
     `epalign.anchored_prompts` returns them). Returns (params, curve), the
     mean probe-set loss before the first update and after the last.
     """
-    config = config or TtsConfig()
     if not dataset:
         raise ConfigError("empty training set")
     prompts = np.asarray(prompts, dtype=np.float64)
@@ -270,8 +269,7 @@ def train_tts(dataset, prompts, variant, config=None):
     if n_speakers > len(dataset):  # θ is sized by it: bound it before init_tts allocates
         raise InvalidLabelError("speaker id %d is not below %d, the number of utterances"
                                 % (n_speakers - 1, len(dataset)))
-    params = init_tts(variant, embed=prompts.shape[1], n_speakers=n_speakers,
-                      seed=config.seed)
+    params = init_tts(variant, prompts.shape[1], n_speakers, config.seed)
 
     batches = [_utterance_batch(u, prompts, n_speakers) for u in dataset]
     probe = batches[: min(8, len(batches))]

@@ -133,7 +133,7 @@ def test_criterion_02_gradient_fidelity(verdict):
         with pytest.MonkeyPatch.context() as narrow:
             narrow.setattr(epalign, "HIDDEN", 6)
             narrow.setattr(epalign, "EMBED", 4)
-            p = init_epalign(d_vis=5, d_audio=5, d_tex=5, n_classes=3, seed=seed)
+            p = init_epalign({"d_vis": 5, "d_audio": 5, "d_tex": 5}, 3, seed, epalign.MODALITIES)
         # moderate temperature: finite differences themselves lose accuracy
         # at the warm-start scale, so check the gradient where FD is reliable
         p.theta[p.layout.offset("log_t")] = 0.0
@@ -195,7 +195,7 @@ def test_criterion_03_contrastive_closed_forms(verdict):
 
 def test_criterion_04_alignment_end_to_end(verdict, align_split):
     params, test = align_split["params"], align_split["test"]
-    fused = eval_alignment(params, test)
+    fused = eval_alignment(params, test, None)
     singles = {m: eval_alignment(params, test, (m,))["macro_f1"]
                for m in ("vis", "audio", "tex")}
     acc_ok = fused["accuracy"] >= 0.95

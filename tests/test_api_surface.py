@@ -1,12 +1,15 @@
 """Every public function, class and method in src/emoforge has a caller there,
-and every default a public function offers is overridden by one.
+and every default a public function offers is overridden by some call there,
+but not by every one.
 
 A library function that only tests call is a second API to keep in step
 with the one the CLI runs. This guard parses the package with `ast` and
 fails on any public top-level function or class, or public method, whose
 name is not used anywhere in the package outside its own definition.
 Likewise a defaulted parameter that no call in the package passes is a
-setting with one value: a constant dressed as a knob.
+setting with one value: a constant dressed as a knob. Conversely a default
+that every call passes is never read: a required argument with a second,
+unused owner of its value.
 
 A top-level name counts as used only when read bare or as
 `<defining module>.<name>`; an attribute of another object that happens to
@@ -101,10 +104,11 @@ def _calls(tree):
         yield name, owner, len(node.args), {k.arg for k in node.keywords if k.arg}, starred
 
 
-def unpassed_defaults(src=SRC):
+def _defaults(src):
+    """(qualified name.parameter, whether each of the function's calls in the
+    package passes it) per defaulted parameter of a public top-level function."""
     trees = {p: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
     calls = [c for tree in trees.values() for c in _calls(tree)]
-    missing = []
     for path, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
@@ -116,13 +120,25 @@ def unpassed_defaults(src=SRC):
             knobs += [(None, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
                       if d is not None]
             for i, arg in knobs:
-                if not any(arg in kws or (i is not None and (n_pos > i or starred))
-                           for _, _, n_pos, kws, starred in mine):
-                    missing.append("%s.%s.%s" % (path.stem, node.name, arg))
-    return sorted(missing)
+                yield "%s.%s.%s" % (path.stem, node.name, arg), [
+                    arg in kws or (i is not None and (n_pos > i or starred))
+                    for _, _, n_pos, kws, starred in mine]
+
+
+def unpassed_defaults(src=SRC):
+    return sorted(name for name, passed in _defaults(src) if not any(passed))
+
+
+def overridden_defaults(src=SRC):
+    """Defaults no call reads; a function no call in the package makes is
+    `unreferenced`'s concern, not this one's."""
+    return sorted(name for name, passed in _defaults(src) if passed and all(passed))
 
 
 def test_every_default_is_passed_by_some_call_in_the_package():
     assert unpassed_defaults() == sorted(ALLOWED_KNOBS)
     assert all(reason.strip() for reason in ALLOWED_KNOBS.values())
 
+
+def test_no_default_is_passed_by_every_call_in_the_package():
+    assert overridden_defaults() == []

@@ -76,7 +76,7 @@ def test_every_primitive_against_finite_differences():
         "div": lambda t: (t / 2.5).sum() + (1.0 / (t * t + 2.0)).sum(),
         "mean": lambda t: (t.reshape(2, 3)).mean(axis=1).sum(),
         "slice": lambda t: (t[1:4] * t[0:3]).sum(),
-        "concat": lambda t: concat([t.reshape(2, 3), t.reshape(2, 3) * 2.0], axis=1).sum(),
+        "concat": lambda t: concat([t.reshape(2, 3), t.reshape(2, 3) * 2.0]).sum(),
         "transpose": lambda t: (t.reshape(2, 3).T @ t.reshape(2, 3)).sum(),
         "clip_interior": lambda t: t.clip(-10.0, 10.0).sum(),
     }
@@ -212,7 +212,7 @@ def test_finite_diff_through_param_blocks_and_basic_slices():
         p = layout.unpack(t)
         h = (x @ p["w"] + p["b"]).tanh() * p["s"]
         h0, h1 = h[:, :2], h[:, 2:]
-        swapped = concat([h1, h0], axis=1)
+        swapped = concat([h1, h0])
         return (swapped * h).sum() + (h[1] * p["b"]).sum() + h[0, 3] * p["s"]
 
     report = finite_diff_check(loss, np.random.default_rng(4).normal(0, 0.7, size=17),

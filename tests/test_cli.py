@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import base64
+import dataclasses
 import filecmp
 import hashlib
 import json
@@ -14,11 +15,13 @@ import warnings
 import numpy as np
 import pytest
 
+from emoforge import datagen, epalign, tts
 from emoforge.cli import main
-from emoforge.datagen import render_reference
+from emoforge.datagen import CorpusConfig, render_reference
 from emoforge.dsp import HOP, SAMPLE_RATE, Waveform, wav_read, wav_write
-from emoforge.epalign import EMBED, HIDDEN, init_epalign, load_epalign, save_epalign
-from emoforge.tts import VARIANTS, load_tts, save_tts
+from emoforge.epalign import (EMBED, HIDDEN, AlignTrainConfig, init_epalign, load_epalign,
+                              save_epalign)
+from emoforge.tts import VARIANTS, TtsConfig, load_tts, save_tts
 from theta_codec import decode_theta, encode_theta
 
 
@@ -61,20 +64,52 @@ def test_gen_data_deterministic(tmp_path):
     assert mismatch == [] and errors == []
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("EMOFORGE_SEED", "5")
-    a = tmp_path / "env"
-    assert _gen(a) == 0
-    b = tmp_path / "flag"
-    monkeypatch.delenv("EMOFORGE_SEED")
-    assert _gen(b, seed=5) == 0
-    assert (a / "manifest.jsonl").read_bytes() == (b / "manifest.jsonl").read_bytes()
+class _Called(Exception):
+    pass
 
 
-def test_bad_env_seed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("EMOFORGE_SEED", "lots")
-    assert _gen(tmp_path / "x") == 1
-    assert "EMOFORGE_SEED" in capsys.readouterr().err
+def _config_passed(monkeypatch, module, name, argv, at):
+    """The argument `at` that `main(argv)` passes to module.name, which
+    stops the command there."""
+    def spy(*args):
+        raise _Called(args[at])
+    monkeypatch.setattr(module, name, spy)
+    with pytest.raises(_Called) as called:
+        main(argv)
+    return called.value.args[0]
+
+
+# command -> (the stage main calls, the config's position, its class,
+#             flag -> (its field, a value, that value parsed))
+CONFIG_FLAGS = {
+    "gen-data": (datagen, "gen_corpus", 0, CorpusConfig, {
+        "--classes": ("n_classes", "3", 3), "--speakers": ("n_speakers", "2", 2),
+        "--per-class": ("samples_per_class", "3", 3), "--sep": ("separation", "2.5", 2.5),
+        "--noise": ("noise_std", "0.5", 0.5), "--seed": ("seed", "7", 7)}),
+    "train-align": (epalign, "train_epalign", 1, AlignTrainConfig, {
+        "--modalities": ("modalities", "audio, tex", ("audio", "tex")),
+        "--epochs": ("epochs", "3", 3), "--batch": ("batch", "4", 4),
+        "--lr": ("lr", "0.01", 0.01), "--seed": ("seed", "7", 7)}),
+    "train-tts": (tts, "train_tts", 3, TtsConfig, {
+        "--steps": ("steps", "3", 3), "--batch": ("batch", "4", 4),
+        "--lr": ("lr", "0.01", 0.01), "--seed": ("seed", "7", 7)}),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(CONFIG_FLAGS))
+def test_each_flag_sets_only_its_config_field(cmd, workdir, tmp_path, monkeypatch):
+    module, name, at, cls, flags = CONFIG_FLAGS[cmd]
+    argv = {"gen-data": ["gen-data"],
+            "train-align": ["train-align", "--data", str(workdir["data"])],
+            "train-tts": ["train-tts", "--data", str(workdir["data"]), "--variant", "vits",
+                          "--align-ckpt", str(workdir["align"])]}[cmd]
+    argv += ["--out", str(tmp_path / "x")]
+    # the required flags alone: every field keeps the dataclass default
+    assert _config_passed(monkeypatch, module, name, argv, at) == cls()
+    for flag, (field, value, parsed) in flags.items():
+        assert getattr(cls(), field) != parsed, flag
+        config = _config_passed(monkeypatch, module, name, argv + [flag, value], at)
+        assert config == dataclasses.replace(cls(), **{field: parsed}), flag
 
 
 def test_usage_errors(workdir, tmp_path, capsys):
@@ -372,7 +407,7 @@ def _audio_only(argv):
     """The same command against an alignment checkpoint of an audio-only model."""
     def with_audio_only(w, tmp):
         path = tmp / "audio.json"
-        save_epalign(init_epalign(n_classes=3, modalities=("audio",)), path)
+        save_epalign(init_epalign({"d_audio": 64}, 3, 42, ("audio",)), path)
         return argv(dict(w, align=path), tmp)
     return with_audio_only
 
@@ -593,6 +628,26 @@ def _fuzz_inputs(w, tmp):
     ]
 
 
+def _exits_0_or_2_cleanly(argv, tmp, capsys, label):
+    """Run argv, whose outputs are tmp/out.*: it must exit 0 or 2, with no
+    traceback and no numpy warning, and an exit 0 must write no nan or inf."""
+    for old in tmp.glob("out.*"):
+        old.unlink()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code in (0, 2) and "Traceback" not in err, (label, err)
+    # an overflow is a hole too, though it may end in a plausible exit 0
+    numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not numeric, (label, numeric)
+    if code == 2:
+        assert "error:" in err, label
+        return
+    written = out + "".join(p.read_text() for p in tmp.glob("out.json"))
+    assert not re.search(r"\b(nan|inf|infinity)\b", written, re.I), label
+
+
 def test_mutated_inputs_exit_0_or_2_without_traceback(workdir, tts_ckpt, tmp_path, capsys):
     rng = np.random.default_rng(13)
     (tmp_path / "data").mkdir()
@@ -600,21 +655,25 @@ def test_mutated_inputs_exit_0_or_2_without_traceback(workdir, tts_ckpt, tmp_pat
         path = tmp_path / "data" / ("manifest.jsonl" if name == "manifest" else name)
         for mutant in _mutants(blob, rng, 40):
             path.write_bytes(mutant)
-            for old in tmp_path.glob("out.*"):
-                old.unlink()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main([str(a) for a in argv(path)])
-            out, err = capsys.readouterr()
-            assert code in (0, 2) and "Traceback" not in err, (name, mutant[:200], err)
-            # an overflow is a hole too, though it may end in a plausible exit 0
-            numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-            assert not numeric, (name, mutant[:200], numeric)
-            if code == 2:
-                assert "error:" in err, (name, mutant[:200])
-                continue
-            written = out + "".join(p.read_text() for p in tmp_path.glob("out.json"))
-            assert not re.search(r"\b(nan|inf|infinity)\b", written, re.I), (name, mutant[:200])
+            _exits_0_or_2_cleanly(argv(path), tmp_path, capsys, (name, mutant[:200]))
+
+
+def test_huge_theta_values_exit_0_or_2_without_traceback(workdir, tts_ckpt, tmp_path, capsys):
+    # finite, so every checkpoint check passes: only the numeric policy stands
+    # between these weights and a silent overflow
+    rng = np.random.default_rng(17)
+    (tmp_path / "data").mkdir()
+    inputs = [(name, blob, argv) for name, blob, argv
+              in _fuzz_inputs(dict(workdir, tts=tts_ckpt), tmp_path) if name in ("tts", "align")]
+    for name, blob, argv in inputs:
+        payload, path = json.loads(blob), tmp_path / "data" / name
+        theta = decode_theta(payload["theta"])
+        for _ in range(12):
+            at = rng.integers(theta.size, size=int(rng.integers(1, 4)))
+            mutant = theta.copy()
+            mutant[at] = rng.choice([-1.94e307, 1.94e307], size=at.size)
+            path.write_text(json.dumps(dict(payload, theta=encode_theta(mutant))))
+            _exits_0_or_2_cleanly(argv(path), tmp_path, capsys, (name, at.tolist()))
 
 
 def test_train_tts_reads_corpus_wavs(workdir, tmp_path):

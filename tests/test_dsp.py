@@ -17,6 +17,7 @@ from emoforge.dsp import (
     HOP,
     N_FFT,
     N_MELS,
+    SAMPLE_RATE,
     WINDOW,
     MelSpectrogram,
     Waveform,
@@ -234,7 +235,7 @@ def test_stft_parseval_per_frame():
 # -- mel filterbank and spectrogram -----------------------------------------
 
 def test_filterbank_covers_every_bin():
-    fb = mel_filterbank()
+    fb = mel_filterbank(SAMPLE_RATE)
     assert fb.shape == (N_MELS, N_FFT // 2 + 1)
     assert np.all(fb >= 0.0)
     # every bin from 0 Hz through Nyquist (= fmax) gets weight somewhere
@@ -242,7 +243,7 @@ def test_filterbank_covers_every_bin():
 
 
 def test_filterbank_peaks_are_ordered():
-    fb = mel_filterbank()
+    fb = mel_filterbank(SAMPLE_RATE)
     peaks = np.argmax(fb, axis=1)
     assert np.all(np.diff(peaks) >= 1)
 

@@ -10,6 +10,7 @@ from emoforge import epalign
 from emoforge.autodiff import constant, finite_diff_check, grad
 from emoforge.datagen import CorpusConfig, gen_corpus
 from emoforge.epalign import (
+    MODALITIES,
     AlignTrainConfig,
     align_infer,
     anchored_prompts,
@@ -33,15 +34,15 @@ from emoforge.errors import (
 )
 from emoforge.numeric import rng_stream
 
+DIMS = {"d_vis": 64, "d_audio": 64, "d_tex": 64}  # the corpus's feature widths
 
-def _tiny_params(hidden=4, embed=4, **kw):
-    """A model with narrowed encoder and embedding widths."""
-    base = dict(d_vis=4, d_audio=4, d_tex=4, n_classes=3, seed=7)
-    base.update(kw)
+
+def _tiny_params(d=4, hidden=4, embed=4, n_classes=3, modalities=MODALITIES):
+    """A model with narrowed input, encoder and embedding widths."""
     with pytest.MonkeyPatch.context() as narrow:
         narrow.setattr(epalign, "HIDDEN", hidden)
         narrow.setattr(epalign, "EMBED", embed)
-        return init_epalign(**base)
+        return init_epalign(dict.fromkeys(DIMS, d), n_classes, 7, modalities)
 
 
 def _with_blocks(params, **overrides):
@@ -56,8 +57,7 @@ def _tex_model(d=4, n_classes=4, **overrides):
     """Text-only model: encoder f = tanh(x), identity projections, prompt rows
     e_0..e_{C-1}. Each similarity row inference returns is then the implicit
     embedding u = f @ W_imp, normalized; `overrides` replace blocks."""
-    p = _tiny_params(d_vis=d, d_audio=d, d_tex=d, hidden=d, embed=d, n_classes=n_classes,
-                     modalities=("tex",))
+    p = _tiny_params(d, hidden=d, embed=d, n_classes=n_classes, modalities=("tex",))
     eye = np.eye(d)
     blocks = dict(enc_tex_w1=eye, enc_tex_b1=np.zeros(d), enc_tex_w2=eye,
                   enc_tex_b2=np.zeros(d), w_imp_tex=eye, w_pro_tex=eye,
@@ -173,8 +173,8 @@ def test_every_block_gets_gradient(modalities):
 
 
 def test_parameter_counts():
-    assert init_epalign().theta.size == 22977
-    assert init_epalign(modalities=("audio",)).theta.size == 8449
+    assert init_epalign(DIMS, 5, 42, MODALITIES).theta.size == 22977
+    assert init_epalign(DIMS, 5, 42, ("audio",)).theta.size == 8449
 
 
 # -- logits and loss ---------------------------------------------------------------
@@ -276,7 +276,7 @@ def test_train_rejects_bad_config(corpus):
 def test_train_lr_zero_keeps_params(corpus):
     train, _ = corpus
     params, curve = train_epalign(train, AlignTrainConfig(batch=5, epochs=6, lr=0.0, seed=42))
-    fresh = init_epalign(seed=42)
+    fresh = init_epalign(DIMS, 5, 42, MODALITIES)
     assert np.array_equal(params.theta, fresh.theta)
     assert len(curve) == 6
     assert max(curve) - min(curve) < 0.5 * np.mean(curve)
@@ -300,10 +300,10 @@ def test_train_loss_drops_to_under_tenth(corpus):
 def test_train_end_to_end_accuracy_and_fusion_ordering(corpus):
     train, test = corpus
     params, _ = train_epalign(train, AlignTrainConfig(batch=16, epochs=30, lr=1e-3, seed=42))
-    fused = eval_alignment(params, test)
+    fused = eval_alignment(params, test, None)
     assert fused["accuracy"] >= 0.95
     for mu in ("vis", "audio", "tex"):
-        single = eval_alignment(params, test, modalities=(mu,))
+        single = eval_alignment(params, test, (mu,))
         assert fused["macro_f1"] >= single["macro_f1"] - 0.02
 
 
@@ -401,7 +401,7 @@ def test_checkpoint_round_trip(tmp_path, corpus):
 
 def test_checkpoint_stores_trained_dims_only(tmp_path):
     path = tmp_path / "align.ckpt"
-    save_epalign(init_epalign(modalities=("audio",)), path)
+    save_epalign(init_epalign(DIMS, 5, 42, ("audio",)), path)
     dims = {"d_audio": 64}
     assert json.loads(path.read_text())["dims"] == dims
     assert load_epalign(path).dims == dims
