@@ -1,9 +1,9 @@
 """Signal-processing substrate: WAV I/O, STFT/ISTFT, log-mel spectrograms,
 mel cepstra and Griffin-Lim phase reconstruction.
 
-All audio is mono float64 in [-1, 1]; only Griffin-Lim's rounds run in
-float32. One fixed front end (FFT 512, hop 128, periodic Hann window, 40
-mel bands to 8 kHz) serves synthesis and the evaluation metrics, so spectra
+All audio is mono float64 in [-1, 1]; Griffin-Lim's rounds and the mel STFT
+and filterbank run in float32. One fixed front end (FFT 512, hop 128, periodic
+Hann window, 40 mel bands to 8 kHz) serves synthesis and the metrics, so spectra
 line up without resampling; the pipeline renders and synthesizes at 16 kHz.
 """
 
@@ -245,11 +245,14 @@ def mel_filterbank(sample_rate):
 
 
 def mel_spectrogram(w):
-    """Log-mel spectrogram: log(mel_fb @ |STFT|^2 + floor), shape (T, N_MELS)."""
+    """Log-mel spectrogram: log(mel_fb @ |STFT|^2 + floor), shape (T, N_MELS). The STFT,
+    power and filterbank run in float32, whose cast is exact for 16-bit PCM since k/32768
+    fits its 24-bit significand; floor and log stay float64, so a gain shifts all bands alike."""
     if not isinstance(w, Waveform):
         raise InvalidInputError("mel_spectrogram expects a Waveform")
-    power = np.abs(stft(w)) ** 2
-    frames = np.log(power @ mel_filterbank(w.sample_rate).T + LOG_FLOOR)
+    power = np.abs(stft(w.samples.astype(np.float32))) ** 2
+    mel_power = power @ mel_filterbank(w.sample_rate).T.astype(np.float32)
+    frames = np.log(mel_power.astype(np.float64) + LOG_FLOOR)
     return MelSpectrogram(frames=frames, sample_rate=w.sample_rate)
 
 

@@ -15,12 +15,13 @@ import warnings
 import numpy as np
 import pytest
 
-from emoforge import datagen, epalign, tts
+from emoforge import datagen, epalign, metrics, tts
 from emoforge.cli import main
 from emoforge.datagen import CorpusConfig, render_reference
 from emoforge.dsp import HOP, SAMPLE_RATE, Waveform, wav_read, wav_write
 from emoforge.epalign import (EMBED, HIDDEN, AlignTrainConfig, init_epalign, load_epalign,
                               save_epalign)
+from emoforge.errors import InvalidInputError
 from emoforge.tts import VARIANTS, TtsConfig, load_tts, save_tts
 from theta_codec import decode_theta, encode_theta
 
@@ -630,7 +631,8 @@ def _fuzz_inputs(w, tmp):
 
 def _exits_0_or_2_cleanly(argv, tmp, capsys, label):
     """Run argv, whose outputs are tmp/out.*: it must exit 0 or 2, with no
-    traceback and no numpy warning, and an exit 0 must write no nan or inf."""
+    traceback and no numpy warning, and an exit 0 must write no nan or inf.
+    Returns the exit code and stderr."""
     for old in tmp.glob("out.*"):
         old.unlink()
     with warnings.catch_warnings(record=True) as caught:
@@ -643,9 +645,10 @@ def _exits_0_or_2_cleanly(argv, tmp, capsys, label):
     assert not numeric, (label, numeric)
     if code == 2:
         assert "error:" in err, label
-        return
+        return code, err
     written = out + "".join(p.read_text() for p in tmp.glob("out.json"))
     assert not re.search(r"\b(nan|inf|infinity)\b", written, re.I), label
+    return code, err
 
 
 def test_mutated_inputs_exit_0_or_2_without_traceback(workdir, tts_ckpt, tmp_path, capsys):
@@ -674,6 +677,35 @@ def test_huge_theta_values_exit_0_or_2_without_traceback(workdir, tts_ckpt, tmp_
             mutant[at] = rng.choice([-1.94e307, 1.94e307], size=at.size)
             path.write_text(json.dumps(dict(payload, theta=encode_theta(mutant))))
             _exits_0_or_2_cleanly(argv(path), tmp_path, capsys, (name, at.tolist()))
+
+
+# finite, so every feature file below is accepted; the encoder's tanh saturates
+# at any size, so each still synthesizes a WAV
+EXTREME_FEATURES = {"huge": [1.94e307] * 64, "huge-negative": [-1.94e307] * 64,
+                    "huge-mixed-signs": [1.94e307, -1.94e307] * 32, "zeros": [0.0] * 64}
+
+
+@pytest.mark.parametrize("modalities", [("vis",), ("vis", "audio", "tex")])
+@pytest.mark.parametrize("values", sorted(EXTREME_FEATURES))
+def test_extreme_feature_values_synthesize_cleanly(values, modalities, workdir, tts_ckpt,
+                                                   tmp_path, capsys):
+    feats = json.dumps(dict.fromkeys(modalities, EXTREME_FEATURES[values]))
+    argv = _synth_features(feats)(dict(workdir, tts=tts_ckpt), tmp_path)
+    argv[argv.index("--out") + 1] = str(tmp_path / "out.wav")
+    code, _ = _exits_0_or_2_cleanly(argv, tmp_path, capsys, values)
+    assert code == 0
+    assert wav_read(tmp_path / "out.wav").samples.size > 0
+
+
+@pytest.mark.parametrize("score, shown", [("1e309", "inf"), ("nan", "nan"), ("-inf", "-inf")])
+def test_non_finite_scores_exit_2(score, shown, tmp_path, capsys):
+    # 1e309 parses to inf; each is refused as off the half-point grid
+    argv = ["mos", "--scores", _file(tmp_path / "s.txt", "4.0\n%s\n" % score)]
+    code, err = _exits_0_or_2_cleanly(argv, tmp_path, capsys, score)
+    assert code == 2
+    assert "rating %s is not on the 1.0..5.0 half-point grid" % shown in err
+    with pytest.raises(InvalidInputError):
+        metrics.mos_aggregate([4.0, float(score)])
 
 
 def test_train_tts_reads_corpus_wavs(workdir, tmp_path):
@@ -766,7 +798,12 @@ def test_mos_output(tmp_path, capsys):
 # fastspeech 94846513... / 01973cdc..., tacotron 9715a980... / 4ca3c758... before).
 # Checkpoint format 3 re-pinned the four checkpoint files, as their magic and
 # dims changed (their "#theta" entries held); format 2 hashed align 29c694e9...,
-# vits 64edf66c..., fastspeech d085b3ca... and tacotron 44032995....
+# vits 64edf66c..., fastspeech d085b3ca... and tacotron 44032995.... The float32
+# mel analysis re-pinned the three TTS checkpoints and their "#theta" entries, as
+# the training targets moved by rounding, and with them the two synthesized WAVs
+# and the eval report (vits 68ba7fa9... / 1af386ef..., fastspeech bf6eab91... /
+# 7688104d..., tacotron d896d605... / 9c0ef72e..., syn/happy.wav 24b8b40a...,
+# syn/ref.wav ae90f471..., eval.json a87e6c8e... before).
 PINNED_SESSION_SHA256 = {
     "align.json": "152487768505934a6632b29d37590d58504126931527a895be6efeb1bd3519f3",
     "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
@@ -786,16 +823,16 @@ PINNED_SESSION_SHA256 = {
     "corpus/wav/utt_00012.wav": "0658939c59578a4ebaa3feb5b2e1a5cd0f14834e62765214135e76744e1c67d1",
     "corpus/wav/utt_00013.wav": "175658e8ad84b55047ac60a1222919523f4026427d46c773200699b4b04624a4",
     "corpus/wav/utt_00014.wav": "b1b51bf958a26611a87e0268506578013e472acff7079831112b07d3002ee9fd",
-    "eval.json": "a87e6c8e5b0d72beea5132f00972703afd25af111eb31b42165613a636ebe4db",
-    "syn/happy.wav": "24b8b40abb03126c417787fb03022d7d56fbe1df3b0f1fccd0e24640f5c9edd9",
-    "syn/ref.wav": "ae90f471a015ed8081802cf29f4cfcc1ab42c0ebc089787717f769019ab85b78",
-    "tts_fastspeech.json": "bf6eab914cb10c72c9537661573d87f2759a6e8dfcf55c1ba4f0130460f589a7",
-    "tts_tacotron.json": "d896d60576cefeed2b9e1c5cb8fbc7389dcc79d0389587f0c4b144daf8f9c41e",
-    "tts_vits.json": "68ba7fa972c3f8b0ca5fc35441678c2baeeac2f53ad1d2ae524152589c88dc62",
+    "eval.json": "9bf9884219e7bc0f3fc98425195e14ef8bfed7abbc1edbf70495171207a66999",
+    "syn/happy.wav": "c7fe80980d3d60fe69623d8cb522a7495e088ca8d25f2c3a50497c44c2c08885",
+    "syn/ref.wav": "98b1c66787ce323af5028a7520132baea91a6a56bf5da28ebcd799e33ebeeef1",
+    "tts_fastspeech.json": "c8c3c81aa7a1f075b1e20716ad13d69d5d9bfc8d82ace66dc9d699c8a4ba7b57",
+    "tts_tacotron.json": "88a07c838f5f18e1a5dc882c8e4ddeaeed5213740236cbf25baf39f93393d484",
+    "tts_vits.json": "2aa36defff1a52b49692ee667269f1f369fb9277f71cdc67e90747f08e6c5daf",
     "align.json#theta": "99d85db9d60beb56dcef0c790d72b2325d4d6141334e0c3522e57a9ef576b9c5",
-    "tts_vits.json#theta": "1af386ef85fdf3fe00cc53f0865b7c592e10e363f0e660dbdf094599534b33f2",
-    "tts_fastspeech.json#theta": "7688104d999d5ad73f0d546a459ed789c0aec4c6cfa1c233346552fb1af0ca54",
-    "tts_tacotron.json#theta": "9c0ef72e293d6d332897f46560dbb9377574aa0d029121b6e981a136936bcb10",
+    "tts_vits.json#theta": "4df7ae29a449dc4586b512cf9aa1b169215de2e4eb932952f5e3b8361c834561",
+    "tts_fastspeech.json#theta": "acc021622c5935ae4d757ef900c2a5f81e00d2da13caa568f03fbdc79cd8aa06",
+    "tts_tacotron.json#theta": "fd0cabbaa728c0581cc8293c666fe8d929e86f0904e65e1979f9e7563155be91",
 }
 
 

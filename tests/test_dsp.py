@@ -3,7 +3,9 @@
 Expected values are computed from first principles in the test body (direct
 DCT summation, per-frame Parseval sums, bin arithmetic) rather than recorded
 from the implementation under test. The vectorized STFT/iSTFT are held
-to the plain per-frame loops they replaced, kept here as oracles.
+to the plain per-frame loops they replaced, kept here as oracles, and the
+float32 log-mel analysis and Griffin-Lim rounds to the float64 code they
+replaced.
 """
 
 import hashlib
@@ -12,9 +14,11 @@ import struct
 import numpy as np
 import pytest
 
-from emoforge.datagen import render_reference
+from emoforge import metrics
+from emoforge.datagen import CorpusConfig, gen_corpus, render_reference
 from emoforge.dsp import (
     HOP,
+    LOG_FLOOR,
     N_FFT,
     N_MELS,
     SAMPLE_RATE,
@@ -264,6 +268,58 @@ def test_mel_spectrogram_shape_and_determinism():
     assert np.array_equal(m.frames, again.frames)
 
 
+# -- the float32 analysis against the float64 one it replaced ------------------
+
+def _mel_oracle(w):
+    """The float64 analysis: np.fft STFT, power and filterbank, as before the
+    float32 one. Returns the MelSpectrogram and its mel power."""
+    mel_power = np.abs(stft(w.samples)) ** 2 @ mel_filterbank(w.sample_rate).T
+    return MelSpectrogram(frames=np.log(mel_power + LOG_FLOOR), sample_rate=w.sample_rate), mel_power
+
+
+@pytest.fixture(scope="module")
+def corpus_waves(tmp_path_factory):
+    """The 16-bit WAVs of a seeded 24-utterance corpus, as wav_read returns them."""
+    utts = gen_corpus(CorpusConfig(n_classes=3, n_speakers=2, samples_per_class=8, seed=11),
+                      tmp_path_factory.mktemp("mel-corpus"))
+    return [wav_read(u.wav_path) for u in utts]
+
+
+def test_every_16_bit_pcm_value_survives_the_float32_cast(tmp_path):
+    codes = np.arange(-32768, 32768)
+    wav_write(tmp_path / "all.wav", Waveform(samples=codes / 32768.0, sample_rate=SAMPLE_RATE))
+    x = wav_read(tmp_path / "all.wav").samples
+    assert np.array_equal(x * 32768.0, codes)
+    assert np.array_equal(x.astype(np.float32).astype(np.float64), x)
+
+
+def test_float32_log_mel_matches_the_float64_oracle(corpus_waves):
+    # renders are not quantized, so their cast rounds at 2^-24; the WAVs' is exact.
+    # Near LOG_FLOOR float32 power keeps less relative precision, so cells with
+    # float64 mel power >= 1e-6 (39% of these; most of the rest are bands the
+    # renders leave empty) are held to 1e-3 and the rest only to 5e-2.
+    waves = [render_reference(*ref) for ref in GL_REFERENCES] + corpus_waves
+    gated = total = 0
+    for w in waves:
+        got = mel_spectrogram(w).frames
+        want, mel_power = _mel_oracle(w)
+        audible = mel_power >= 1e-6
+        error = np.abs(got - want.frames)
+        assert np.max(error[audible]) <= 1e-3 and np.max(error) <= 5e-2
+        gated, total = gated + audible.sum(), total + audible.size
+    assert gated >= total / 4, gated / total
+
+
+def test_float32_analysis_moves_mcd_and_secs_by_rounding_only(corpus_waves, monkeypatch):
+    pairs = list(zip(corpus_waves, corpus_waves[1:] + corpus_waves[:1]))
+    assert len(pairs) >= 20
+    got = [(metrics.mcd(a, b), metrics.secs(a, b)) for a, b in pairs]
+    monkeypatch.setattr(metrics, "mel_spectrogram", lambda w: _mel_oracle(w)[0])
+    want = [(metrics.mcd(a, b), metrics.secs(a, b)) for a, b in pairs]
+    d_mcd, d_secs = np.abs(np.array(got) - np.array(want)).max(axis=0)
+    assert d_mcd <= 2e-3 and d_secs <= 1e-5, (d_mcd, d_secs)
+
+
 # -- mel cepstra -------------------------------------------------------------
 
 def test_mel_cepstra_matches_direct_dct_sum():
@@ -335,16 +391,17 @@ def test_griffin_lim_rejects_zero_iters():
 
 
 # SHA-256 of griffin_lim(mel_spectrogram(render_reference(...))).samples,
-# re-recorded when the rounds moved to float32; (text, emotion, speaker)
-# gives 14, 58, 68, 202 and 270 frames.
+# re-recorded when the rounds moved to float32 and again when the mel analysis
+# did (a3106079..., da04a7e6..., f2c97c11..., d0ff8a96..., e18d4756... before);
+# (text, emotion, speaker) gives 14, 58, 68, 202 and 270 frames.
 PINNED_GRIFFIN_LIM_SHA256 = {
-    ("a.", 0, 0): "a310607914cf81bcf0c72ff82c1a5b242a0faf200981568ed81415f91724f0da",
-    ("hi there.", 1, 1): "da04a7e65af4772859c0f11d51e2d54edd5a48262204fcce1f968f76592b91af",
-    ("we dig mud.", 2, 0): "f2c97c11e968650b29e1ffa246dd8add2ec83909dbc6a682e2e306e4bbd01928",
+    ("a.", 0, 0): "298034f0a8e1d425dffad49483f57296e240c6e12b8ec239c80647ba9d93eae9",
+    ("hi there.", 1, 1): "1389dbe399a01e7382fc2adb7c6bfb714c5050bf33d85e6d3582b6d157f5fef2",
+    ("we dig mud.", 2, 0): "0204c42af00078a0f82ede5cc8d3d5a12a0eef2ad395605f83eb85e1a0fe82ed",
     ("pack my box with five dozen jugs.", 3, 1):
-        "d0ff8a96472bd01441d15ef9d69b0b64e5fa8f261e5d0b833fca6d4441298bd7",
+        "1a4327417f3788ef251b0d6b562b7a4e54bb2f601d516c30789f970861b7ec57",
     ("the quick brown fox jumps over the lazy dog.", 4, 1):
-        "e18d4756423f2ba751407ff429ae2fb0b508dd8a013eecb1e3e369ebd32855f6",
+        "bd491c350e0c9778ec19da181debae98f402dd0c6baa5dd7f6865b82c799815b",
 }
 
 
