@@ -46,7 +46,8 @@ class Tensor:
     __slots__ = ("data", "grad", "const", "_backward")
 
     # Keep numpy from silently consuming Tensors in ufunc expressions; the
-    # supported op set is exactly what the methods below define.
+    # supported op set is exactly what the methods below define. No reflected
+    # op is defined, so a Tensor stands left of every binary operator.
     __array_ufunc__ = None
 
     def __init__(self, data, parents=(), backward=None, const=False):
@@ -80,16 +81,11 @@ class Tensor:
                 other._accum(_unbroadcast(g, other.data.shape))
         return Tensor(self.data + other.data, (self, other), back)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Tensor(-self.data, (self,), lambda g: self._accum(-g))
 
     def __sub__(self, other):
         return self + (-_wrap(other))
-
-    def __rsub__(self, other):
-        return _wrap(other) + (-self)
 
     def __mul__(self, other):
         other = _wrap(other)
@@ -99,14 +95,6 @@ class Tensor:
             if not other.const:
                 other._accum(_unbroadcast(g * self.data, other.data.shape))
         return Tensor(self.data * other.data, (self, other), back)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * _wrap(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return _wrap(other) * self ** -1.0
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
@@ -160,9 +148,8 @@ class Tensor:
             self._accum(np.broadcast_to(gg, self.data.shape).copy())
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     def reshape(self, *shape):
         return Tensor(self.data.reshape(shape), (self,),

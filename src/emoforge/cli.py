@@ -14,21 +14,8 @@ import numpy as np
 
 from . import datagen, epalign, metrics, tts
 from .checkpoint import field, read
-from .dsp import wav_read, wav_write
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    FormatError,
-    InsufficientDataError,
-    InvalidInputError,
-    InvalidLabelError,
-    NumericalError,
-    ShapeError,
-    UndefinedMetricError,
-)
-
-_DATA_ERRORS = (FormatError, InvalidInputError, DegenerateInputError, InvalidLabelError,
-                ShapeError, UndefinedMetricError, InsufficientDataError, OSError)
+from .dsp import SAMPLE_RATE, wav_read, wav_write
+from .errors import ConfigError, DataError, FormatError, InvalidLabelError, NumericalError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,7 +180,7 @@ def _cmd_synth(args):
     wav, _ = tts.synthesize(args.text, u_emo, u_spk, params)
     wav_write(args.out, wav)
     print("wrote %s (%d samples, %.2f s)"
-          % (args.out, len(wav.samples), len(wav.samples) / wav.sample_rate))
+          % (args.out, len(wav.samples), len(wav.samples) / SAMPLE_RATE))
     return 0
 
 
@@ -250,7 +237,7 @@ def main(argv=None):
             return _COMMANDS[args.cmd](args)
     except ConfigError as e:
         code, exc = 1, e
-    except _DATA_ERRORS as e:
+    except (DataError, OSError) as e:
         code, exc = 2, e
     except FloatingPointError as e:
         code, exc = 2, NumericalError("%s stopped on a floating-point error: %s" % (args.cmd, e))

@@ -176,7 +176,7 @@ def render_reference(text, emotion, speaker):
         seg[:fade] *= ramp
         seg[-fade:] *= ramp[::-1]
         segments.append(amp * seg)
-    return Waveform(samples=np.concatenate(segments), sample_rate=SAMPLE_RATE)
+    return Waveform(samples=np.concatenate(segments))
 
 
 def class_directions(rng, n_classes, dim):

@@ -1,10 +1,10 @@
 """Signal-processing substrate: WAV I/O, STFT/ISTFT, log-mel spectrograms,
 mel cepstra and Griffin-Lim phase reconstruction.
 
-All audio is mono float64 in [-1, 1]; Griffin-Lim's rounds and the mel STFT
-and filterbank run in float32. One fixed front end (FFT 512, hop 128, periodic
-Hann window, 40 mel bands to 8 kHz) serves synthesis and the metrics, so spectra
-line up without resampling; the pipeline renders and synthesizes at 16 kHz.
+All audio is mono float64 in [-1, 1] at SAMPLE_RATE (16 kHz), the only rate:
+`wav_read` refuses any other. Griffin-Lim's rounds and the mel STFT and
+filterbank run in float32. One fixed front end (FFT 512, hop 128, periodic Hann
+window, 40 mel bands to 8 kHz) serves synthesis and the metrics.
 """
 
 import struct
@@ -33,8 +33,7 @@ _WINDOW32 = WINDOW.astype(np.float32)
 
 @dataclass
 class Waveform:
-    samples: np.ndarray  # float64 in [-1, 1]
-    sample_rate: int
+    samples: np.ndarray  # float64 in [-1, 1], at SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -45,7 +44,6 @@ class Waveform:
 @dataclass
 class MelSpectrogram:
     frames: np.ndarray  # T x n_mels, log scale
-    sample_rate: int
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -54,11 +52,11 @@ class MelSpectrogram:
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (RIFF, PCM 16-bit, mono)
+# WAV I/O (RIFF, PCM 16-bit, mono, SAMPLE_RATE: the package's one audio format)
 # ---------------------------------------------------------------------------
 
 def wav_write(path, w):
-    """Write a Waveform as mono 16-bit PCM. Samples are clipped to [-1, 1];
+    """Write a Waveform as mono 16-bit PCM at SAMPLE_RATE. Samples are clipped to [-1, 1];
     a non-finite sample raises InvalidInputError before the file is opened."""
     if not np.isfinite(w.samples).all():
         raise InvalidInputError("cannot write non-finite samples to %s" % path)
@@ -68,7 +66,7 @@ def wav_write(path, w):
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, 1, 1, w.sample_rate, w.sample_rate * 2, 2, 16,
+        b"fmt ", 16, 1, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16,
         b"data", len(payload),
     )
     with open(path, "wb") as f:
@@ -77,10 +75,10 @@ def wav_write(path, w):
 
 
 def wav_read(path):
-    """Read a mono 16-bit PCM WAV file.
+    """Read a mono 16-bit PCM WAV file at SAMPLE_RATE.
 
-    Raises FormatError (with the byte offset of the problem) on malformed
-    headers, truncated chunks, non-PCM encodings or stereo files.
+    Raises FormatError naming the file and the byte offset of the problem on a
+    malformed header, truncated chunk, non-PCM encoding, stereo file or other rate.
     """
     try:
         with open(path, "rb") as f:
@@ -88,15 +86,18 @@ def wav_read(path):
     except ValueError as e:  # a path holding a NUL byte
         raise FormatError("cannot open %r: %s" % (path, e))
 
+    def bad(what, offset):
+        return FormatError("%s: %s" % (path, what), offset=offset)
+
     def need(n, offset, what):
         if offset + n > len(blob):
-            raise FormatError("truncated file while reading %s" % what, offset=offset)
+            raise bad("truncated file while reading %s" % what, offset)
 
     need(12, 0, "RIFF header")
     if blob[0:4] != b"RIFF":
-        raise FormatError("missing RIFF magic", offset=0)
+        raise bad("missing RIFF magic", 0)
     if blob[8:12] != b"WAVE":
-        raise FormatError("missing WAVE tag", offset=8)
+        raise bad("missing WAVE tag", 8)
 
     pos = 12
     fmt = None
@@ -108,31 +109,31 @@ def wav_read(path):
         body = blob[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
             if size < 16:
-                raise FormatError("fmt chunk too small", offset=pos + 4)
+                raise bad("fmt chunk too small", pos + 4)
             audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
             if audio_format != 1:
-                raise FormatError("unsupported encoding %d (PCM only)" % audio_format, offset=pos + 8)
+                raise bad("unsupported encoding %d (PCM only)" % audio_format, pos + 8)
             if channels != 1:
-                raise FormatError("%d channels unsupported (mono only)" % channels, offset=pos + 10)
-            if rate == 0:
-                raise FormatError("sample rate of 0 Hz", offset=pos + 12)
+                raise bad("%d channels unsupported (mono only)" % channels, pos + 10)
+            if rate != SAMPLE_RATE:
+                raise bad("%d Hz, not %d Hz" % (rate, SAMPLE_RATE), pos + 12)
             if bits != 16:
-                raise FormatError("%d-bit samples unsupported (16-bit only)" % bits, offset=pos + 22)
-            fmt = rate
+                raise bad("%d-bit samples unsupported (16-bit only)" % bits, pos + 22)
+            fmt = body
         elif cid == b"data":
             data = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
-        raise FormatError("no fmt chunk found", offset=pos)
+        raise bad("no fmt chunk found", pos)
     if data is None:
-        raise FormatError("no data chunk found", offset=pos)
+        raise bad("no data chunk found", pos)
     if len(data) % 2:
-        raise FormatError("odd data chunk length", offset=len(blob) - 1)
+        raise bad("odd data chunk length", len(blob) - 1)
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     if samples.size == 0:
-        raise FormatError("empty data chunk", offset=len(blob))
-    return Waveform(samples=samples, sample_rate=fmt)
+        raise bad("empty data chunk", len(blob))
+    return Waveform(samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +222,7 @@ def _mel_to_hz(m):
     return np.where(log_region, 1000.0 * np.exp((m - 15.0) * (np.log(6.4) / 27.0)), f)
 
 
-@lru_cache(maxsize=8)
-def mel_filterbank(sample_rate):
+def _mel_filterbank():
     """Triangular mel filterbank, (N_MELS, N_FFT//2 + 1), area-normalized.
 
     The first and last triangles are widened by one half-step so the bins at
@@ -230,7 +230,7 @@ def mel_filterbank(sample_rate):
     [FMIN, FMAX] is covered by at least one filter.
     """
     pts = _mel_to_hz(np.linspace(_hz_to_mel(FMIN), _hz_to_mel(FMAX), N_MELS + 2))
-    freqs = np.arange(N_FFT // 2 + 1) * (sample_rate / N_FFT)
+    freqs = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
     fb = np.zeros((N_MELS, freqs.size))
     for i in range(N_MELS):
         lo, peak, hi = pts[i], pts[i + 1], pts[i + 2]
@@ -244,6 +244,12 @@ def mel_filterbank(sample_rate):
     return fb
 
 
+MEL_FILTERBANK = _mel_filterbank()
+MEL_FILTERBANK.flags.writeable = False
+_MEL_FB32_T = MEL_FILTERBANK.T.astype(np.float32)  # cast of the transposed view: gemm's layout
+_MEL_PINV_T = np.linalg.pinv(MEL_FILTERBANK).T  # Griffin-Lim's way back to linear bins
+
+
 def mel_spectrogram(w):
     """Log-mel spectrogram: log(mel_fb @ |STFT|^2 + floor), shape (T, N_MELS). The STFT,
     power and filterbank run in float32, whose cast is exact for 16-bit PCM since k/32768
@@ -251,9 +257,8 @@ def mel_spectrogram(w):
     if not isinstance(w, Waveform):
         raise InvalidInputError("mel_spectrogram expects a Waveform")
     power = np.abs(stft(w.samples.astype(np.float32))) ** 2
-    mel_power = power @ mel_filterbank(w.sample_rate).T.astype(np.float32)
-    frames = np.log(mel_power.astype(np.float64) + LOG_FLOOR)
-    return MelSpectrogram(frames=frames, sample_rate=w.sample_rate)
+    mel_power = power @ _MEL_FB32_T
+    return MelSpectrogram(frames=np.log(mel_power.astype(np.float64) + LOG_FLOOR))
 
 
 def mel_cepstra(m):
@@ -266,16 +271,11 @@ def mel_cepstra(m):
 # Griffin-Lim
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _mel_pinv(sample_rate):
-    return np.linalg.pinv(mel_filterbank(sample_rate))
-
-
 def mel_to_linear(m):
     """Approximate linear-magnitude spectrogram from a log-mel spectrogram
     via the filterbank pseudo-inverse (negative leakage clipped to zero)."""
     mel_power = np.maximum(np.exp(m.frames) - LOG_FLOOR, 0.0)
-    linear_power = np.maximum(mel_power @ _mel_pinv(m.sample_rate).T, 0.0)
+    linear_power = np.maximum(mel_power @ _MEL_PINV_T, 0.0)
     return np.sqrt(linear_power)
 
 
@@ -299,4 +299,4 @@ def griffin_lim(m, iters=32):
         # mag * rebuilt / |rebuilt|: a real division and a product in place cost less than
         # a complex division, and each fresh spectrum-sized temporary pays its page faults
         x = istft(np.multiply(rebuilt, mag / np.maximum(rebuilt_mag, 1e-16), out=rebuilt))
-    return Waveform(samples=np.clip(x, -1.0, 1.0), sample_rate=m.sample_rate)
+    return Waveform(samples=np.clip(x, -1.0, 1.0))

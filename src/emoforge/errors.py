@@ -1,19 +1,24 @@
 """Exception types shared across the package."""
 
 
-class ShapeError(ValueError):
+class DataError(ValueError):
+    """The data given is at fault: the CLI exits 2. Every error of malformed,
+    missing or unusable input derives from it."""
+
+
+class ShapeError(DataError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class InvalidInputError(ValueError):
+class InvalidInputError(DataError):
     """Input violates a precondition (non-finite entries, empty text, ...)."""
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(DataError):
     """Input is degenerate for the operation (e.g. zero-norm vector)."""
 
 
-class InvalidLabelError(ValueError):
+class InvalidLabelError(DataError):
     """Class id outside the configured label range."""
 
 
@@ -25,7 +30,7 @@ class ConfigError(ValueError):
     """Invalid training or generation configuration."""
 
 
-class FormatError(ValueError):
+class FormatError(DataError):
     """Malformed file content. A WAV error carries the byte offset where parsing failed."""
 
     def __init__(self, message, offset=None):
@@ -35,11 +40,11 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-class UndefinedMetricError(ValueError):
+class UndefinedMetricError(DataError):
     """Metric is undefined for this input (e.g. empty reference)."""
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(DataError):
     """Not enough data points to aggregate."""
 
 

@@ -143,9 +143,6 @@ def mcd(ref, syn):
     the path. Arguments are ordered canonically first, so the result is
     exactly symmetric even when several warping paths tie.
     """
-    if ref.sample_rate != syn.sample_rate:
-        raise InvalidInputError(
-            "sample rates differ: %d vs %d" % (ref.sample_rate, syn.sample_rate))
     ca = mel_cepstra(mel_spectrogram(ref))[:, 1:_MCD_COEFFS]
     cb = mel_cepstra(mel_spectrogram(syn))[:, 1:_MCD_COEFFS]
     if ca.tobytes() > cb.tobytes():

@@ -29,9 +29,8 @@ from .conditioning import (
     coupling_block_shapes,
     coupling_graph,
 )
-from .dsp import (HOP, N_FFT, N_MELS, SAMPLE_RATE, MelSpectrogram, griffin_lim,
-                  mel_spectrogram, wav_read)
-from .errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
+from .dsp import HOP, N_FFT, N_MELS, MelSpectrogram, griffin_lim, mel_spectrogram, wav_read
+from .errors import ConfigError, InvalidInputError, InvalidLabelError
 from .numeric import rng_stream
 
 VOCAB = "abcdefghijklmnopqrstuvwxyz ."
@@ -206,7 +205,7 @@ def synthesize(text, u_emo, u_spk, params):
     # a short text holds its last character until the vocoder has enough frames
     durations[-1] += max(0, MIN_FRAMES - int(durations.sum()))
     mel_t = _decoder_graph(blocks, h_cond, u_emo, u_spk, params.variant, durations)
-    mel = MelSpectrogram(frames=mel_t.data, sample_rate=SAMPLE_RATE)
+    mel = MelSpectrogram(frames=mel_t.data)
     wav = griffin_lim(mel)
     return wav, mel
 
@@ -220,10 +219,7 @@ def _utterance_batch(utt, prompts, n_speakers):
                                 % (utt.id, len(utt.durations), len(ids)))
     if not 0 <= utt.emotion < len(prompts):
         raise InvalidLabelError("utterance %s: emotion %d out of range" % (utt.id, utt.emotion))
-    wav = wav_read(utt.wav_path)
-    if wav.sample_rate != SAMPLE_RATE:  # else its mel bands would not be synthesis's
-        raise FormatError("%s is %d Hz, not %d Hz" % (utt.wav_path, wav.sample_rate, SAMPLE_RATE))
-    ref = mel_spectrogram(wav).frames
+    ref = mel_spectrogram(wav_read(utt.wav_path)).frames
     # center-padded STFT yields one frame beyond the teacher total; trim it.
     # Summed as Python ints, before a duration past int64 reaches numpy.
     if len(ref) != sum(utt.durations) + 1:

@@ -277,13 +277,11 @@ def test_criterion_06_dtw_oracle(verdict):
 
 def test_criterion_07_mcd_properties(verdict):
     rng = rng_stream(42, "acceptance:mcd")
-    w = Waveform(samples=np.clip(rng.standard_normal(SAMPLE_RATE) * 0.15, -0.45, 0.45),
-                 sample_rate=SAMPLE_RATE)
-    v = Waveform(samples=np.clip(rng.standard_normal(SAMPLE_RATE) * 0.15, -0.45, 0.45),
-                 sample_rate=SAMPLE_RATE)
+    w = Waveform(samples=np.clip(rng.standard_normal(SAMPLE_RATE) * 0.15, -0.45, 0.45))
+    v = Waveform(samples=np.clip(rng.standard_normal(SAMPLE_RATE) * 0.15, -0.45, 0.45))
     self_ok = mcd(w, w) == 0.0
     gain_worst = max(
-        mcd(w, Waveform(samples=w.samples * g, sample_rate=SAMPLE_RATE)) for g in (0.25, 2.0))
+        mcd(w, Waveform(samples=w.samples * g)) for g in (0.25, 2.0))
     sym_err = abs(mcd(w, v) - mcd(v, w))
     verdict(7, "MCD(w,w)=0; gain invariance %.1e (< 1e-6); symmetry %.1e (< 1e-12)"
              % (gain_worst, sym_err),
@@ -373,8 +371,7 @@ def test_criterion_11_cli_determinism(verdict, tmp_path):
 
 def test_criterion_12_dsp_round_trips(verdict, tmp_path):
     rng = rng_stream(42, "acceptance:dsp")
-    w = Waveform(samples=np.clip(rng.standard_normal(SAMPLE_RATE) * 0.2, -0.9, 0.9),
-                 sample_rate=SAMPLE_RATE)
+    w = Waveform(samples=np.clip(rng.standard_normal(SAMPLE_RATE) * 0.2, -0.9, 0.9))
     back = istft(stft(w.samples))  # 16000 samples are 125 whole hops
     stft_err = np.max(np.abs(back - w.samples))
 
@@ -383,7 +380,7 @@ def test_criterion_12_dsp_round_trips(verdict, tmp_path):
     wav_err = np.max(np.abs(wav_read(path).samples - w.samples))
 
     t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
-    sine = Waveform(samples=0.5 * np.sin(2 * np.pi * 1000.0 * t), sample_rate=SAMPLE_RATE)
+    sine = Waveform(samples=0.5 * np.sin(2 * np.pi * 1000.0 * t))
     mag = np.abs(stft(sine.samples))
     peak_bin = int(np.argmax(mag.mean(axis=0)))
     # 1000 Hz / (16000 Hz / 512 bins) = bin 32

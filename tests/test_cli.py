@@ -15,15 +15,16 @@ import warnings
 import numpy as np
 import pytest
 
-from emoforge import datagen, epalign, metrics, tts
+from emoforge import datagen, epalign, errors, metrics, tts
 from emoforge.cli import main
 from emoforge.datagen import CorpusConfig, render_reference
-from emoforge.dsp import HOP, SAMPLE_RATE, Waveform, wav_read, wav_write
+from emoforge.dsp import HOP, Waveform, wav_read, wav_write
 from emoforge.epalign import (EMBED, HIDDEN, AlignTrainConfig, init_epalign, load_epalign,
                               save_epalign)
 from emoforge.errors import InvalidInputError
 from emoforge.tts import VARIANTS, TtsConfig, load_tts, save_tts
 from theta_codec import decode_theta, encode_theta
+from wav_header import set_sample_rate
 
 
 def _gen(out, seed=None, classes=3, speakers=2, per_class=6):
@@ -144,6 +145,14 @@ def test_data_errors(tmp_path, capsys):
     bad = tmp_path / "manifest.jsonl"
     bad.write_text("this is not json\n")
     assert main(["train-align", "--data", str(tmp_path), "--out", str(tmp_path / "c")]) == 2
+
+
+def test_every_input_error_is_a_data_error():
+    # cli.main turns a DataError into exit 2, so a new error type cannot end in a traceback
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    not_data = {c.__name__ for c in classes if not issubclass(c, errors.DataError)}
+    assert not_data == {"ConfigError", "UnsupportedOpError", "NumericalError"}
 
 
 def test_train_and_eval_align(workdir, tmp_path, capsys):
@@ -301,12 +310,15 @@ def _eval_pairs(content):
                            "--out", str(tmp / "r.json")]
 
 
-def _eval_zero_hz(w, tmp):
-    """eval on a pair whose WAV claims a 0 Hz sample rate."""
-    wav_write(tmp / "a.wav", Waveform(wav_read(w["data"] / "wav" / "utt_00000.wav").samples, 0))
-    return ["eval", "--ref-dir", str(tmp), "--syn-dir", str(tmp),
-            "--pairs", _file(tmp / "pairs.jsonl", json.dumps(_PAIR) + "\n"),
-            "--out", str(tmp / "r.json")]
+def _eval_at_rate(rate):
+    """eval on a pair whose WAV, a.wav, claims `rate` Hz."""
+    def argv(w, tmp):
+        shutil.copy(w["data"] / "wav" / "utt_00000.wav", tmp / "a.wav")
+        set_sample_rate(tmp / "a.wav", rate)
+        return ["eval", "--ref-dir", str(tmp), "--syn-dir", str(tmp),
+                "--pairs", _file(tmp / "pairs.jsonl", json.dumps(_PAIR) + "\n"),
+                "--out", str(tmp / "r.json")]
+    return argv
 
 
 def _edited_data(w, tmp, edit):
@@ -456,7 +468,9 @@ MALFORMED = {
     "pairs-not-utf8": _eval_pairs(b'{"id": "\xff"}\n'),
     "pairs-deeply-nested": _eval_pairs("[" * 100000 + "\n"),
     "pairs-ref-nul": _eval_pairs(json.dumps(dict(_PAIR, ref="a\0.wav")) + "\n"),
-    "pairs-wav-0hz": _eval_zero_hz,
+    "pairs-wav-0hz": _eval_at_rate(0),
+    # a 22.05 kHz WAV was once scored by the 16 kHz front end as if it were 16 kHz
+    "pairs-wav-22khz": _eval_at_rate(22050),
     "manifest-not-utf8": _train_align_manifest(lambda lines: [b"\xff" + lines[0]] + lines[1:]),
     "manifest-deeply-nested": _train_align_manifest(lambda lines: [b"[" * 100000 + b"\n"] + lines),
     "manifest-unequal-features": _train_align_manifest(_vis_features(lambda v: v[:-1])),
@@ -510,10 +524,9 @@ MALFORMED = {
     "wav-path-nul": _train_tts_manifest(_first_row(wav="wav/\0.wav")),
     "wav-missing": _train_tts_wav(lambda path: path.unlink()),
     "wav-not-riff": _train_tts_wav(lambda path: path.write_bytes(b"not a wav file")),
-    "wav-22khz": _train_tts_wav(
-        lambda path: wav_write(path, Waveform(wav_read(path).samples, 22050))),
+    "wav-22khz": _train_tts_wav(lambda path: set_sample_rate(path, 22050)),
     "wav-one-hop-short": _train_tts_wav(
-        lambda path: wav_write(path, Waveform(wav_read(path).samples[:-HOP], SAMPLE_RATE))),
+        lambda path: wav_write(path, Waveform(wav_read(path).samples[:-HOP]))),
 }
 
 # text each case's error must hold, so that it fails for the reason its name gives
@@ -540,6 +553,7 @@ REASON = {
     "align-features-short": "dim 64",
     "pairs-ref-nul": "null byte",
     "pairs-wav-0hz": "0 Hz",
+    "pairs-wav-22khz": "22050 Hz",
     "durations-off-reference": "durations sum to",
     "durations-huge": "durations sum to",
     "durations-past-int64": "durations sum to",
@@ -552,6 +566,17 @@ REASON = {
     "wav-one-hop-short": "durations sum to",
 }
 
+# the WAV file each case's error must name, as a bad file among hundreds would not be found
+WAV_NAMED = {
+    "pairs-wav-0hz": "a.wav",
+    "pairs-wav-22khz": "a.wav",
+    "wav-path-nul": "\\x00.wav",
+    "wav-missing": "utt_00000.wav",
+    "wav-not-riff": "utt_00000.wav",
+    "wav-22khz": "utt_00000.wav",
+    "wav-one-hop-short": "utt_00000.wav",
+}
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_without_traceback(case, workdir, tts_ckpt, tmp_path, capsys):
@@ -560,6 +585,7 @@ def test_malformed_input_exits_2_without_traceback(case, workdir, tts_ckpt, tmp_
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert REASON.get(case, "") in err
+    assert WAV_NAMED.get(case, "") in err
 
 
 def test_text_inputs_are_utf8_whatever_the_locale(workdir, tmp_path):

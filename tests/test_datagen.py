@@ -15,6 +15,7 @@ from emoforge.datagen import (
     render_reference,
     text_durations,
 )
+from emoforge.dsp import SAMPLE_RATE
 from emoforge.errors import (
     ConfigError,
     FormatError,
@@ -38,7 +39,7 @@ def _dominant_freq(w, start=0, n=1024):
     if 0 < k < spec.size - 1:
         a, b, c = np.log(spec[k - 1:k + 2] + 1e-12)
         k = k + 0.5 * (a - c) / (a - 2 * b + c)
-    return k * w.sample_rate / n
+    return k * SAMPLE_RATE / n
 
 
 # -- config and labels -------------------------------------------------------

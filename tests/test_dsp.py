@@ -19,16 +19,15 @@ from emoforge.datagen import CorpusConfig, gen_corpus, render_reference
 from emoforge.dsp import (
     HOP,
     LOG_FLOOR,
+    MEL_FILTERBANK,
     N_FFT,
     N_MELS,
-    SAMPLE_RATE,
     WINDOW,
     MelSpectrogram,
     Waveform,
     griffin_lim,
     istft,
     mel_cepstra,
-    mel_filterbank,
     mel_spectrogram,
     mel_to_linear,
     stft,
@@ -37,22 +36,22 @@ from emoforge.dsp import (
 )
 from emoforge.errors import FormatError, InvalidInputError, ShapeError
 from emoforge.numeric import rng_stream
+from wav_header import set_sample_rate
 
 
 def _noise_wave(seed_name, n=16000, amp=0.4):
     rng = rng_stream(7, seed_name)
-    return Waveform(samples=amp * rng.standard_normal(n) / 3.0, sample_rate=16000)
+    return Waveform(samples=amp * rng.standard_normal(n) / 3.0)
 
 
 # -- WAV I/O ---------------------------------------------------------------
 
 def test_wav_round_trip(tmp_path):
     rng = rng_stream(7, "wav")
-    w = Waveform(samples=rng.uniform(-1.0, 1.0, 5000), sample_rate=16000)
+    w = Waveform(samples=rng.uniform(-1.0, 1.0, 5000))
     path = tmp_path / "a.wav"
     wav_write(path, w)
     back = wav_read(path)
-    assert back.sample_rate == 16000
     assert back.samples.shape == (5000,)
     # 16-bit quantization with symmetric 1/32768 scaling
     assert np.max(np.abs(back.samples - w.samples)) <= 2.0 ** -15
@@ -62,7 +61,7 @@ def test_wav_round_trip(tmp_path):
 def test_wav_write_rejects_non_finite(tmp_path, bad):
     path = tmp_path / "a.wav"
     with pytest.raises(InvalidInputError, match="non-finite"):
-        wav_write(path, Waveform(samples=np.array([0.1, bad, 0.2]), sample_rate=16000))
+        wav_write(path, Waveform(samples=np.array([0.1, bad, 0.2])))
     assert not path.exists()
 
 
@@ -72,6 +71,7 @@ def test_wav_rejects_bad_magic(tmp_path):
     with pytest.raises(FormatError) as e:
         wav_read(path)
     assert e.value.offset == 0
+    assert str(e.value) == "%s: missing RIFF magic (byte offset 0)" % path  # names the file
 
 
 def test_wav_rejects_missing_wave_tag(tmp_path):
@@ -104,15 +104,28 @@ def test_wav_rejects_stereo_and_nonpcm(tmp_path):
 
 def test_wav_rejects_zero_sample_rate(tmp_path):
     path = tmp_path / "0hz.wav"
-    wav_write(path, Waveform(samples=np.zeros(100), sample_rate=0))
+    wav_write(path, Waveform(samples=np.zeros(100)))
+    set_sample_rate(path, 0)
     with pytest.raises(FormatError, match="0 Hz") as e:
         wav_read(path)
     assert e.value.offset == 24
 
 
+@pytest.mark.parametrize("rate", [15999, 16001, 22050])
+def test_wav_rejects_every_rate_but_16_khz(tmp_path, rate):
+    # 16 kHz is the package's one rate: the mel bands of any other would not be synthesis's
+    path = tmp_path / "utt.wav"
+    wav_write(path, Waveform(samples=np.zeros(100)))
+    set_sample_rate(path, rate)
+    with pytest.raises(FormatError) as e:
+        wav_read(path)
+    assert e.value.offset == 24
+    assert str(e.value) == "%s: %d Hz, not 16000 Hz (byte offset 24)" % (path, rate)
+
+
 def test_wav_rejects_truncated(tmp_path):
     path = tmp_path / "t.wav"
-    wav_write(path, Waveform(samples=np.zeros(100), sample_rate=16000))
+    wav_write(path, Waveform(samples=np.zeros(100)))
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 50])
     with pytest.raises(FormatError) as e:
@@ -170,7 +183,7 @@ def test_stft_bits_match_gather(n):
 def test_stft_sine_peak_bin():
     # 1 kHz at 16 kHz with n_fft=512 lands exactly on bin 1000/16000*512 = 32
     t = np.arange(16000) / 16000.0
-    w = Waveform(samples=0.5 * np.sin(2 * np.pi * 1000.0 * t), sample_rate=16000)
+    w = Waveform(samples=0.5 * np.sin(2 * np.pi * 1000.0 * t))
     spec = np.abs(stft(w))
     interior = spec[10:-10]
     assert np.all(np.argmax(interior, axis=1) == 32)
@@ -191,7 +204,7 @@ def test_stft_round_trip_exact_multiple():
 def test_stft_round_trip_sine_with_padding():
     t = np.arange(5000) / 16000.0
     x = 0.3 * np.sin(2 * np.pi * 440.0 * t)
-    out = istft(stft(Waveform(samples=x, sample_rate=16000)))
+    out = istft(stft(Waveform(samples=x)))
     # the last partial hop starts no frame, so only whole hops come back
     covered = (5000 // HOP) * HOP
     assert out.size == covered
@@ -212,7 +225,7 @@ def test_float32_keeps_its_precision():
 
 def test_stft_too_short_raises():
     with pytest.raises(InvalidInputError):
-        stft(Waveform(samples=np.zeros(100) + 0.1, sample_rate=16000))
+        stft(Waveform(samples=np.zeros(100) + 0.1))
 
 
 def test_istft_rejects_wrong_width():
@@ -239,7 +252,7 @@ def test_stft_parseval_per_frame():
 # -- mel filterbank and spectrogram -----------------------------------------
 
 def test_filterbank_covers_every_bin():
-    fb = mel_filterbank(SAMPLE_RATE)
+    fb = MEL_FILTERBANK
     assert fb.shape == (N_MELS, N_FFT // 2 + 1)
     assert np.all(fb >= 0.0)
     # every bin from 0 Hz through Nyquist (= fmax) gets weight somewhere
@@ -247,7 +260,7 @@ def test_filterbank_covers_every_bin():
 
 
 def test_filterbank_peaks_are_ordered():
-    fb = mel_filterbank(SAMPLE_RATE)
+    fb = MEL_FILTERBANK
     peaks = np.argmax(fb, axis=1)
     assert np.all(np.diff(peaks) >= 1)
 
@@ -255,7 +268,7 @@ def test_filterbank_peaks_are_ordered():
 def test_mel_amplitude_doubling_adds_log4():
     w = _noise_wave("double")
     m1 = mel_spectrogram(w)
-    m2 = mel_spectrogram(Waveform(samples=2.0 * w.samples, sample_rate=16000))
+    m2 = mel_spectrogram(Waveform(samples=2.0 * w.samples))
     diff = m2.frames - m1.frames
     assert np.max(np.abs(diff - np.log(4.0))) < 1e-6
 
@@ -273,8 +286,8 @@ def test_mel_spectrogram_shape_and_determinism():
 def _mel_oracle(w):
     """The float64 analysis: np.fft STFT, power and filterbank, as before the
     float32 one. Returns the MelSpectrogram and its mel power."""
-    mel_power = np.abs(stft(w.samples)) ** 2 @ mel_filterbank(w.sample_rate).T
-    return MelSpectrogram(frames=np.log(mel_power + LOG_FLOOR), sample_rate=w.sample_rate), mel_power
+    mel_power = np.abs(stft(w.samples)) ** 2 @ MEL_FILTERBANK.T
+    return MelSpectrogram(frames=np.log(mel_power + LOG_FLOOR)), mel_power
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +300,7 @@ def corpus_waves(tmp_path_factory):
 
 def test_every_16_bit_pcm_value_survives_the_float32_cast(tmp_path):
     codes = np.arange(-32768, 32768)
-    wav_write(tmp_path / "all.wav", Waveform(samples=codes / 32768.0, sample_rate=SAMPLE_RATE))
+    wav_write(tmp_path / "all.wav", Waveform(samples=codes / 32768.0))
     x = wav_read(tmp_path / "all.wav").samples
     assert np.array_equal(x * 32768.0, codes)
     assert np.array_equal(x.astype(np.float32).astype(np.float64), x)
@@ -325,7 +338,7 @@ def test_float32_analysis_moves_mcd_and_secs_by_rounding_only(corpus_waves, monk
 def test_mel_cepstra_matches_direct_dct_sum():
     rng = rng_stream(7, "dct")
     frames = rng.standard_normal((5, 8))
-    got = mel_cepstra(MelSpectrogram(frames=frames, sample_rate=16000))
+    got = mel_cepstra(MelSpectrogram(frames=frames))
     n = 8
     for t in range(5):
         for k in range(n):
@@ -347,7 +360,7 @@ def test_mel_cepstra_bits_match_legacy_fftpack_dct():
 def test_gain_change_moves_only_c0():
     w = _noise_wave("gain")
     c1 = mel_cepstra(mel_spectrogram(w))
-    c2 = mel_cepstra(mel_spectrogram(Waveform(samples=1.5 * w.samples, sample_rate=16000)))
+    c2 = mel_cepstra(mel_spectrogram(Waveform(samples=1.5 * w.samples)))
     diff = c2 - c1
     # a uniform log-power shift is carried entirely by the DCT DC term
     assert np.max(np.abs(diff[:, 1:])) < 1e-6
@@ -361,7 +374,7 @@ def _gl_target():
     t = np.arange(8192) / 16000.0
     rng = rng_stream(7, "gl")
     x = 0.25 * np.sin(2 * np.pi * 330.0 * t) + 0.05 * rng.standard_normal(t.size)
-    return mel_spectrogram(Waveform(samples=x, sample_rate=16000))
+    return mel_spectrogram(Waveform(samples=x))
 
 
 def test_griffin_lim_residual_non_increasing():
@@ -382,7 +395,6 @@ def test_griffin_lim_deterministic_and_sized():
     w2 = griffin_lim(m, iters=4)
     assert np.array_equal(w1.samples, w2.samples)
     assert w1.samples.size == (m.frames.shape[0] - 1) * HOP
-    assert w1.sample_rate == 16000
 
 
 def test_griffin_lim_rejects_zero_iters():
