@@ -25,17 +25,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _parse_modalities(raw):
-    mods = tuple(m.strip() for m in raw.split(",") if m.strip())
-    for m in mods:
-        if m not in epalign.MODALITIES:
-            raise ConfigError("unknown modality %r (want %s)"
-                              % (m, "/".join(epalign.MODALITIES)))
-    if not mods or len(set(mods)) < len(mods):
-        raise ConfigError("modality list %r is empty or repeats a modality" % raw)
-    return mods
-
-
 def _load_dataset(data_dir):
     manifest = os.path.join(data_dir, "manifest.jsonl")
     if not os.path.exists(manifest):
@@ -54,6 +43,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
     # each flag of these three is a field of the stage's config, which owns its default
     no_default = dict(argument_default=argparse.SUPPRESS)
+    names = lambda raw: tuple(m.strip() for m in raw.split(",") if m.strip())
 
     g = sub.add_parser("gen-data", help="render a synthetic multimodal corpus", **no_default)
     g.add_argument("--out", required=True, metavar="DIR")
@@ -68,7 +58,7 @@ def _build_parser():
                        **no_default)
     t.add_argument("--data", required=True, metavar="DIR")
     t.add_argument("--out", required=True, metavar="CKPT")
-    t.add_argument("--modalities")
+    t.add_argument("--modalities", type=names)
     t.add_argument("--epochs", type=int)
     t.add_argument("--batch", type=int)
     t.add_argument("--lr", type=float)
@@ -77,7 +67,7 @@ def _build_parser():
     e = sub.add_parser("eval-align", help="classification report for an alignment checkpoint")
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True, metavar="DIR")
-    e.add_argument("--modalities", default=None)
+    e.add_argument("--modalities", type=names)
     e.add_argument("--out", default="eval_align.json", metavar="JSON")
 
     tt = sub.add_parser("train-tts", help="train the toy synthesizer", **no_default)
@@ -121,8 +111,6 @@ def _cmd_gen_data(args):
 
 def _cmd_train_align(args):
     dataset = _load_dataset(args.data)
-    if "modalities" in args:
-        args.modalities = _parse_modalities(args.modalities)
     params, curve = epalign.train_epalign(dataset, _config(epalign.AlignTrainConfig, args))
     epalign.save_epalign(params, args.out)
     print("trained %d epochs, loss %.4f -> %.4f, checkpoint %s"
@@ -133,8 +121,7 @@ def _cmd_train_align(args):
 def _cmd_eval_align(args):
     params = epalign.load_epalign(args.ckpt)
     dataset = _load_dataset(args.data)
-    modalities = _parse_modalities(args.modalities) if args.modalities else None
-    report = epalign.eval_alignment(params, dataset, modalities)
+    report = epalign.eval_alignment(params, dataset, args.modalities)
     print("macro F1: %.4f  accuracy: %.4f" % (report["macro_f1"], report["accuracy"]))
     print("confusion (rows = true class):")
     for row in report["confusion"]:

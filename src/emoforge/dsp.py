@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
+from scipy.fft import dct, irfft, rfft
 
 from .errors import FormatError, InvalidInputError, ShapeError
 
@@ -145,11 +144,8 @@ def stft(w):
 
     The signal is reflect-padded by N_FFT//2 on both sides, so frame t is
     centered on sample t*HOP. Returns a complex (T, N_FFT//2 + 1) array with
-    T = 1 + (padded_length - N_FFT) // HOP. Each dtype takes the faster
-    library: float32 samples give complex64 by scipy.fft, as numpy's float32
-    FFT is slower than its float64 one; any other input is float64 and goes
-    to np.fft, which gives scipy.fft's bits but was faster (median 1.06 vs
-    1.14 ms per rfft of 270-800 frames, 45 alternating trials, 2 Xeon cores).
+    T = 1 + (padded_length - N_FFT) // HOP. float32 samples give complex64;
+    any other input is float64 and gives complex128.
     """
     x = w.samples if isinstance(w, Waveform) else np.asarray(w)
     if x.dtype != np.float32:
@@ -157,7 +153,7 @@ def stft(w):
     pad = N_FFT // 2
     if x.size <= pad:
         raise InvalidInputError("signal too short: %d samples < %d" % (x.size, pad + 1))
-    rfft, window = (scipy.fft.rfft, _WINDOW32) if x.dtype == np.float32 else (np.fft.rfft, WINDOW)
+    window = _WINDOW32 if x.dtype == np.float32 else WINDOW
     x = np.pad(x, pad, mode="reflect")
     return rfft(sliding_window_view(x, N_FFT)[::HOP] * window, axis=1)
 
@@ -189,14 +185,13 @@ def istft(spec):
     trimmed. Each sample sums its frames in increasing t, as a per-frame
     loop does, so the bits match that loop; that is why `_overlap_add`
     adds the frames' blocks r = 3, 2, 1, 0 in that order. A complex64
-    spectrum gives float32 samples by scipy.fft, as in `stft`.
+    spectrum gives float32 samples, as in `stft`.
     """
     spec = np.asarray(spec)
     if spec.ndim != 2 or spec.shape[1] != N_FFT // 2 + 1:
         raise ShapeError("expected (T, %d) spectrogram, got %s" % (N_FFT // 2 + 1, spec.shape))
-    irfft, window = (scipy.fft.irfft, _WINDOW32) if spec.dtype == np.complex64 else (np.fft.irfft, WINDOW)
     frames = irfft(spec, n=N_FFT, axis=1)
-    frames *= window
+    frames *= _WINDOW32 if spec.dtype == np.complex64 else WINDOW
     out = _overlap_add(frames)
     out /= _window_norm(frames.shape[0], frames.dtype)
     return out[N_FFT // 2:out.size - N_FFT // 2]

@@ -69,20 +69,26 @@ def _block_shapes(dims, n_classes, modalities):
     return shapes
 
 
+def modality_set(names):
+    """`names` in MODALITIES order, whatever order they came in, so that one
+    set of modalities lays θ out and fuses one way."""
+    ordered = tuple(mu for mu in MODALITIES if mu in names)
+    if not names or len(ordered) != len(names):
+        raise ConfigError("want one or more distinct modalities among %s, got %s"
+                          % ("/".join(MODALITIES), list(names)))
+    return ordered
+
+
 def init_epalign(dims, n_classes, seed, modalities):
     """A fresh model for `modalities`; dims maps d_<mu> to the input width of
-    at least each of them, and the model keeps those in MODALITIES order."""
-    for mu in modalities:
-        if mu not in MODALITIES:
-            raise ConfigError("unknown modality %r" % mu)
-    if not modalities:
-        raise ConfigError("need at least one implicit modality")
-    dims = {"d_" + mu: dims["d_" + mu] for mu in MODALITIES if mu in modalities}
+    at least each of them."""
+    modalities = modality_set(modalities)
+    dims = {"d_" + mu: dims["d_" + mu] for mu in modalities}
     layout = ParamLayout(_block_shapes(dims, n_classes, modalities))
     theta = layout.init(lambda name: rng_stream(seed, "epalign:" + name), unit=("prompt_table",))
     theta[layout.offset("log_t")] = np.log(1.0 / 0.07)  # CLIP-style warm start
     return EpAlignParams(theta=theta, layout=layout, dims=dims, n_classes=n_classes,
-                         modalities=tuple(modalities), seed=seed)
+                         modalities=modalities, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +121,11 @@ def _sym_ce_t(logits):
 
 def _implicit_t(blocks, feats):
     """Mean of each modality's projected encoding over a dict of (N x D_mu)
-    features; the training loss and inference both fuse through it."""
+    features, summed in MODALITIES order whatever the dict's; the training
+    loss and inference both fuse through it."""
     u_sum = None
-    for mu, x in feats.items():
-        u = _encode_t(blocks, constant(x), mu) @ blocks["w_imp_" + mu]
+    for mu in modality_set(feats):
+        u = _encode_t(blocks, constant(feats[mu]), mu) @ blocks["w_imp_" + mu]
         u_sum = u if u_sum is None else u_sum + u
     return u_sum * (1.0 / len(feats))
 
@@ -182,7 +189,7 @@ def train_epalign(dataset, config):
         raise InvalidLabelError("emotion id %d is not below %d utterances" % (n_classes - 1, n))
 
     dims = {"d_" + mu: getattr(dataset[0], _FEAT_ATTR[mu]).size for mu in MODALITIES}
-    params = init_epalign(dims, n_classes, config.seed, tuple(config.modalities))
+    params = init_epalign(dims, n_classes, config.seed, config.modalities)
     theta = params.theta
     state = AdamState.zeros(theta.size)
     rng = rng_stream(config.seed, "epalign:batches")
@@ -290,7 +297,7 @@ def eval_alignment(params, dataset, modalities):
     subset (None: the modalities the model was trained with)."""
     if not dataset:
         raise ConfigError("cannot evaluate on an empty dataset")
-    mods = tuple(modalities) if modalities else params.modalities
+    mods = params.modalities if modalities is None else modality_set(modalities)
     y = np.array([u.emotion for u in dataset])
     if y.min() < 0 or y.max() >= params.n_classes:
         raise InvalidLabelError("labels must lie in [0, %d), got %d..%d"
@@ -318,9 +325,9 @@ def load_epalign(path):
         mods = fields["modalities"] = tuple(fields["modalities"])
         if not mods:
             raise FormatError("checkpoint %s names no implicit modality" % path)
-        for mu in mods:
-            if mu not in MODALITIES:
-                raise FormatError("checkpoint %s names unknown modality %r" % (path, mu))
+        if mods != tuple(mu for mu in MODALITIES if mu in mods):  # θ's block order
+            raise FormatError("checkpoint %s modalities %s are not distinct names in %s order"
+                              % (path, ", ".join(mods), ", ".join(MODALITIES)))
         if set(fields["dims"]) != {"d_" + mu for mu in mods}:
             raise FormatError("checkpoint %s dims do not match its modalities" % path)
         return ParamLayout(_block_shapes(fields["dims"], fields["n_classes"], mods))

@@ -1,8 +1,5 @@
-"""Dense numeric primitives used throughout the package.
-
-Matrices are plain 2-D float64 numpy arrays (row-major). Every public
-operation validates its input and returns finite values; vectors are 1-D
-arrays. Randomness goes through :func:`rng_stream` so that every module
+"""Numeric primitives shared by the package: the cosine of two vectors, and
+randomness. Randomness goes through :func:`rng_stream` so that every module
 draws from its own deterministic stream derived from a single 64-bit seed.
 """
 
@@ -11,26 +8,6 @@ import hashlib
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-
-
-def as_matrix(m):
-    """Coerce to a 2-D float64 array, rejecting empty or malformed input."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise ShapeError("expected a non-empty 2-D array, got shape %s" % (a.shape,))
-    return a
-
-
-def l2_normalize_rows(m):
-    """Scale each row to unit Euclidean norm.
-
-    Raises DegenerateInputError when a row has zero norm.
-    """
-    a = as_matrix(m)
-    norms = np.sqrt((a * a).sum(axis=1, keepdims=True))
-    if (norms == 0.0).any():
-        raise DegenerateInputError("cannot normalize a zero-norm row")
-    return a / norms
 
 
 def cosine_similarity(a, b):

@@ -30,7 +30,7 @@ from .conditioning import (
     coupling_graph,
 )
 from .dsp import HOP, N_FFT, N_MELS, MelSpectrogram, griffin_lim, mel_spectrogram, wav_read
-from .errors import ConfigError, InvalidInputError, InvalidLabelError
+from .errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
 from .numeric import rng_stream
 
 VOCAB = "abcdefghijklmnopqrstuvwxyz ."

@@ -15,10 +15,16 @@ A top-level name counts as used only when read bare or as
 `<defining module>.<name>`; an attribute of another object that happens to
 share the name (`report.wer` for a function `metrics.wer`) does not. A
 method counts as used through an attribute read on any object.
+
+A last guard walks each module's symbol tables: a global name that some
+scope reads but that neither the module nor `builtins` defines is a
+NameError waiting for the first run of that line.
 """
 
 import ast
+import builtins
 import pathlib
+import symtable
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "emoforge"
 
@@ -142,3 +148,23 @@ def test_every_default_is_passed_by_some_call_in_the_package():
 
 def test_no_default_is_passed_by_every_call_in_the_package():
     assert overridden_defaults() == []
+
+
+def undefined_globals(src=SRC):
+    """module:name of each global read that nothing defines, in any scope."""
+    missing = set()
+    for path in sorted(src.glob("*.py")):
+        top = symtable.symtable(path.read_text(), path.name, "exec")
+        defined = {s.get_name() for s in top.get_symbols() if s.is_assigned() or s.is_imported()}
+        tables = [top]
+        while tables:
+            table = tables.pop()
+            tables += table.get_children()
+            missing |= {"%s:%s" % (path.stem, s.get_name()) for s in table.get_symbols()
+                        if s.is_global() and s.is_referenced()
+                        and s.get_name() not in defined and not hasattr(builtins, s.get_name())}
+    return sorted(missing)
+
+
+def test_every_global_a_module_reads_is_defined():
+    assert undefined_globals() == []

@@ -176,6 +176,15 @@ def test_train_align_deterministic(workdir, tmp_path):
     assert again.read_bytes() == workdir["align"].read_bytes()
 
 
+def test_modality_order_trains_one_checkpoint(workdir, tmp_path):
+    # θ's blocks and the fusion sum follow MODALITIES, whatever the flag's order
+    for flag in ("tex,vis,audio", "audio,tex,vis"):
+        out = tmp_path / (flag + ".json")
+        assert main(["train-align", "--data", str(workdir["data"]), "--out", str(out),
+                     "--epochs", "6", "--batch", "3", "--seed", "9", "--modalities", flag]) == 0
+        assert out.read_bytes() == workdir["align"].read_bytes(), flag
+
+
 @pytest.fixture(scope="module")
 def tts_ckpt(workdir):
     ckpt = workdir["root"] / "tts.json"
@@ -416,13 +425,13 @@ def _huge_weight(payload, params):
     payload["theta"] = encode_theta(theta)
 
 
-def _audio_only(argv):
-    """The same command against an alignment checkpoint of an audio-only model."""
-    def with_audio_only(w, tmp):
-        path = tmp / "audio.json"
-        save_epalign(init_epalign({"d_audio": 64}, 3, 42, ("audio",)), path)
+def _trained_on(mu, argv):
+    """The same command against an alignment checkpoint of a `mu`-only model."""
+    def with_one_modality(w, tmp):
+        path = tmp / (mu + ".json")
+        save_epalign(init_epalign({"d_" + mu: 64}, 3, 42, (mu,)), path)
         return argv(dict(w, align=path), tmp)
-    return with_audio_only
+    return with_one_modality
 
 
 def _eval_align_checkpoint(edit):
@@ -482,11 +491,16 @@ MALFORMED = {
     "align-float-dims": _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64.0)),
     "align-bool-classes": _eval_align_checkpoint(_one_class_as_true),
     "align-no-modalities": _eval_align_checkpoint(lambda p, _: p.update(modalities=[])),
+    # both once loaded silently, the second with each encoder on another modality's blocks
+    "align-repeated-modality": _trained_on(
+        "vis", _eval_align_checkpoint(lambda p, _: p.update(modalities=["vis", "vis"]))),
+    "align-modalities-reordered": _eval_align_checkpoint(
+        lambda p, _: p.update(modalities=["tex", "vis", "audio"])),
     "align-parent-format": _eval_align_checkpoint(_parent_format),
     "align-format-1": _eval_align_checkpoint(_format_1),
     "align-theta-ragged-bytes": _eval_align_checkpoint(_ragged_bytes),
-    "align-untrained-dims": _audio_only(
-        _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64))),
+    "align-untrained-dims": _trained_on(
+        "audio", _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64))),
     "align-dims-stale-hidden": _eval_align_checkpoint(lambda p, _: p["dims"].update(hidden=64)),
     "align-weight-huge": _eval_align_checkpoint(_huge_weight),
     "tts-theta-not-base64": _synth_tts_checkpoint(lambda p: p.update(theta="not base64!")),
@@ -494,16 +508,18 @@ MALFORMED = {
     "tts-dims-unknown-key": _synth_tts_checkpoint(lambda p: p["dims"].update(n_mels=40)),
     "tts-unknown-field": _synth_tts_checkpoint(lambda p: p.update(extra=[1])),
     "tts-format-2": _synth_tts_checkpoint(_tts_format_2),
+    "tts-unknown-variant": _synth_tts_checkpoint(lambda p: p.update(variant="wavenet")),
     "tts-theta-wrong-size": _synth_tts_checkpoint(
         lambda p: p.update(theta=encode_theta(decode_theta(p["theta"])[:-1]))),
     # the checkpoint knows classes 0..2 and 64-dim features
     "align-label-past-classes": _eval_align_data(_first_row(emotion=4)),
     "align-label-negative": _eval_align_data(_first_row(emotion=-1)),
     "align-features-short": _eval_align_data(_vis_features(lambda v: v[:8], first=0)),
-    "untrained-modality-eval": _audio_only(
-        lambda w, tmp: ["eval-align", "--ckpt", str(w["align"]), "--data", str(w["data"]),
-                        "--modalities", "vis", "--out", str(tmp / "r.json")]),
-    "untrained-modality-features": _audio_only(_synth_features(json.dumps({"vis": [0.5] * 64}))),
+    "untrained-modality-eval": _trained_on(
+        "audio", lambda w, tmp: ["eval-align", "--ckpt", str(w["align"]), "--data", str(w["data"]),
+                                 "--modalities", "vis", "--out", str(tmp / "r.json")]),
+    "untrained-modality-features": _trained_on(
+        "audio", _synth_features(json.dumps({"vis": [0.5] * 64}))),
     "manifest-text-number": _train_align_manifest(_first_row(text=5)),
     "manifest-id-null": _train_align_manifest(_first_row(id=None)),
     "manifest-emotion-float": _train_align_manifest(_first_row(emotion=1.7)),
@@ -536,6 +552,8 @@ REASON = {
     "align-float-dims": "malformed field 'dims.d_vis'",
     "align-bool-classes": "malformed field 'n_classes'",
     "align-no-modalities": "names no implicit modality",
+    "align-repeated-modality": "modalities vis, vis are not distinct names in vis, audio, tex order",
+    "align-modalities-reordered": "modalities tex, vis, audio are not distinct names in vis",
     "align-parent-format": "fields its format does not name: anchor",
     "align-format-1": "is format 'EPALIGN/1', want 'EPALIGN/3'",
     "align-theta-ragged-bytes": "multiple of element size",
@@ -547,6 +565,7 @@ REASON = {
     "tts-dims-unknown-key": "malformed field 'dims'",
     "tts-unknown-field": "fields its format does not name: extra",
     "tts-format-2": "is format 'EMITTS/2', want 'EMITTS/3'",
+    "tts-unknown-variant": "unknown variant 'wavenet'",
     "tts-theta-wrong-size": "11224 parameters, layout wants 11225",
     "align-label-past-classes": "labels must lie in [0, 3)",
     "align-label-negative": "labels must lie in [0, 3)",

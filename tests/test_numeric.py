@@ -5,7 +5,6 @@ from emoforge.autodiff import Tensor, log_softmax_rows
 from emoforge.errors import DegenerateInputError, ShapeError
 from emoforge.numeric import (
     cosine_similarity,
-    l2_normalize_rows,
     rng_stream,
 )
 
@@ -37,29 +36,6 @@ def test_softmax_rows_sum_to_one_for_wide_range():
         out = _row_softmax(m)
         np.testing.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-12)
         assert (out > 0).all() and (out <= 1).all()
-
-
-def test_l2_normalize_345():
-    np.testing.assert_allclose(l2_normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]], atol=1e-15)
-
-
-def test_l2_normalize_identity_and_sign():
-    row = np.array([[0.0, 1.0, 0.0]])
-    np.testing.assert_allclose(l2_normalize_rows(row), row, atol=1e-15)
-    np.testing.assert_allclose(l2_normalize_rows([[-2.0, 0.0, 0.0]]), [[-1.0, 0.0, 0.0]], atol=1e-15)
-
-
-def test_l2_normalize_idempotent():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(6, 4))
-    once = l2_normalize_rows(m)
-    twice = l2_normalize_rows(once)
-    np.testing.assert_allclose(once, twice, atol=1e-12)
-
-
-def test_l2_normalize_zero_row_raises():
-    with pytest.raises(DegenerateInputError):
-        l2_normalize_rows([[0.0, 0.0]])
 
 
 def test_cosine_basics():
