@@ -242,7 +242,13 @@ def _mel_filterbank():
 MEL_FILTERBANK = _mel_filterbank()
 MEL_FILTERBANK.flags.writeable = False
 _MEL_FB32_T = MEL_FILTERBANK.T.astype(np.float32)  # cast of the transposed view: gemm's layout
-_MEL_PINV_T = np.linalg.pinv(MEL_FILTERBANK).T  # Griffin-Lim's way back to linear bins
+
+
+@lru_cache(maxsize=1)  # an SVD that only synthesis needs, so no other command pays for it
+def _mel_pinv_t():
+    pinv_t = np.linalg.pinv(MEL_FILTERBANK).T  # Griffin-Lim's way back to linear bins
+    pinv_t.flags.writeable = False
+    return pinv_t
 
 
 def mel_spectrogram(w):
@@ -270,7 +276,7 @@ def mel_to_linear(m):
     """Approximate linear-magnitude spectrogram from a log-mel spectrogram
     via the filterbank pseudo-inverse (negative leakage clipped to zero)."""
     mel_power = np.maximum(np.exp(m.frames) - LOG_FLOOR, 0.0)
-    linear_power = np.maximum(mel_power @ _MEL_PINV_T, 0.0)
+    linear_power = np.maximum(mel_power @ _mel_pinv_t(), 0.0)
     return np.sqrt(linear_power)
 
 

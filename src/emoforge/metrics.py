@@ -12,8 +12,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.spatial.distance import cdist
+from scipy.special import stdtrit
 
 from .dsp import mel_cepstra, mel_spectrogram
 from .errors import (
@@ -83,6 +82,7 @@ def dtw_align(a, b):
     The backtrack prefers the diagonal, then up, then left on ties, which
     fixes the path shape (the cost is the same for every tied path).
     """
+    from scipy.spatial.distance import cdist  # 0.4 s to import: only commands that align pay it
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] < 1 or b.shape[0] < 1:
@@ -98,7 +98,8 @@ def dtw_align(a, b):
     acc[0, :] = np.inf
     acc[1:, 0] = np.inf
     acc[0, 0] = 0.0
-    acc[1:, 1:] = cdist(a, b)
+    for r in range(0, ta, _DTW_ROWS):
+        acc[1 + r:1 + r + _DTW_ROWS, 1:] = cdist(a[r:r + _DTW_ROWS], b)
     flat = acc.reshape(-1)
     # consecutive cells of an anti-diagonal lie cols - 1 apart in flat;
     # their diagonal, up and left neighbours lie cols + 1, cols and 1 before
@@ -132,6 +133,7 @@ def dtw_align(a, b):
     return path
 
 
+_DTW_ROWS = 256  # cost rows per cdist call in dtw_align: no T_a x T_b temporary
 _MCD_COEFFS = 14  # c0..c13; c0 is dropped before alignment
 
 
@@ -203,7 +205,7 @@ def mos_aggregate(scores):
     arr = np.asarray(scores)
     n = arr.size
     sd = float(arr.std(ddof=1))
-    half = float(stats.t.ppf(0.975, n - 1) * sd / np.sqrt(n))
+    half = float(stdtrit(n - 1, 0.975) * sd / np.sqrt(n))
     return MosSummary(mean=float(arr.mean()), half_width_95=half, n=n)
 
 

@@ -607,11 +607,33 @@ def test_malformed_input_exits_2_without_traceback(case, workdir, tts_ckpt, tmp_
     assert WAV_NAMED.get(case, "") in err
 
 
+def _src_env(**extra):
+    """The environment of a fresh Python process that imports this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_only_what_every_command_runs():
+    # each command is its own process: scipy.stats (about 1 s to import), scipy.spatial
+    # (DTW's cdist, 0.4 s) and the filterbank's SVD (Griffin-Lim's) wait for a caller
+    probe = ("import json, sys, emoforge.cli\n"
+             "from emoforge import dsp\n"
+             "print(json.dumps([sorted(m for m in sys.modules if m.startswith(p))\n"
+             "                  for p in ('scipy.stats', 'scipy.spatial')]\n"
+             "                 + [dsp._mel_pinv_t.cache_info().currsize]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    stats, spatial, pinv_entries = json.loads(done.stdout)
+    assert stats == []
+    assert spatial == []
+    assert pinv_entries == 0
+
+
 def test_text_inputs_are_utf8_whatever_the_locale(workdir, tmp_path):
     # under the C locale with UTF-8 mode off, text-mode open() decodes ASCII
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
 
     def run(*argv):
         done = subprocess.run([sys.executable, "-m", "emoforge", *map(str, argv)], env=env,

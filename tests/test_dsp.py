@@ -14,7 +14,7 @@ import struct
 import numpy as np
 import pytest
 
-from emoforge import metrics
+from emoforge import dsp, metrics
 from emoforge.datagen import CorpusConfig, gen_corpus, render_reference
 from emoforge.dsp import (
     HOP,
@@ -395,6 +395,14 @@ def test_griffin_lim_deterministic_and_sized():
     w2 = griffin_lim(m, iters=4)
     assert np.array_equal(w1.samples, w2.samples)
     assert w1.samples.size == (m.frames.shape[0] - 1) * HOP
+
+
+def test_mel_pinv_is_computed_once_and_read_only():
+    pinv_t = dsp._mel_pinv_t()
+    assert dsp._mel_pinv_t() is pinv_t
+    assert pinv_t.shape == MEL_FILTERBANK.shape
+    with pytest.raises(ValueError):
+        pinv_t[0, 0] = 1.0
 
 
 def test_griffin_lim_rejects_zero_iters():

@@ -4,7 +4,7 @@ Edit distance and DTW are checked against brute-force oracles written
 independently in this file (plain recursion over all alignments / paths),
 and against cell-by-cell reference DPs (the DTW one also pins the
 path-shape tie-break). MOS arithmetic is checked against hand-derived
-t-interval values.
+t-interval values, and its t quantile against scipy.stats.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from emoforge import metrics
 from emoforge.datagen import render_reference
 from emoforge.dsp import Waveform
 from emoforge.errors import (
@@ -271,6 +272,8 @@ def test_dtw_path_matches_reference_dp():
     rng = rng_stream(7, "dtwpath")
     shapes = [(1, 1), (1, 9), (9, 1), (2, 17), (17, 2), (40, 40), (40, 33)]
     shapes += [tuple(int(t) for t in rng.integers(1, 41, 2)) for _ in range(60)]
+    rows = metrics._DTW_ROWS  # costs enter acc this many rows at a time: edges move no cell
+    shapes += [(rows - 1, 40), (2 * rows + 1, 40), (rows, 40), (rows + 1, 33)]
     for k, (ta, tb) in enumerate(shapes):
         dim = 1 + k % 3
         if k % 3 == 2:
@@ -394,6 +397,18 @@ def test_mos_two_scores_hand_derived():
     assert abs(summary.mean - 4.5) < 1e-12
     assert abs(summary.half_width_95 - 12.706 * math.sqrt(0.5) / math.sqrt(2)) < 5e-3
     assert summary.formatted() == "4.50(±6.35)"
+
+
+def test_mos_half_width_bits_match_scipy_stats_t_ppf():
+    # the package takes the quantile from scipy.special: scipy.stats costs every
+    # command about 1 s to import, so it serves here as the oracle only
+    from scipy import stats
+
+    for n in range(2, 5000):
+        scores = [4.0, 5.0] * (n // 2) + [4.5] * (n % 2)
+        sd = float(np.asarray(scores).std(ddof=1))
+        half = float(stats.t.ppf(0.975, n - 1) * sd / np.sqrt(n))
+        assert mos_aggregate(scores).half_width_95 == half, n
 
 
 def test_mos_constant_scores():
