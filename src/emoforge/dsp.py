@@ -139,15 +139,15 @@ def wav_read(path):
 # STFT / ISTFT
 # ---------------------------------------------------------------------------
 
-def stft(w):
-    """Short-time Fourier transform with centered frames.
+def stft(x):
+    """Short-time Fourier transform of a 1-D sample array, with centered frames.
 
     The signal is reflect-padded by N_FFT//2 on both sides, so frame t is
     centered on sample t*HOP. Returns a complex (T, N_FFT//2 + 1) array with
     T = 1 + (padded_length - N_FFT) // HOP. float32 samples give complex64;
     any other input is float64 and gives complex128.
     """
-    x = w.samples if isinstance(w, Waveform) else np.asarray(w)
+    x = np.asarray(x)
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
     pad = N_FFT // 2
@@ -280,19 +280,20 @@ def mel_to_linear(m):
     return np.sqrt(linear_power)
 
 
-def griffin_lim(m, iters=32):
+GL_ROUNDS = 32  # Griffin-Lim's magnitude-projection rounds
+
+
+def griffin_lim(m):
     """Reconstruct a waveform from a log-mel spectrogram.
 
-    Zero-phase initialization followed by `iters` magnitude-projection
+    Zero-phase initialization followed by GL_ROUNDS magnitude-projection
     rounds; fully deterministic. Output length is (T - 1) * HOP. The rounds
     run in float32: the output is 16-bit PCM, and float64 rounds reach the
     same spectral convergence in more time.
     """
-    if iters < 1:
-        raise InvalidInputError("iters must be >= 1")
     mag = mel_to_linear(m).astype(np.float32)
     x = istft(mag.astype(np.complex64))  # zero phase
-    for _ in range(iters):
+    for _ in range(GL_ROUNDS):
         rebuilt = stft(x)
         rebuilt_mag = np.abs(rebuilt)
         none = ~(rebuilt_mag > 0)  # a bin with no phase to keep takes phase 0

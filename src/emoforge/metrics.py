@@ -21,7 +21,6 @@ from .errors import (
     ShapeError,
     UndefinedMetricError,
 )
-from .numeric import cosine_similarity
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,9 @@ def speaker_embedding(w):
 
 def secs(ref, syn):
     """Speaker-embedding cosine similarity, in [-1, 1]."""
-    return cosine_similarity(speaker_embedding(ref), speaker_embedding(syn))
+    a, b = speaker_embedding(ref), speaker_embedding(syn)
+    # Clip: rounding can push |cos| a few ulp past 1.
+    return float(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,6 @@ ALLOWED_KNOBS = {
     "cli.main.argv": "the entry point: None reads sys.argv, tests pass a list",
     "conditioning.coupling_graph.inverse": "the flow's inverse direction, which "
                                            "acceptance criterion 1 runs",
-    "dsp.griffin_lim.iters": "the round count the convergence sweep in test_dsp.py "
-                             "varies, until the vocoder's rounds are settled",
 }
 
 

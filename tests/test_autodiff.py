@@ -46,11 +46,12 @@ def test_finite_diff_quadratic_is_tight():
     assert report.max_rel_error < 1e-8
 
 
+_MLP = ParamLayout({"w1": (3, 4), "b1": (1, 4), "w2": (4, 2)})
+
+
 def _mlp_loss(t):
-    # tanh MLP + log-softmax pipeline: exercises matmul, broadcasting, getitem.
-    w1 = t[0:12].reshape(3, 4)
-    b1 = t[12:16].reshape(1, 4)
-    w2 = t[16:24].reshape(4, 2)
+    # tanh MLP + log-softmax pipeline: exercises param blocks, matmul, broadcasting.
+    w1, b1, w2 = _MLP.unpack(t).values()
     x = Tensor(np.array([[0.3, -0.7, 1.1], [0.9, 0.2, -0.4]]))
     h = (x @ w1 + b1).tanh() @ w2
     ls = log_softmax_rows(h)
@@ -65,6 +66,7 @@ def test_finite_diff_mlp_pipeline():
 
 def test_every_primitive_against_finite_differences():
     rng = np.random.default_rng(9)
+    as_2x3 = lambda t: ParamLayout({"x": (2, 3)}).unpack(t)["x"]
 
     cases = {
         "exp": lambda t: t.exp().sum(),
@@ -75,8 +77,8 @@ def test_every_primitive_against_finite_differences():
         "pow": lambda t: (t * t).sum(),
         "mean": lambda t: (t * t).mean(),
         "slice": lambda t: (t[1:4] * t[0:3]).sum(),
-        "concat": lambda t: concat([t.reshape(2, 3), t.reshape(2, 3) * 2.0]).sum(),
-        "transpose": lambda t: (t.reshape(2, 3).T @ t.reshape(2, 3)).sum(),
+        "concat": lambda t: concat([as_2x3(t), as_2x3(t) * 2.0]).sum(),
+        "transpose": lambda t: (as_2x3(t).T @ as_2x3(t)).sum(),
         "clip_interior": lambda t: t.clip(-10.0, 10.0).sum(),
     }
     for name, fn in cases.items():
@@ -107,7 +109,8 @@ def test_constants_take_no_gradient():
 
 def test_repeat_rows_against_finite_differences():
     w = np.random.default_rng(3).normal(size=(6, 2))
-    loss = lambda t: (repeat_rows(t.reshape(3, 2), [2, 0, 4]).tanh() * constant(w)).sum()
+    rows = ParamLayout({"x": (3, 2)})
+    loss = lambda t: (repeat_rows(rows.unpack(t)["x"], [2, 0, 4]).tanh() * constant(w)).sum()
     report = finite_diff_check(loss, np.random.default_rng(8).normal(0, 0.8, size=6),
                                epsilon=1e-5)
     assert report.max_rel_error < 1e-6
@@ -128,7 +131,8 @@ def test_repeat_rows_gradient_is_add_at_bit_for_bit():
             w[-1] = -0.0
         want = np.zeros((n, 5))
         np.add.at(want, np.repeat(np.arange(n), counts), w)
-        g = grad(lambda t: (repeat_rows(t.reshape(n, 5), counts) * constant(w)).sum(),
+        rows = ParamLayout({"x": (n, 5)})
+        g = grad(lambda t: (repeat_rows(rows.unpack(t)["x"], counts) * constant(w)).sum(),
                  np.ones(n * 5))
         assert g.tobytes() == want.tobytes(), counts
 
@@ -168,7 +172,7 @@ def test_finished_grad_graph_is_freed_without_the_cycle_collector():
 
 @pytest.mark.parametrize("op, error", [(np.sin, UnsupportedOpError),
                                        (lambda t: 2.0 * t, UnsupportedOpError),
-                                       (lambda t: t.reshape(5, 5), ValueError)])
+                                       (lambda t: t @ t, ValueError)])
 def test_tape_stack_is_empty_after_the_loss_raises(op, error):
     with pytest.raises(error):
         grad(lambda t: op(t * 2.0), np.ones(3))
@@ -270,12 +274,12 @@ def test_param_layout_roundtrip():
 
 
 def test_param_layout_unpack_tensor_is_differentiable():
-    layout = ParamLayout({"w": (2, 2), "b": (2,)})
+    layout = ParamLayout({"w": (2, 2), "b": (1, 2)})
 
     def loss(t):
         parts = layout.unpack(t)
         x = Tensor(np.array([[1.0, 2.0]]))
-        return (x @ parts["w"] + parts["b"].reshape(1, 2)).sum()
+        return (x @ parts["w"] + parts["b"]).sum()
 
     report = finite_diff_check(loss, np.random.default_rng(0).normal(size=6))
     assert report.max_rel_error < 1e-6

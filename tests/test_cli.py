@@ -129,11 +129,14 @@ def test_usage_errors(workdir, tmp_path, capsys):
                  ["gen-data", "--out", out, "--sep", "nan"],
                  ["gen-data", "--out", out, "--sep", "inf"],
                  ["gen-data", "--out", out, "--noise", "nan"],
+                 ["gen-data", "--out", out, "--speakers", "0"],
+                 ["gen-data", "--out", out, "--per-class", "0"],
                  align + ["--lr", "nan"], align + ["--epochs", "0"], align + ["--batch", "0"],
                  align + ["--modalities", "tex,tex"],
                  ["eval-align", "--ckpt", str(workdir["align"]), "--data", str(workdir["data"]),
                   "--modalities", "tex,tex", "--out", out],
-                 train_tts + ["--lr", "nan"], train_tts + ["--lr", "-1"]):
+                 train_tts + ["--lr", "nan"], train_tts + ["--lr", "-1"],
+                 train_tts + ["--batch", "0"]):
         assert main(argv) == 1, argv
         assert "Traceback" not in capsys.readouterr().err
         assert not os.path.exists(out), argv
@@ -470,7 +473,9 @@ MALFORMED = {
     "features-not-utf8": _synth_features(b'{"vis": "\xff"}'),
     "features-deeply-nested": _synth_features("[" * 100000),
     "features-int-past-float": _synth_features('{"vis": [1%s]}' % ("0" * 400)),
+    "features-array": _synth_features("[0.5, 0.5]"),
     "pairs-number": _eval_pairs("5\n"),
+    "pairs-empty": _eval_pairs(""),
     # a string holding every key name passed the old `key in row` test
     "pairs-string": _eval_pairs('"id ref syn ref_text hyp_text"\n'),
     "pairs-ref-not-string": _eval_pairs(json.dumps(dict(_PAIR, ref=5)) + "\n"),
@@ -527,6 +532,8 @@ MALFORMED = {
     "manifest-speaker-string": _train_align_manifest(_first_row(speaker="1")),
     "manifest-duration-float": _train_align_manifest(
         _first_row(durations=lambda row: [float(d) for d in row["durations"]])),
+    "durations-one-short": _train_tts_manifest(
+        _first_row(durations=lambda row: row["durations"][:-1])),
     "durations-off-reference": _train_tts_manifest(
         _first_row(durations=lambda row: [9] * len(row["durations"]))),
     "durations-huge": _train_tts_manifest(
@@ -548,6 +555,7 @@ MALFORMED = {
 # text each case's error must hold, so that it fails for the reason its name gives
 REASON = {
     "features-int-past-float": "malformed field 'vis'",
+    "features-array": "is not a JSON object of modality -> vector",
     "manifest-int-past-float": "malformed field 'feat_vis'",
     "align-float-dims": "malformed field 'dims.d_vis'",
     "align-bool-classes": "malformed field 'n_classes'",
@@ -571,8 +579,10 @@ REASON = {
     "align-label-negative": "labels must lie in [0, 3)",
     "align-features-short": "dim 64",
     "pairs-ref-nul": "null byte",
+    "pairs-empty": "empty pairs file",
     "pairs-wav-0hz": "0 Hz",
     "pairs-wav-22khz": "22050 Hz",
+    "durations-one-short": "43 durations for 44 characters",
     "durations-off-reference": "durations sum to",
     "durations-huge": "durations sum to",
     "durations-past-int64": "durations sum to",

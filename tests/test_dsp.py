@@ -123,6 +123,34 @@ def test_wav_rejects_every_rate_but_16_khz(tmp_path, rate):
     assert str(e.value) == "%s: %d Hz, not 16000 Hz (byte offset 24)" % (path, rate)
 
 
+# id, {byte offset: new bytes} written over a 100-sample wav_write file (a 44-byte
+# header, then 200 data bytes), the bytes kept, and the refusal's offset and message
+WAV_REFUSALS = [
+    ("fmt-under-16-bytes", {16: struct.pack("<I", 14)}, 244, 16, "fmt chunk too small"),
+    ("8-bit", {34: struct.pack("<H", 8)}, 244, 34, "8-bit samples unsupported (16-bit only)"),
+    ("no-fmt-chunk", {12: b"junk"}, 244, 244, "no fmt chunk found"),
+    ("no-data-chunk", {36: b"junk"}, 244, 244, "no data chunk found"),
+    ("odd-data-length", {40: struct.pack("<I", 199)}, 244, 243, "odd data chunk length"),
+    ("empty-data-chunk", {40: struct.pack("<I", 0)}, 44, 44, "empty data chunk"),
+]
+
+
+@pytest.mark.parametrize("edits, kept, offset, what", [c[1:] for c in WAV_REFUSALS],
+                         ids=[c[0] for c in WAV_REFUSALS])
+def test_wav_refusal_names_the_file_and_offset(tmp_path, edits, kept, offset, what):
+    path = tmp_path / "utt.wav"
+    wav_write(path, Waveform(samples=np.zeros(100)))
+    blob = bytearray(path.read_bytes())
+    assert len(blob) == 244
+    for at, new in edits.items():
+        blob[at:at + len(new)] = new
+    path.write_bytes(bytes(blob[:kept]))
+    with pytest.raises(FormatError) as e:
+        wav_read(path)
+    assert e.value.offset == offset
+    assert str(e.value) == "%s: %s (byte offset %d)" % (path, what, offset)
+
+
 def test_wav_rejects_truncated(tmp_path):
     path = tmp_path / "t.wav"
     wav_write(path, Waveform(samples=np.zeros(100)))
@@ -184,19 +212,19 @@ def test_stft_sine_peak_bin():
     # 1 kHz at 16 kHz with n_fft=512 lands exactly on bin 1000/16000*512 = 32
     t = np.arange(16000) / 16000.0
     w = Waveform(samples=0.5 * np.sin(2 * np.pi * 1000.0 * t))
-    spec = np.abs(stft(w))
+    spec = np.abs(stft(w.samples))
     interior = spec[10:-10]
     assert np.all(np.argmax(interior, axis=1) == 32)
 
 
 def test_stft_frame_count():
     w = _noise_wave("frames", n=16000)
-    assert stft(w).shape == (1 + 16000 // HOP, N_FFT // 2 + 1)
+    assert stft(w.samples).shape == (1 + 16000 // HOP, N_FFT // 2 + 1)
 
 
 def test_stft_round_trip_exact_multiple():
     w = _noise_wave("rt", n=4096)
-    out = istft(stft(w))
+    out = istft(stft(w.samples))
     assert out.size == 4096
     assert np.max(np.abs(out - w.samples)) < 1e-6
 
@@ -204,7 +232,7 @@ def test_stft_round_trip_exact_multiple():
 def test_stft_round_trip_sine_with_padding():
     t = np.arange(5000) / 16000.0
     x = 0.3 * np.sin(2 * np.pi * 440.0 * t)
-    out = istft(stft(Waveform(samples=x)))
+    out = istft(stft(x))
     # the last partial hop starts no frame, so only whole hops come back
     covered = (5000 // HOP) * HOP
     assert out.size == covered
@@ -225,7 +253,7 @@ def test_float32_keeps_its_precision():
 
 def test_stft_too_short_raises():
     with pytest.raises(InvalidInputError):
-        stft(Waveform(samples=np.zeros(100) + 0.1))
+        stft(np.zeros(100) + 0.1)
 
 
 def test_istft_rejects_wrong_width():
@@ -235,7 +263,7 @@ def test_istft_rejects_wrong_width():
 
 def test_stft_parseval_per_frame():
     w = _noise_wave("parseval", n=4096)
-    spec = stft(w)
+    spec = stft(w.samples)
     # periodic Hann, written out here rather than read back from the module
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)
     assert np.array_equal(WINDOW, win) and not WINDOW.flags.writeable
@@ -377,22 +405,24 @@ def _gl_target():
     return mel_spectrogram(Waveform(samples=x))
 
 
-def test_griffin_lim_residual_non_increasing():
+def test_griffin_lim_residual_non_increasing(monkeypatch):
     m = _gl_target()
     mag = mel_to_linear(m)
     residuals = []
-    for iters in (1, 2, 4, 8, 16):
-        w = griffin_lim(m, iters=iters)
-        rebuilt = np.abs(stft(w))
+    for rounds in (1, 2, 4, 8, 16):
+        monkeypatch.setattr(dsp, "GL_ROUNDS", rounds)
+        w = griffin_lim(m)
+        rebuilt = np.abs(stft(w.samples))
         residuals.append(np.linalg.norm(mag - rebuilt) / np.linalg.norm(mag))
     for a, b in zip(residuals, residuals[1:]):
         assert b <= a + 1e-9
 
 
-def test_griffin_lim_deterministic_and_sized():
+def test_griffin_lim_deterministic_and_sized(monkeypatch):
     m = _gl_target()
-    w1 = griffin_lim(m, iters=4)
-    w2 = griffin_lim(m, iters=4)
+    monkeypatch.setattr(dsp, "GL_ROUNDS", 4)
+    w1 = griffin_lim(m)
+    w2 = griffin_lim(m)
     assert np.array_equal(w1.samples, w2.samples)
     assert w1.samples.size == (m.frames.shape[0] - 1) * HOP
 
@@ -403,11 +433,6 @@ def test_mel_pinv_is_computed_once_and_read_only():
     assert pinv_t.shape == MEL_FILTERBANK.shape
     with pytest.raises(ValueError):
         pinv_t[0, 0] = 1.0
-
-
-def test_griffin_lim_rejects_zero_iters():
-    with pytest.raises(InvalidInputError):
-        griffin_lim(_gl_target(), iters=0)
 
 
 # SHA-256 of griffin_lim(mel_spectrogram(render_reference(...))).samples,

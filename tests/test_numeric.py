@@ -1,12 +1,7 @@
 import numpy as np
-import pytest
 
 from emoforge.autodiff import Tensor, log_softmax_rows
-from emoforge.errors import DegenerateInputError, ShapeError
-from emoforge.numeric import (
-    cosine_similarity,
-    rng_stream,
-)
+from emoforge.numeric import rng_stream
 
 
 def _row_softmax(m):
@@ -36,30 +31,6 @@ def test_softmax_rows_sum_to_one_for_wide_range():
         out = _row_softmax(m)
         np.testing.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-12)
         assert (out > 0).all() and (out <= 1).all()
-
-
-def test_cosine_basics():
-    v = np.array([1.0, 2.0, -3.0])
-    assert cosine_similarity(v, v) == pytest.approx(1.0)
-    assert cosine_similarity(v, -v) == pytest.approx(-1.0)
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-
-def test_cosine_symmetry_and_scale_invariance():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        a = rng.normal(size=8)
-        b = rng.normal(size=8)
-        assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a), abs=1e-12)
-        k = rng.uniform(0.1, 10.0)
-        assert cosine_similarity(k * a, b) == pytest.approx(cosine_similarity(a, b), abs=1e-12)
-
-
-def test_cosine_errors():
-    with pytest.raises(DegenerateInputError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ShapeError):
-        cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_rng_stream_determinism_and_independence():
