@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedOpError
+from .errors import DataError
 
 
 _TAPES = []  # the tape of each running `grad` call, innermost last
@@ -98,13 +98,13 @@ class Tensor:
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
-            raise UnsupportedOpError("only scalar exponents are differentiable")
+            raise TypeError("only scalar exponents are differentiable")
         return Tensor(self.data ** p, (self,), lambda g: self._accum(g * p * self.data ** (p - 1)))
 
     def __matmul__(self, other):
         other = _wrap(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeError("matmul expects 2-D operands")
+            raise DataError("matmul expects 2-D operands")
         def back(g):
             if not self.const:
                 self._accum(g @ other.data.T)
@@ -223,7 +223,7 @@ def log_softmax_rows(t):
 def backward(out, tape):
     """Accumulate gradients of a scalar Tensor through `tape`, last node first."""
     if out.data.size != 1:
-        raise UnsupportedOpError("backward requires a scalar output")
+        raise TypeError("backward requires a scalar output")
     out.grad = np.ones_like(out.data)
     for node in reversed(tape):
         if node.grad is not None:
@@ -234,7 +234,7 @@ def grad(loss_fn, params, return_loss=False):
     """Gradient of a scalar loss with respect to a flat parameter vector.
 
     `loss_fn` receives the parameters as a Tensor and must build its result
-    from Tensor operations only; anything else raises UnsupportedOpError.
+    from Tensor operations only; anything else raises TypeError.
     With return_loss=True, returns (gradient, loss value) from the same
     forward pass.
     """
@@ -243,11 +243,11 @@ def grad(loss_fn, params, return_loss=False):
     try:
         out = loss_fn(theta)
     except TypeError as exc:
-        raise UnsupportedOpError("loss used an operation outside the tape: %s" % exc) from exc
+        raise TypeError("loss used an operation outside the tape: %s" % exc) from exc
     finally:
         _TAPES.pop()
     if not isinstance(out, Tensor):
-        raise UnsupportedOpError("loss must return a Tensor, got %r" % type(out).__name__)
+        raise TypeError("loss must return a Tensor, got %r" % type(out).__name__)
     backward(out, tape)
     g = np.zeros_like(theta.data) if theta.grad is None else theta.grad
     if return_loss:
@@ -302,7 +302,7 @@ def adam_step(params, grads, state, lr):
     p = np.asarray(params, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
     if p.shape != g.shape:
-        raise ShapeError("params shape %s != grads shape %s" % (p.shape, g.shape))
+        raise DataError("params shape %s != grads shape %s" % (p.shape, g.shape))
     t = state.t + 1
     m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
     v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g

@@ -1,7 +1,8 @@
 """Command-line front end for the full workflow.
 
-Exit codes: 0 success, 1 usage error (bad flags or option values), 2 data
-error (malformed or missing input, or a float overflow, 0-division or NaN).
+Exit codes: 0 success, 1 usage error (bad flags or option values: a
+ConfigError), 2 data error (malformed or missing input: a DataError or
+OSError; or a float overflow, 0-division or NaN).
 """
 
 import argparse
@@ -15,7 +16,7 @@ import numpy as np
 from . import datagen, epalign, metrics, tts
 from .checkpoint import field, read
 from .dsp import SAMPLE_RATE, wav_read, wav_write
-from .errors import ConfigError, DataError, FormatError, InvalidLabelError, NumericalError
+from .errors import ConfigError, DataError, FormatError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,8 +150,8 @@ def _emotion_embedding(args, align):
         class_id = datagen.emotion_id(args.emotion)
         prompts = epalign.anchored_prompts(align)
         if class_id >= len(prompts):
-            raise InvalidLabelError("emotion %r is class %d but the checkpoint has %d classes"
-                                    % (args.emotion, class_id, len(prompts)))
+            raise DataError("emotion %r is class %d but the checkpoint has %d classes"
+                            % (args.emotion, class_id, len(prompts)))
         return prompts[class_id]
     raw, where = read(args.ref_features), "feature file %s" % args.ref_features
     if type(raw) is not dict:
@@ -223,10 +224,10 @@ def main(argv=None):
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow passes
             return _COMMANDS[args.cmd](args)
     except ConfigError as e:
-        code, exc = 1, e
+        code, msg = 1, e
     except (DataError, OSError) as e:
-        code, exc = 2, e
+        code, msg = 2, e
     except FloatingPointError as e:
-        code, exc = 2, NumericalError("%s stopped on a floating-point error: %s" % (args.cmd, e))
-    sys.stderr.write("error: %s\n" % exc)
+        code, msg = 2, "%s stopped on a floating-point error: %s" % (args.cmd, e)
+    sys.stderr.write("error: %s\n" % msg)
     return code

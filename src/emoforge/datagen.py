@@ -15,7 +15,7 @@ import numpy as np
 
 from .checkpoint import field, read
 from .dsp import HOP, SAMPLE_RATE, Waveform, wav_write
-from .errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
+from .errors import ConfigError, DataError, FormatError
 from .numeric import rng_stream
 
 EMOTIONS = ("neutral", "happy", "sad", "angry", "surprise")
@@ -97,15 +97,15 @@ class Utterance:
         self.feat_audio = np.asarray(self.feat_audio, dtype=np.float64)
         self.feat_text = np.asarray(self.feat_text, dtype=np.float64)
         if any(d < 1 for d in self.durations):
-            raise InvalidInputError("character durations must be >= 1 frame")
+            raise DataError("character durations must be >= 1 frame")
         for f in (self.feat_vis, self.feat_audio, self.feat_text):
             if not np.all(np.isfinite(f)):
-                raise InvalidInputError("utterance features must be finite")
+                raise DataError("utterance features must be finite")
 
 
 def emotion_id(name):
     if name not in EMOTIONS:
-        raise InvalidLabelError("unknown emotion %r (known: %s)" % (name, ", ".join(EMOTIONS)))
+        raise DataError("unknown emotion %r (known: %s)" % (name, ", ".join(EMOTIONS)))
     return EMOTIONS.index(name)
 
 
@@ -144,11 +144,11 @@ def render_reference(text, emotion, speaker):
     periods render as silence. Deterministic, no RNG involved.
     """
     if not text:
-        raise InvalidInputError("cannot render empty text")
+        raise DataError("cannot render empty text")
     if emotion < 0:
-        raise InvalidLabelError("emotion class must be non-negative")
+        raise DataError("emotion class must be non-negative")
     if speaker < 0:
-        raise InvalidLabelError("speaker id must be non-negative")
+        raise DataError("speaker id must be non-negative")
 
     mult, contour, amp = _emotion_render_params(emotion)
     f0 = speaker_f0(speaker)

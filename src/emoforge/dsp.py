@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, irfft, rfft
 
-from .errors import FormatError, InvalidInputError, ShapeError
+from .errors import DataError, FormatError
 
 SAMPLE_RATE = 16000
 N_FFT = 512
@@ -37,7 +37,7 @@ class Waveform:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size == 0:
-            raise InvalidInputError("waveform must be a non-empty 1-D array")
+            raise DataError("waveform must be a non-empty 1-D array")
 
 
 @dataclass
@@ -47,7 +47,7 @@ class MelSpectrogram:
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise InvalidInputError("mel spectrogram needs at least one T x n_mels frame")
+            raise DataError("mel spectrogram needs at least one T x n_mels frame")
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +56,9 @@ class MelSpectrogram:
 
 def wav_write(path, w):
     """Write a Waveform as mono 16-bit PCM at SAMPLE_RATE. Samples are clipped to [-1, 1];
-    a non-finite sample raises InvalidInputError before the file is opened."""
+    a non-finite sample raises DataError before the file is opened."""
     if not np.isfinite(w.samples).all():
-        raise InvalidInputError("cannot write non-finite samples to %s" % path)
+        raise DataError("cannot write non-finite samples to %s" % path)
     s = np.clip(w.samples, -1.0, 1.0)
     q = np.clip(np.rint(s * 32768.0), -32768, 32767).astype("<i2")
     payload = q.tobytes()
@@ -120,7 +120,7 @@ def wav_read(path):
                 raise bad("%d-bit samples unsupported (16-bit only)" % bits, pos + 22)
             fmt = body
         elif cid == b"data":
-            data = body
+            data, data_at = body, pos + 4  # a bad length is reported at its size field
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -128,11 +128,10 @@ def wav_read(path):
     if data is None:
         raise bad("no data chunk found", pos)
     if len(data) % 2:
-        raise bad("odd data chunk length", len(blob) - 1)
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    if samples.size == 0:
-        raise bad("empty data chunk", len(blob))
-    return Waveform(samples=samples)
+        raise bad("odd data chunk length", data_at)
+    if not data:
+        raise bad("empty data chunk", data_at)
+    return Waveform(samples=np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def stft(x):
         x = x.astype(np.float64, copy=False)
     pad = N_FFT // 2
     if x.size <= pad:
-        raise InvalidInputError("signal too short: %d samples < %d" % (x.size, pad + 1))
+        raise DataError("signal too short: %d samples < %d" % (x.size, pad + 1))
     window = _WINDOW32 if x.dtype == np.float32 else WINDOW
     x = np.pad(x, pad, mode="reflect")
     return rfft(sliding_window_view(x, N_FFT)[::HOP] * window, axis=1)
@@ -189,7 +188,7 @@ def istft(spec):
     """
     spec = np.asarray(spec)
     if spec.ndim != 2 or spec.shape[1] != N_FFT // 2 + 1:
-        raise ShapeError("expected (T, %d) spectrogram, got %s" % (N_FFT // 2 + 1, spec.shape))
+        raise DataError("expected (T, %d) spectrogram, got %s" % (N_FFT // 2 + 1, spec.shape))
     frames = irfft(spec, n=N_FFT, axis=1)
     frames *= _WINDOW32 if spec.dtype == np.complex64 else WINDOW
     out = _overlap_add(frames)
@@ -256,7 +255,7 @@ def mel_spectrogram(w):
     power and filterbank run in float32, whose cast is exact for 16-bit PCM since k/32768
     fits its 24-bit significand; floor and log stay float64, so a gain shifts all bands alike."""
     if not isinstance(w, Waveform):
-        raise InvalidInputError("mel_spectrogram expects a Waveform")
+        raise DataError("mel_spectrogram expects a Waveform")
     power = np.abs(stft(w.samples.astype(np.float32))) ** 2
     mel_power = power @ _MEL_FB32_T
     return MelSpectrogram(frames=np.log(mel_power.astype(np.float64) + LOG_FLOOR))

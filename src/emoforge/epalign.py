@@ -18,14 +18,7 @@ import numpy as np
 
 from . import checkpoint
 from .autodiff import AdamState, ParamLayout, adam_step, constant, grad, log_softmax_rows
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    FormatError,
-    InvalidInputError,
-    InvalidLabelError,
-    ShapeError,
-)
+from .errors import ConfigError, DataError, FormatError
 from .numeric import rng_stream
 
 MODALITIES = ("vis", "audio", "tex")
@@ -103,7 +96,7 @@ def _encode_t(blocks, x_t, mu):
 def _l2rows_t(t):
     n2 = (t * t).sum(axis=1, keepdims=True)
     if not np.isfinite(n2.data).all() or (n2.data <= 0.0).any():
-        raise DegenerateInputError("cannot normalize an embedding row of zero or non-finite norm")
+        raise DataError("cannot normalize an embedding row of zero or non-finite norm")
     return t * n2 ** -0.5
 
 
@@ -137,8 +130,8 @@ def _prompts_t(blocks):
 
 def _check_modality(modality, params):
     if modality not in params.modalities:
-        raise InvalidInputError("modality %r is not one the model was trained on (%s)"
-                                % (modality, ", ".join(params.modalities)))
+        raise DataError("modality %r is not one the model was trained on (%s)"
+                        % (modality, ", ".join(params.modalities)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +176,10 @@ def train_epalign(dataset, config):
         raise ConfigError("batch size %d out of range for %d samples" % (config.batch, len(dataset)))
     labels = np.array([u.emotion for u in dataset])
     if labels.min() < 0:
-        raise InvalidLabelError("labels must be non-negative")
+        raise DataError("labels must be non-negative")
     n_classes, n = int(labels.max()) + 1, len(dataset)
     if n_classes > n:  # θ is sized by it: bound it before init_epalign allocates
-        raise InvalidLabelError("emotion id %d is not below %d utterances" % (n_classes - 1, n))
+        raise DataError("emotion id %d is not below %d utterances" % (n_classes - 1, n))
 
     dims = {"d_" + mu: getattr(dataset[0], _FEAT_ATTR[mu]).size for mu in MODALITIES}
     params = init_epalign(dims, n_classes, config.seed, config.modalities)
@@ -249,9 +242,9 @@ def _checked_features(mu, x, params):
     x = np.asarray(x, dtype=np.float64)
     want = params.dims["d_" + mu]
     if x.ndim != 1 or x.size != want:
-        raise ShapeError("%s features must be 1-D of dim %d, got %s" % (mu, want, x.shape))
+        raise DataError("%s features must be 1-D of dim %d, got %s" % (mu, want, x.shape))
     if not np.isfinite(x).all():
-        raise InvalidInputError("%s features must be finite" % mu)
+        raise DataError("%s features must be finite" % mu)
     return x
 
 
@@ -263,7 +256,7 @@ def align_infer(features, params):
     cosine similarities.
     """
     if not features:
-        raise InvalidInputError("align_infer needs at least one modality")
+        raise DataError("align_infer needs at least one modality")
     feats = {mu: _checked_features(mu, x, params)[None, :] for mu, x in features.items()}
     preds, sims, prompts = _infer_batch(feats, params)
     c = int(preds[0])
@@ -300,8 +293,8 @@ def eval_alignment(params, dataset, modalities):
     mods = params.modalities if modalities is None else modality_set(modalities)
     y = np.array([u.emotion for u in dataset])
     if y.min() < 0 or y.max() >= params.n_classes:
-        raise InvalidLabelError("labels must lie in [0, %d), got %d..%d"
-                                % (params.n_classes, y.min(), y.max()))
+        raise DataError("labels must lie in [0, %d), got %d..%d"
+                        % (params.n_classes, y.min(), y.max()))
     feats = {mu: np.stack([_checked_features(mu, getattr(u, _FEAT_ATTR[mu]), params)
                            for u in dataset]) for mu in mods}
     preds, _, _ = _infer_batch(feats, params)

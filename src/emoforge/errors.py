@@ -1,33 +1,9 @@
-"""Exception types shared across the package."""
+"""The error types callers tell apart: `cli.main` exits 2 on a DataError (a
+FormatError among them) and 1 on a ConfigError. Other faults raise built-ins."""
 
 
 class DataError(ValueError):
-    """The data given is at fault: the CLI exits 2. Every error of malformed,
-    missing or unusable input derives from it."""
-
-
-class ShapeError(DataError):
-    """Operand shapes are incompatible with the requested operation."""
-
-
-class InvalidInputError(DataError):
-    """Input violates a precondition (non-finite entries, empty text, ...)."""
-
-
-class DegenerateInputError(DataError):
-    """Input is degenerate for the operation (e.g. zero-norm vector)."""
-
-
-class InvalidLabelError(DataError):
-    """Class id outside the configured label range."""
-
-
-class UnsupportedOpError(TypeError):
-    """Loss function used an operation the gradient engine does not track."""
-
-
-class ConfigError(ValueError):
-    """Invalid training or generation configuration."""
+    """The data given is malformed, missing or unusable: the CLI exits 2."""
 
 
 class FormatError(DataError):
@@ -40,13 +16,5 @@ class FormatError(DataError):
         self.offset = offset
 
 
-class UndefinedMetricError(DataError):
-    """Metric is undefined for this input (e.g. empty reference)."""
-
-
-class InsufficientDataError(DataError):
-    """Not enough data points to aggregate."""
-
-
-class NumericalError(ArithmeticError):
-    """A command overflowed, divided by zero or made a NaN."""
+class ConfigError(ValueError):
+    """Invalid training or generation configuration: the CLI exits 1."""

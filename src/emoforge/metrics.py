@@ -15,12 +15,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .dsp import mel_cepstra, mel_spectrogram
-from .errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    ShapeError,
-    UndefinedMetricError,
-)
+from .errors import DataError
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +51,7 @@ _SPACES = re.compile(r"\s+")
 
 def normalize_text(s):
     """Lowercase, strip punctuation to [a-z0-9' ], collapse whitespace."""
-    s = _KEEP.sub(" ", s.lower().replace("\t", " ").replace("\n", " "))
+    s = _KEEP.sub(" ", s.lower())
     return _SPACES.sub(" ", s).strip()
 
 
@@ -85,11 +80,11 @@ def dtw_align(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] < 1 or b.shape[0] < 1:
-        raise ShapeError("dtw_align needs two non-empty 2-D sequences")
+        raise DataError("dtw_align needs two non-empty 2-D sequences")
     if a.shape[1] != b.shape[1]:
-        raise ShapeError("feature dims differ: %d vs %d" % (a.shape[1], b.shape[1]))
+        raise DataError("feature dims differ: %d vs %d" % (a.shape[1], b.shape[1]))
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidInputError("dtw_align needs finite features")
+        raise DataError("dtw_align needs finite features")
     ta, tb = a.shape[0], b.shape[0]
     # acc[i + 1, j + 1] holds cell (i, j); acc[0, 0] = 0 starts the path
     cols = tb + 1
@@ -164,7 +159,7 @@ def speaker_embedding(w):
     since only magnitude spectra enter."""
     m = mel_spectrogram(w)
     if m.frames.shape[0] < 5:
-        raise InvalidInputError(
+        raise DataError(
             "need >= 5 mel frames for a speaker embedding, got %d" % m.frames.shape[0])
     emb = np.concatenate([m.frames.mean(axis=0), m.frames.std(axis=0)])
     return emb / np.sqrt((emb * emb).sum())
@@ -199,10 +194,10 @@ def mos_aggregate(scores):
     """
     scores = [float(s) for s in scores]
     if len(scores) < 2:
-        raise InsufficientDataError("need >= 2 ratings, got %d" % len(scores))
+        raise DataError("need >= 2 ratings, got %d" % len(scores))
     for s in scores:
         if not (1.0 <= s <= 5.0) or abs(s * 2.0 - round(s * 2.0)) > 1e-9:
-            raise InvalidInputError("rating %r is not on the 1.0..5.0 half-point grid" % s)
+            raise DataError("rating %r is not on the 1.0..5.0 half-point grid" % s)
     arr = np.asarray(scores)
     n = arr.size
     sd = float(arr.std(ddof=1))
@@ -243,7 +238,7 @@ def utterance_metrics(utt_id, ref_wav, syn_wav, ref_text, hyp_text):
     ref_norm, hyp_norm = normalize_text(ref_text), normalize_text(hyp_text)
     ref_words = ref_norm.split()
     if not ref_words:
-        raise UndefinedMetricError("empty reference transcript for %r" % utt_id)
+        raise DataError("empty reference transcript for %r" % utt_id)
     word_edits = edit_distance(ref_words, hyp_norm.split())
     char_edits = edit_distance(ref_norm, hyp_norm)
     return {
@@ -266,7 +261,7 @@ def aggregate_report(per_utt):
     are reported as medians.
     """
     if not per_utt:
-        raise InsufficientDataError("no utterances to aggregate")
+        raise DataError("no utterances to aggregate")
     return EvalReport(
         utterances=list(per_utt),
         wer=sum(u["word_edits"] for u in per_utt) / sum(u["word_count"] for u in per_utt),

@@ -30,7 +30,7 @@ from .conditioning import (
     coupling_graph,
 )
 from .dsp import HOP, N_FFT, N_MELS, MelSpectrogram, griffin_lim, mel_spectrogram, wav_read
-from .errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
+from .errors import ConfigError, DataError, FormatError
 from .numeric import rng_stream
 
 VOCAB = "abcdefghijklmnopqrstuvwxyz ."
@@ -73,7 +73,7 @@ class TtsParams:
 def _char_ids(text):
     ids = [VOCAB.index(ch) for ch in text.lower() if ch in VOCAB]
     if not ids:
-        raise InvalidInputError("text is empty after normalization: %r" % (text,))
+        raise DataError("text is empty after normalization: %r" % (text,))
     return np.asarray(ids, dtype=np.intp)
 
 
@@ -126,7 +126,7 @@ def init_tts(variant, embed, n_speakers, seed):
 
 def speaker_one_hot(speaker, n_speakers):
     if not 0 <= speaker < n_speakers:
-        raise InvalidLabelError("speaker %d out of range [0, %d)" % (speaker, n_speakers))
+        raise DataError("speaker %d out of range [0, %d)" % (speaker, n_speakers))
     u = np.zeros(n_speakers)
     u[speaker] = 1.0
     return u
@@ -180,13 +180,13 @@ def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, durations):
 
 def _check_condition(u_emo, u_spk, params):
     if abs(np.linalg.norm(u_emo) - 1.0) > 1e-6:
-        raise InvalidInputError("u_emo must be unit norm")
+        raise DataError("u_emo must be unit norm")
     if len(u_emo) != params.dims["embed"]:
-        raise InvalidInputError("emotion embedding has dim %d, model expects %d"
-                                % (len(u_emo), params.dims["embed"]))
+        raise DataError("emotion embedding has dim %d, model expects %d"
+                        % (len(u_emo), params.dims["embed"]))
     if len(u_spk) != params.dims["n_speakers"]:
-        raise InvalidInputError("speaker vector has dim %d, model expects %d"
-                                % (len(u_spk), params.dims["n_speakers"]))
+        raise DataError("speaker vector has dim %d, model expects %d"
+                        % (len(u_spk), params.dims["n_speakers"]))
 
 
 # -- public operations -------------------------------------------------------
@@ -215,16 +215,16 @@ def synthesize(text, u_emo, u_spk, params):
 def _utterance_batch(utt, prompts, n_speakers):
     ids = _char_ids(utt.text)
     if len(ids) != len(utt.durations):
-        raise InvalidInputError("utterance %s: %d durations for %d characters"
-                                % (utt.id, len(utt.durations), len(ids)))
+        raise DataError("utterance %s: %d durations for %d characters"
+                        % (utt.id, len(utt.durations), len(ids)))
     if not 0 <= utt.emotion < len(prompts):
-        raise InvalidLabelError("utterance %s: emotion %d out of range" % (utt.id, utt.emotion))
+        raise DataError("utterance %s: emotion %d out of range" % (utt.id, utt.emotion))
     ref = mel_spectrogram(wav_read(utt.wav_path)).frames
     # center-padded STFT yields one frame beyond the teacher total; trim it.
     # Summed as Python ints, before a duration past int64 reaches numpy.
     if len(ref) != sum(utt.durations) + 1:
-        raise InvalidInputError("utterance %s: durations sum to %d frames, %s has %d"
-                                % (utt.id, sum(utt.durations), utt.wav_path, len(ref) - 1))
+        raise DataError("utterance %s: durations sum to %d frames, %s has %d"
+                        % (utt.id, sum(utt.durations), utt.wav_path, len(ref) - 1))
     durations = np.asarray(utt.durations, dtype=int)
     return {
         "ids": ids,
@@ -263,8 +263,8 @@ def train_tts(dataset, prompts, variant, config):
         raise ConfigError("prompt table must be a C x E matrix")
     n_speakers = max(u.speaker for u in dataset) + 1
     if n_speakers > len(dataset):  # θ is sized by it: bound it before init_tts allocates
-        raise InvalidLabelError("speaker id %d is not below %d, the number of utterances"
-                                % (n_speakers - 1, len(dataset)))
+        raise DataError("speaker id %d is not below %d, the number of utterances"
+                        % (n_speakers - 1, len(dataset)))
     params = init_tts(variant, prompts.shape[1], n_speakers, config.seed)
 
     batches = [_utterance_batch(u, prompts, n_speakers) for u in dataset]

@@ -16,9 +16,13 @@ A top-level name counts as used only when read bare or as
 share the name (`report.wer` for a function `metrics.wer`) does not. A
 method counts as used through an attribute read on any object.
 
-A last guard walks each module's symbol tables: a global name that some
+Another guard walks each module's symbol tables: a global name that some
 scope reads but that neither the module nor `builtins` defines is a
 NameError waiting for the first run of that line.
+
+An exception class is worth defining only if some handler tells it apart,
+so the last guard fails on any class in `errors.py` that no `except`
+clause in the package names.
 """
 
 import ast
@@ -166,3 +170,21 @@ def undefined_globals(src=SRC):
 
 def test_every_global_a_module_reads_is_defined():
     assert undefined_globals() == []
+
+
+def uncaught_error_types(src=SRC):
+    """Each class errors.py defines that no `except` clause in the package names."""
+    defined = {node.name for node in ast.parse((src / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {t.id if isinstance(t, ast.Name) else getattr(t, "attr", None)
+                           for t in types}
+    return sorted(defined - caught)
+
+
+def test_every_error_type_is_caught_in_the_package():
+    assert uncaught_error_types() == []

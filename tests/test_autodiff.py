@@ -18,7 +18,7 @@ from emoforge.autodiff import (
     log_softmax_rows,
     repeat_rows,
 )
-from emoforge.errors import ShapeError, UnsupportedOpError
+from emoforge.errors import DataError
 
 
 def test_grad_quadratic():
@@ -32,12 +32,12 @@ def test_grad_constant_loss():
 
 
 def test_grad_rejects_non_tensor_result():
-    with pytest.raises(UnsupportedOpError):
+    with pytest.raises(TypeError, match="loss must return a Tensor"):
         grad(lambda t: float(t.data.sum()), np.array([1.0]))
 
 
 def test_grad_rejects_foreign_ops():
-    with pytest.raises(UnsupportedOpError):
+    with pytest.raises(TypeError, match="outside the tape"):
         grad(lambda t: np.sin(t), np.array([1.0]))
 
 
@@ -170,11 +170,11 @@ def test_finished_grad_graph_is_freed_without_the_cycle_collector():
     np.testing.assert_array_equal(g, [8.0, -24.0])
 
 
-@pytest.mark.parametrize("op, error", [(np.sin, UnsupportedOpError),
-                                       (lambda t: 2.0 * t, UnsupportedOpError),
+@pytest.mark.parametrize("op, error", [(np.sin, TypeError),
+                                       (lambda t: 2.0 * t, TypeError),
                                        (lambda t: t @ t, ValueError)])
 def test_tape_stack_is_empty_after_the_loss_raises(op, error):
-    with pytest.raises(error):
+    with pytest.raises(error, match="outside the tape" if error is TypeError else "2-D operands"):
         grad(lambda t: op(t * 2.0), np.ones(3))
     assert autodiff._TAPES == []
 
@@ -258,7 +258,7 @@ def test_adam_is_deterministic():
 
 
 def test_adam_shape_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="params shape"):
         adam_step(np.zeros(3), np.zeros(2), AdamState.zeros(3), lr=0.1)
 
 

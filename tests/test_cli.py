@@ -21,7 +21,7 @@ from emoforge.datagen import CorpusConfig, render_reference
 from emoforge.dsp import HOP, Waveform, wav_read, wav_write
 from emoforge.epalign import (EMBED, HIDDEN, AlignTrainConfig, init_epalign, load_epalign,
                               save_epalign)
-from emoforge.errors import InvalidInputError
+from emoforge.errors import DataError
 from emoforge.tts import VARIANTS, TtsConfig, load_tts, save_tts
 from theta_codec import decode_theta, encode_theta
 from wav_header import set_sample_rate
@@ -155,7 +155,7 @@ def test_every_input_error_is_a_data_error():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and c.__module__ == errors.__name__]
     not_data = {c.__name__ for c in classes if not issubclass(c, errors.DataError)}
-    assert not_data == {"ConfigError", "UnsupportedOpError", "NumericalError"}
+    assert not_data == {"ConfigError"}
 
 
 def test_train_and_eval_align(workdir, tmp_path, capsys):
@@ -781,7 +781,7 @@ def test_non_finite_scores_exit_2(score, shown, tmp_path, capsys):
     code, err = _exits_0_or_2_cleanly(argv, tmp_path, capsys, score)
     assert code == 2
     assert "rating %s is not on the 1.0..5.0 half-point grid" % shown in err
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="half-point grid"):
         metrics.mos_aggregate([4.0, float(score)])
 
 

@@ -13,7 +13,7 @@ from emoforge.conditioning import (
     ewn_graph,
 )
 from emoforge.dsp import N_MELS
-from emoforge.errors import InvalidInputError
+from emoforge.errors import DataError
 from emoforge.numeric import rng_stream
 from emoforge.tts import CHAR_DIM, COUPLING_GATE, _check_condition, _condition_graph, init_tts
 
@@ -214,5 +214,5 @@ def test_concat_condition():
 def test_condition_vector_validates_norm():
     p = init_tts("tacotron", embed=2, n_speakers=2, seed=42)
     _check_condition(np.array([0.6, 0.8]), np.zeros(2), p)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="unit norm"):
         _check_condition(np.array([1.0, 1.0]), np.zeros(2), p)

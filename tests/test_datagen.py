@@ -16,12 +16,7 @@ from emoforge.datagen import (
     text_durations,
 )
 from emoforge.dsp import SAMPLE_RATE
-from emoforge.errors import (
-    ConfigError,
-    FormatError,
-    InvalidInputError,
-    InvalidLabelError,
-)
+from emoforge.errors import ConfigError, DataError, FormatError
 from emoforge.metrics import secs
 from emoforge.numeric import rng_stream
 
@@ -63,14 +58,14 @@ def test_config_validation():
 def test_emotion_names():
     assert emotion_id("neutral") == 0 and emotion_id("surprise") == 4
     assert emotion_id("happy") == 1
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(DataError, match="unknown emotion"):
         emotion_id("bored")
 
 
 def test_durations_table():
     assert char_frames("a") == 8 and char_frames(" ") == 4
     assert all(d >= 1 for d in text_durations("the quick brown fox."))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="durations must be >= 1 frame"):
         Utterance(id="x", text="a", emotion=0, speaker=0, wav_path="x.wav",
                   durations=[0], feat_vis=[0.0], feat_audio=[0.0], feat_text=[0.0])
 
@@ -121,11 +116,11 @@ def test_render_speaker_identity_dominates_text():
 
 
 def test_render_input_errors():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="cannot render empty text"):
         render_reference("", 0, 0)
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(DataError, match="emotion class must be non-negative"):
         render_reference("abc", -1, 0)
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(DataError, match="speaker id must be non-negative"):
         render_reference("abc", 0, -1)
 
 

@@ -19,12 +19,7 @@ from scipy.spatial.distance import cdist
 from emoforge import metrics
 from emoforge.datagen import render_reference
 from emoforge.dsp import Waveform
-from emoforge.errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    ShapeError,
-    UndefinedMetricError,
-)
+from emoforge.errors import DataError
 from emoforge.metrics import (
     EvalReport,
     aggregate_report,
@@ -197,6 +192,8 @@ def test_normalize_text():
     assert normalize_text("Hello,  World!!") == "hello world"
     assert normalize_text("Don't    stop.") == "don't stop"
     assert normalize_text(normalize_text("A  B\tC")) == normalize_text("A  B\tC")
+    assert normalize_text("one\ntwo,\nthree") == "one two three"
+    assert normalize_text("CR\r\nLF\r") == "cr lf"
 
 
 @lru_cache(maxsize=None)
@@ -222,9 +219,9 @@ def test_wer_normalization_invariance():
 
 
 def test_wer_empty_reference_raises():
-    with pytest.raises(UndefinedMetricError):
+    with pytest.raises(DataError, match="empty reference transcript"):
         _wer_cer("!!!", "anything")
-    with pytest.raises(UndefinedMetricError):
+    with pytest.raises(DataError, match="empty reference transcript"):
         _wer_cer("", "x")
 
 
@@ -286,9 +283,9 @@ def test_dtw_path_matches_reference_dp():
 
 def test_dtw_rejects_non_finite_features():
     for bad in (np.array([[0.0], [np.nan], [1.0]]), np.array([[0.0], [np.inf]])):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="finite features"):
             dtw_align(bad, np.zeros((4, 1)))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="finite features"):
             dtw_align(np.zeros((4, 1)), bad)
 
 
@@ -302,9 +299,9 @@ def test_dtw_diagonal_upper_bound():
 
 
 def test_dtw_shape_errors():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="feature dims differ"):
         dtw_align(np.zeros((3, 2)), np.zeros((3, 5)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="non-empty 2-D sequences"):
         dtw_align(np.zeros((0, 2)), np.zeros((3, 2)))
 
 
@@ -372,7 +369,7 @@ def test_speaker_embedding_unit_norm_and_deterministic():
 
 def test_speaker_embedding_too_short():
     w = Waveform(samples=0.1 * np.ones(300))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="need >= 5 mel frames"):
         speaker_embedding(w)
 
 
@@ -423,11 +420,11 @@ def test_mos_format_pattern():
 
 
 def test_mos_rejects_bad_input():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DataError, match="need >= 2 ratings"):
         mos_aggregate([4.0])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="half-point grid"):
         mos_aggregate([4.0, 4.2])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="half-point grid"):
         mos_aggregate([4.0, 5.5])
 
 
@@ -471,5 +468,5 @@ def test_report_pools_and_serializes(tmp_path):
 
 
 def test_report_requires_rows():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DataError, match="no utterances to aggregate"):
         aggregate_report([])

@@ -12,7 +12,7 @@ from emoforge.autodiff import constant, grad
 from emoforge.conditioning import coupling_graph
 from emoforge.datagen import Utterance, render_reference, text_durations
 from emoforge.dsp import HOP, N_MELS, mel_spectrogram, wav_write
-from emoforge.errors import ConfigError, FormatError, InvalidInputError, InvalidLabelError
+from emoforge.errors import ConfigError, DataError, FormatError
 from emoforge.numeric import rng_stream
 from emoforge.tts import (
     CKPT_MAGIC,
@@ -68,7 +68,7 @@ def test_text_encode_shapes_and_normalization():
     assert _frames("Hello, World!", p).shape == (11, N_MELS)  # "hello world"
     assert np.array_equal(_frames("Hello, World!", p), _frames("hello world", p))
     assert not np.allclose(_frames("ab cd.", p), _frames("ba cd.", p))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="empty after normalization"):
         synthesize("!!!", _unit(5, "fr"), speaker_one_hot(0, N_SPK), p)
 
 
@@ -100,19 +100,19 @@ def test_condition_widths_per_variant():
     for variant in VARIANTS:
         p = _zero_blocks(_params(variant), ["dur_w", "dur_b"])
         assert _frames("a cat sat.", p, u_emo, u_spk).shape == (10, N_MELS)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="speaker vector has dim"):
             synthesize("a cat sat.", u_emo, speaker_one_hot(1, N_SPK + 1), p)
 
 
 def test_condition_rejects_bad_vectors():
     p = _params("tacotron")
     u_spk = speaker_one_hot(0, N_SPK)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="unit norm"):
         synthesize("a cat sat.", np.ones(EMBED), u_spk, p)  # not unit norm
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="emotion embedding has dim"):
         synthesize("a cat sat.", _unit(3, "cb")[:4] / np.linalg.norm(_unit(3, "cb")[:4]),
                    u_spk, p)
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(DataError, match="speaker 2 out of range"):
         speaker_one_hot(2, N_SPK)
 
 
@@ -374,7 +374,7 @@ def test_train_config_errors(tmp_path):
         train_tts(data, prompts[0], "vits", TtsConfig(steps=1))
     bad = _toy_dataset(tmp_path)
     bad[0].emotion = 5
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(DataError, match="emotion 5 out of range"):
         train_tts(bad, prompts, "vits", TtsConfig(steps=1))
 
 
