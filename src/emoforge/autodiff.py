@@ -255,13 +255,8 @@ def grad(loss_fn, params, return_loss=False):
     return g
 
 
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-
-
 def finite_diff_check(loss_fn, params, epsilon=1e-3):
-    """Compare `grad` against central finite differences, per parameter.
+    """Worst relative error of `grad` against central finite differences.
 
     Relative error uses |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
@@ -280,7 +275,7 @@ def finite_diff_check(loss_fn, params, epsilon=1e-3):
         numeric = (value_at(theta + bump) - value_at(theta - bump)) / (2.0 * epsilon)
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
         worst_err = max(worst_err, abs(analytic[i] - numeric) / denom)
-    return GradCheckReport(max_rel_error=worst_err)
+    return worst_err
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

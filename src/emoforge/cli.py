@@ -164,8 +164,7 @@ def _cmd_synth(args):
     params = tts.load_tts(args.ckpt)
     align = epalign.load_epalign(args.align_ckpt)
     u_emo = _emotion_embedding(args, align)
-    u_spk = tts.speaker_one_hot(args.speaker, params.dims["n_speakers"])
-    wav, _ = tts.synthesize(args.text, u_emo, u_spk, params)
+    wav, _ = tts.synthesize(args.text, u_emo, args.speaker, params)
     wav_write(args.out, wav)
     print("wrote %s (%d samples, %.2f s)"
           % (args.out, len(wav.samples), len(wav.samples) / SAMPLE_RATE))

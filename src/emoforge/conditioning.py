@@ -1,16 +1,16 @@
 """Emotion conditioning blocks of the synthesis pipeline.
 
-Two of the three synthesizer variants inject the emotion embedding (and a
-speaker embedding) through a learned block built here on the autodiff
-Tensor graph; `tts` keeps the blocks' weights in its own parameter layout:
+Two of the three synthesizer variants inject `tts.condition`'s row u =
+[u_emo; one-hot speaker] through a learned block built on the autodiff
+Tensor graph here; `tts` keeps the blocks' weights in its parameter layout:
 
   * "vits": an invertible affine coupling flow whose scale/shift come from
-    a gated conditioner network fed with the emotion vector,
+    a gated conditioner network fed with the condition,
   * "fastspeech": a learned condition bias on the encoder state,
-    h + W_v c with the fused condition token c = W_c [u_emo; u_spk].
+    h + W_v c with the condition token c = W_c u, which `tts` projects.
 
-The third variant, "tacotron", concatenates the condition onto every frame
-in `tts._condition_graph` and has no weights of its own.
+The third variant, "tacotron", concatenates u onto every frame in
+`tts._condition_graph` and has no weights of its own.
 """
 
 from .autodiff import concat
@@ -49,10 +49,10 @@ def ewn_graph(blocks, x_t):
 
 def coupling_graph(blocks, h_t, u_t, inverse=False):
     """Affine coupling on Tensors. The first half of the channels (h0) passes
-    through untouched and, shifted by the projected emotion vector, drives
+    through untouched and, shifted by the projected condition, drives
     the scale/shift applied to the second half: h1' = exp(log_s) * h1 + b,
     and with inverse=True h1 = (h1' - b) * exp(-log_s). Returns
-    (h_out, log_det); log_det is meaningful for the forward direction."""
+    (h_out, log_s); log_s.sum() is the forward direction's log-determinant."""
     d = h_t.data.shape[1]
     half = d // 2
     h0 = h_t[:, :half]
@@ -63,8 +63,7 @@ def coupling_graph(blocks, h_t, u_t, inverse=False):
         h1_out = (h1 - b) * (-log_s).exp()
     else:
         h1_out = log_s.exp() * h1 + b
-    log_det = log_s.sum()
-    return concat([h0, h1_out]), log_det
+    return concat([h0, h1_out]), log_s
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +75,6 @@ def attention_block_shapes(d, cond_dim):
         "att_wv": (d, d),
         "att_cproj": (cond_dim, d),
     }
-
-
-def build_condition_graph(blocks, u_emo_t, u_spk_t):
-    """Fuse emotion and speaker vectors into one condition token c (1 x d)."""
-    return concat([u_emo_t, u_spk_t]) @ blocks["att_cproj"]
 
 
 def attention_graph(blocks, h_t, c_t):

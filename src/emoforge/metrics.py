@@ -180,7 +180,6 @@ def secs(ref, syn):
 class MosSummary:
     mean: float
     half_width_95: float
-    n: int
 
     def formatted(self):
         return "%.2f(±%.2f)" % (self.mean, self.half_width_95)
@@ -202,7 +201,7 @@ def mos_aggregate(scores):
     n = arr.size
     sd = float(arr.std(ddof=1))
     half = float(stdtrit(n - 1, 0.975) * sd / np.sqrt(n))
-    return MosSummary(mean=float(arr.mean()), half_width_95=half, n=n)
+    return MosSummary(mean=float(arr.mean()), half_width_95=half)
 
 
 # ---------------------------------------------------------------------------

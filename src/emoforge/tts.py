@@ -5,11 +5,11 @@ variants) -> mel decoder, run once per character -> duration expansion ->
 Griffin-Lim vocoder.  Expanding last relies on no decoder step reading a
 frame's position; a per-frame input (a positional encoding, say) would need
 the old order, expansion first.  The three variants differ only in where
-the emotion/speaker condition enters:
+the condition u = [u_emo; one-hot speaker], built by `condition`, enters:
 
   "vits"        affine coupling flow applied to the decoded mel rows
-  "fastspeech"  learned condition bias on the text features, h + W_v c
-  "tacotron"    plain concatenation of condition onto the text features
+  "fastspeech"  learned condition bias on the text features, h + W_v W_c u
+  "tacotron"    plain concatenation of u onto the text features
 
 All variants share the same base weights for a given seed (each block is
 initialized from its own named stream), so with neutralized conditioning
@@ -25,7 +25,6 @@ from .autodiff import ParamLayout, AdamState, adam_step, constant, concat, grad,
 from .conditioning import (
     attention_block_shapes,
     attention_graph,
-    build_condition_graph,
     coupling_block_shapes,
     coupling_graph,
 )
@@ -87,7 +86,7 @@ def _posenc(t_len):
 def tts_block_shapes(variant, embed, n_speakers):
     if variant not in VARIANTS:
         raise ConfigError("unknown variant %r (want one of %s)" % (variant, "/".join(VARIANTS)))
-    d_u = embed + n_speakers  # the condition [u_emo; u_spk]
+    d_u = embed + n_speakers  # the width of `condition`'s row
     d_cond = CHAR_DIM + d_u if variant == "tacotron" else CHAR_DIM
     shapes = {
         "char_emb": (len(VOCAB), CHAR_DIM),
@@ -124,12 +123,18 @@ def init_tts(variant, embed, n_speakers, seed):
     return TtsParams(theta=theta, layout=layout, variant=variant, dims=dims, seed=seed)
 
 
-def speaker_one_hot(speaker, n_speakers):
+def condition(u_emo, speaker, params):
+    """The 1 x (embed + n_speakers) condition row [u_emo; one-hot speaker]."""
+    u_emo = np.asarray(u_emo, dtype=np.float64)
+    if abs(np.linalg.norm(u_emo) - 1.0) > 1e-6:
+        raise DataError("u_emo must be unit norm")
+    if len(u_emo) != params.dims["embed"]:
+        raise DataError("emotion embedding has dim %d, model expects %d"
+                        % (len(u_emo), params.dims["embed"]))
+    n_speakers = params.dims["n_speakers"]
     if not 0 <= speaker < n_speakers:
         raise DataError("speaker %d out of range [0, %d)" % (speaker, n_speakers))
-    u = np.zeros(n_speakers)
-    u[speaker] = 1.0
-    return u
+    return np.concatenate([u_emo, np.arange(n_speakers) == speaker])[None, :]
 
 
 # -- graph construction -------------------------------------------------------
@@ -140,14 +145,11 @@ def _text_graph(blocks, ids, posenc):
     return hidden @ blocks["enc_w2"] + blocks["enc_b2"]
 
 
-def _condition_graph(blocks, h_t, u_emo, u_spk, variant):
+def _condition_graph(blocks, h_t, u, variant):
     if variant == "tacotron":
-        t_len = h_t.shape[0]
-        pads = [constant(np.tile(u_emo, (t_len, 1))), constant(np.tile(u_spk, (t_len, 1)))]
-        return concat([h_t] + pads)
+        return concat([h_t, constant(np.repeat(u, h_t.shape[0], axis=0))])
     if variant == "fastspeech":
-        c_t = build_condition_graph(blocks, constant(u_emo[None, :]), constant(u_spk[None, :]))
-        return attention_graph(blocks, h_t, c_t)
+        return attention_graph(blocks, h_t, constant(u) @ blocks["att_cproj"])
     return h_t  # vits conditions the decoder output instead
 
 
@@ -160,13 +162,13 @@ def _swap_halves(t):
     return concat([t[:, half:], t[:, :half]])
 
 
-def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, durations):
+def _decoder_graph(blocks, h_cond_t, u, variant, durations):
     # a lone character runs as two rows, its copy given no frames: one-row gemv rounds unlike gemm
     rows, counts = ((h_cond_t, durations) if h_cond_t.shape[0] > 1
                     else (h_cond_t[[0, 0]], [durations[0], 0]))
     hidden = (rows @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
     mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
-    u = constant(np.concatenate([u_emo, u_spk])[None, :])
+    u = constant(u)
     if variant == "vits":
         flow_a = {k[len("flow_a_"):]: v for k, v in blocks.items() if k.startswith("flow_a_")}
         flow_b = {k[len("flow_b_"):]: v for k, v in blocks.items() if k.startswith("flow_b_")}
@@ -178,33 +180,20 @@ def _decoder_graph(blocks, h_cond_t, u_emo, u_spk, variant, durations):
     return repeat_rows(mel, counts)
 
 
-def _check_condition(u_emo, u_spk, params):
-    if abs(np.linalg.norm(u_emo) - 1.0) > 1e-6:
-        raise DataError("u_emo must be unit norm")
-    if len(u_emo) != params.dims["embed"]:
-        raise DataError("emotion embedding has dim %d, model expects %d"
-                        % (len(u_emo), params.dims["embed"]))
-    if len(u_spk) != params.dims["n_speakers"]:
-        raise DataError("speaker vector has dim %d, model expects %d"
-                        % (len(u_spk), params.dims["n_speakers"]))
-
-
 # -- public operations -------------------------------------------------------
 
-def synthesize(text, u_emo, u_spk, params):
+def synthesize(text, u_emo, speaker, params):
     """Full path from text to waveform; deterministic given params and inputs."""
-    u_emo = np.asarray(u_emo, dtype=np.float64)
-    u_spk = np.asarray(u_spk, dtype=np.float64)
-    _check_condition(u_emo, u_spk, params)
+    u = condition(u_emo, speaker, params)
     ids = _char_ids(text)
     blocks = {k: constant(v) for k, v in params.layout.unpack(params.theta).items()}
     h_lg = _text_graph(blocks, ids, _posenc(len(ids)))
-    h_cond = _condition_graph(blocks, h_lg, u_emo, u_spk, params.variant)
+    h_cond = _condition_graph(blocks, h_lg, u, params.variant)
     raw = _duration_graph(blocks, h_cond).data
     durations = np.clip(np.rint(raw[:, 0]), 1, MAX_FRAMES_PER_CHAR).astype(int)
     # a short text holds its last character until the vocoder has enough frames
     durations[-1] += max(0, MIN_FRAMES - int(durations.sum()))
-    mel_t = _decoder_graph(blocks, h_cond, u_emo, u_spk, params.variant, durations)
+    mel_t = _decoder_graph(blocks, h_cond, u, params.variant, durations)
     mel = MelSpectrogram(frames=mel_t.data)
     wav = griffin_lim(mel)
     return wav, mel
@@ -212,7 +201,7 @@ def synthesize(text, u_emo, u_spk, params):
 
 # -- training -----------------------------------------------------------------
 
-def _utterance_batch(utt, prompts, n_speakers):
+def _utterance_batch(utt, prompts, params):
     ids = _char_ids(utt.text)
     if len(ids) != len(utt.durations):
         raise DataError("utterance %s: %d durations for %d characters"
@@ -229,8 +218,7 @@ def _utterance_batch(utt, prompts, n_speakers):
     return {
         "ids": ids,
         "durations": durations,
-        "u_emo": prompts[utt.emotion],
-        "u_spk": speaker_one_hot(utt.speaker, n_speakers),
+        "u": condition(prompts[utt.emotion], utt.speaker, params),
         "target": ref[:-1],
         "posenc": _posenc(len(ids)),
     }
@@ -239,10 +227,9 @@ def _utterance_batch(utt, prompts, n_speakers):
 def _loss_graph(theta_t, params, batch):
     blocks = params.layout.unpack(theta_t)
     h_lg = _text_graph(blocks, batch["ids"], batch["posenc"])
-    h_cond = _condition_graph(blocks, h_lg, batch["u_emo"], batch["u_spk"], params.variant)
+    h_cond = _condition_graph(blocks, h_lg, batch["u"], params.variant)
     dur_soft = _duration_graph(blocks, h_cond)
-    mel = _decoder_graph(blocks, h_cond, batch["u_emo"], batch["u_spk"],
-                         params.variant, batch["durations"])
+    mel = _decoder_graph(blocks, h_cond, batch["u"], params.variant, batch["durations"])
     mel_err = mel - constant(batch["target"])
     dur_err = dur_soft - constant(batch["durations"].astype(np.float64)[:, None])
     return (mel_err * mel_err).mean() + (dur_err * dur_err).mean()
@@ -267,7 +254,7 @@ def train_tts(dataset, prompts, variant, config):
                         % (n_speakers - 1, len(dataset)))
     params = init_tts(variant, prompts.shape[1], n_speakers, config.seed)
 
-    batches = [_utterance_batch(u, prompts, n_speakers) for u in dataset]
+    batches = [_utterance_batch(u, prompts, params) for u in dataset]
     probe = batches[: min(8, len(batches))]
 
     def probe_loss(theta):

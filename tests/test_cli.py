@@ -456,6 +456,12 @@ def _synth_tts_checkpoint(edit):
     return argv
 
 
+def _synth_speaker(speaker):
+    return lambda w, tmp: ["synth", "--ckpt", str(w["tts"]), "--align-ckpt", str(w["align"]),
+                           "--text", "pack my box.", "--emotion", "sad", "--speaker", speaker,
+                           "--out", str(tmp / "x.wav")]
+
+
 def _eval_align_data(edit):
     """eval-align with the corpus's checkpoint on a corpus copy edited by `edit`."""
     return lambda w, tmp: ["eval-align", "--ckpt", str(w["align"]),
@@ -516,6 +522,9 @@ MALFORMED = {
     "tts-unknown-variant": _synth_tts_checkpoint(lambda p: p.update(variant="wavenet")),
     "tts-theta-wrong-size": _synth_tts_checkpoint(
         lambda p: p.update(theta=encode_theta(decode_theta(p["theta"])[:-1]))),
+    # the synthesizer checkpoint is trained on speakers 0 and 1
+    "synth-speaker-past-count": _synth_speaker("2"),
+    "synth-speaker-negative": _synth_speaker("-1"),
     # the checkpoint knows classes 0..2 and 64-dim features
     "align-label-past-classes": _eval_align_data(_first_row(emotion=4)),
     "align-label-negative": _eval_align_data(_first_row(emotion=-1)),
@@ -575,6 +584,8 @@ REASON = {
     "tts-format-2": "is format 'EMITTS/2', want 'EMITTS/3'",
     "tts-unknown-variant": "unknown variant 'wavenet'",
     "tts-theta-wrong-size": "11224 parameters, layout wants 11225",
+    "synth-speaker-past-count": "speaker 2 out of range [0, 2)",
+    "synth-speaker-negative": "speaker -1 out of range [0, 2)",
     "align-label-past-classes": "labels must lie in [0, 3)",
     "align-label-negative": "labels must lie in [0, 3)",
     "align-features-short": "dim 64",

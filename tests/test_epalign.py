@@ -248,9 +248,9 @@ def test_batch_loss_gradient_matches_finite_differences():
     rng = rng_stream(7, "fd")
     feats = {mu: rng.standard_normal((3, 4)) for mu in ("vis", "audio", "tex")}
     labels = np.array([0, 1, 2])
-    report = finite_diff_check(
+    err = finite_diff_check(
         lambda th: _batch_loss_graph(th, p, feats, labels), p.theta)
-    assert report.max_rel_error < 1e-4
+    assert err < 1e-4
 
 
 # -- training ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from emoforge import tts
+from emoforge import autodiff, tts
 from emoforge.autodiff import constant, grad
 from emoforge.conditioning import coupling_graph
 from emoforge.datagen import Utterance, render_reference, text_durations
@@ -24,7 +24,6 @@ from emoforge.tts import (
     init_tts,
     load_tts,
     save_tts,
-    speaker_one_hot,
     synthesize,
     train_tts,
     tts_block_shapes,
@@ -52,10 +51,9 @@ def _zero_blocks(params, names):
     return params
 
 
-def _frames(text, params, u_emo=None, u_spk=None):
+def _frames(text, params, u_emo=None, speaker=0):
     u_emo = _unit(5, "fr") if u_emo is None else u_emo
-    u_spk = speaker_one_hot(0, N_SPK) if u_spk is None else u_spk
-    wav, mel = synthesize(text, u_emo, u_spk, params)
+    wav, mel = synthesize(text, u_emo, speaker, params)
     assert len(wav.samples) == (len(mel.frames) - 1) * HOP
     return mel.frames
 
@@ -69,7 +67,7 @@ def test_text_encode_shapes_and_normalization():
     assert np.array_equal(_frames("Hello, World!", p), _frames("hello world", p))
     assert not np.allclose(_frames("ab cd.", p), _frames("ba cd.", p))
     with pytest.raises(DataError, match="empty after normalization"):
-        synthesize("!!!", _unit(5, "fr"), speaker_one_hot(0, N_SPK), p)
+        synthesize("!!!", _unit(5, "fr"), 0, p)
 
 
 def test_text_encode_shared_across_variants():
@@ -96,24 +94,22 @@ def test_predict_durations_zero_weights_and_clamp():
 # -- conditioning injection ---------------------------------------------------
 
 def test_condition_widths_per_variant():
-    u_emo, u_spk = _unit(3, "ce"), speaker_one_hot(1, N_SPK)
+    u_emo = _unit(3, "ce")
     for variant in VARIANTS:
         p = _zero_blocks(_params(variant), ["dur_w", "dur_b"])
-        assert _frames("a cat sat.", p, u_emo, u_spk).shape == (10, N_MELS)
-        with pytest.raises(DataError, match="speaker vector has dim"):
-            synthesize("a cat sat.", u_emo, speaker_one_hot(1, N_SPK + 1), p)
+        assert _frames("a cat sat.", p, u_emo, 1).shape == (10, N_MELS)
+        with pytest.raises(DataError, match="speaker 2 out of range"):
+            synthesize("a cat sat.", u_emo, N_SPK, p)
 
 
 def test_condition_rejects_bad_vectors():
     p = _params("tacotron")
-    u_spk = speaker_one_hot(0, N_SPK)
     with pytest.raises(DataError, match="unit norm"):
-        synthesize("a cat sat.", np.ones(EMBED), u_spk, p)  # not unit norm
+        synthesize("a cat sat.", np.ones(EMBED), 0, p)  # not unit norm
     with pytest.raises(DataError, match="emotion embedding has dim"):
-        synthesize("a cat sat.", _unit(3, "cb")[:4] / np.linalg.norm(_unit(3, "cb")[:4]),
-                   u_spk, p)
-    with pytest.raises(DataError, match="speaker 2 out of range"):
-        speaker_one_hot(2, N_SPK)
+        synthesize("a cat sat.", _unit(3, "cb")[:4] / np.linalg.norm(_unit(3, "cb")[:4]), 0, p)
+    with pytest.raises(DataError, match=r"speaker -1 out of range \[0, 2\)"):
+        synthesize("a cat sat.", _unit(3, "cb"), -1, p)
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -131,7 +127,7 @@ def test_short_texts_hold_the_last_character():
     p = _zero_blocks(_params("vits"), ["dur_w", "dur_b"])
     last = {}
     for text in ("a", "ab", "abc", "abcd"):
-        wav, mel = synthesize(text, _unit(5, "fr"), speaker_one_hot(0, N_SPK), p)
+        wav, mel = synthesize(text, _unit(5, "fr"), 0, p)
         assert mel.frames.shape == (4, N_MELS)
         assert len(wav.samples) == 3 * HOP
         n = len(text)
@@ -142,9 +138,9 @@ def test_short_texts_hold_the_last_character():
 
 def test_synthesize_deterministic():
     p = _params("vits")
-    u_emo, u_spk = _unit(5, "sd"), speaker_one_hot(1, N_SPK)
-    w1, m1 = synthesize("pack my box.", u_emo, u_spk, p)
-    w2, m2 = synthesize("pack my box.", u_emo, u_spk, p)
+    u_emo = _unit(5, "sd")
+    w1, m1 = synthesize("pack my box.", u_emo, 1, p)
+    w2, m2 = synthesize("pack my box.", u_emo, 1, p)
     assert np.array_equal(w1.samples, w2.samples)
     assert np.array_equal(m1.frames, m2.frames)
 
@@ -152,9 +148,8 @@ def test_synthesize_deterministic():
 @pytest.mark.parametrize("variant", ["vits", "fastspeech", "tacotron"])
 def test_conditioning_sensitivity(variant):
     p = _params(variant)
-    u_spk = speaker_one_hot(0, N_SPK)
-    _, mel_a = synthesize("vexed zebras jump.", _unit(11, "ua"), u_spk, p)
-    _, mel_b = synthesize("vexed zebras jump.", _unit(12, "ub"), u_spk, p)
+    _, mel_a = synthesize("vexed zebras jump.", _unit(11, "ua"), 0, p)
+    _, mel_b = synthesize("vexed zebras jump.", _unit(12, "ub"), 0, p)
     n = min(len(mel_a.frames), len(mel_b.frames))
     assert np.mean(np.abs(mel_a.frames[:n] - mel_b.frames[:n])) > 1e-6
 
@@ -166,9 +161,9 @@ def test_neutralized_variants_agree():
     vi = _zero_blocks(_params("vits", seed=9),
                       [p + n for p in ("flow_a_", "flow_b_")
                        for n in ("ewn_wf", "ewn_bf", "ewn_wg", "ewn_bg", "ewn_wo", "ewn_bo")])
-    u_emo, u_spk = _unit(7, "eq"), speaker_one_hot(0, N_SPK)
-    w_fs, m_fs = synthesize("jovial gnomes waltz.", u_emo, u_spk, fs)
-    w_vi, m_vi = synthesize("jovial gnomes waltz.", u_emo, u_spk, vi)
+    u_emo = _unit(7, "eq")
+    w_fs, m_fs = synthesize("jovial gnomes waltz.", u_emo, 0, fs)
+    w_vi, m_vi = synthesize("jovial gnomes waltz.", u_emo, 0, vi)
     assert np.array_equal(m_fs.frames, m_vi.frames)
     assert np.array_equal(w_fs.samples, w_vi.samples)
 
@@ -188,19 +183,19 @@ PINNED_WAV_SHA256 = {
 def test_synthesized_wav_bytes_pinned(variant, tmp_path):
     p = init_tts(variant, embed=EMBED, n_speakers=N_SPK, seed=5)
     u_emo = _unit(5, "guard")
-    wav, _ = synthesize("pack my box.", u_emo, speaker_one_hot(1, N_SPK), p)
+    wav, _ = synthesize("pack my box.", u_emo, 1, p)
     path = tmp_path / "out.wav"
     wav_write(path, wav)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_WAV_SHA256[variant]
 
 
-def _per_frame_decoder(blocks, h_cond_t, u_emo, u_spk, variant, durations):
+def _per_frame_decoder(blocks, h_cond_t, u, variant, durations):
     """The decoder as it ran before decoding once per character: expand the
     character rows to frames first, then decode every frame."""
     h_exp = h_cond_t[np.repeat(np.arange(len(durations)), durations)]
     hidden = (h_exp @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
     mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
-    u = constant(np.concatenate([u_emo, u_spk])[None, :])
+    u = constant(u)
     if variant == "vits":
         flow_a = {k[len("flow_a_"):]: v for k, v in blocks.items() if k.startswith("flow_a_")}
         flow_b = {k[len("flow_b_"):]: v for k, v in blocks.items() if k.startswith("flow_b_")}
@@ -221,11 +216,11 @@ def test_decoder_matches_per_frame_oracle(variant, tmp_path, monkeypatch):
     p, _ = train_tts(data, prompts, variant, TtsConfig(steps=12, lr=0.05, batch=2, seed=3))
     texts = ("a", "pack my box with five dozen jugs.",
              "sphinx of black quartz judge my vow and five boxing wizards.")
-    batches = [_utterance_batch(u, prompts, N_SPK) for u in data]
+    batches = [_utterance_batch(u, prompts, p) for u in data]
     assert len(texts[-1]) > 44 and len(batches) >= 4
 
     def run():
-        mels = [synthesize(text, prompts[e], speaker_one_hot(e, N_SPK), p)[1].frames
+        mels = [synthesize(text, prompts[e], e, p)[1].frames
                 for text in texts for e in range(2)]
         grads = [grad(lambda t: _loss_graph(t, p, b), p.theta) for b in batches]
         return mels, grads
@@ -243,7 +238,7 @@ def test_decoder_matches_per_frame_oracle(variant, tmp_path, monkeypatch):
 def test_loss_gradient_against_directional_finite_differences(variant, tmp_path):
     # g·d against the central difference of the whole TTS loss along 3 unit directions
     p = _params(variant)
-    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), N_SPK)
+    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), p)
     g = grad(lambda t: _loss_graph(t, p, batch), p.theta)
     eps = 1e-4
     for i in range(3):
@@ -259,10 +254,26 @@ def test_loss_gradient_against_directional_finite_differences(variant, tmp_path)
 def test_every_block_gets_gradient(variant, tmp_path):
     # a block with an all-zero gradient can never learn
     p = _params(variant)
-    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), N_SPK)
+    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), p)
     g = grad(lambda t: _loss_graph(t, p, batch), p.theta)
     dead = [name for name, (a, b) in p.layout.slices.items() if not np.any(g[a:b])]
     assert dead == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_recorded_node_gets_gradient(variant, tmp_path, monkeypatch):
+    # a recorded node that no gradient reaches is forward work the loss never reads
+    p = _params(variant)
+    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), p)
+    real_backward, dead = autodiff.backward, []
+
+    def spy(out, tape):
+        real_backward(out, tape)
+        dead.append(sum(node.grad is None for node in tape if node is not out))
+
+    monkeypatch.setattr(autodiff, "backward", spy)
+    grad(lambda t: _loss_graph(t, p, batch), p.theta)
+    assert dead == [0]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -270,7 +281,7 @@ def test_utterance_graphs_free_by_refcount(variant, tmp_path):
     # no node may refer to itself through its backward closure, so a graph
     # leaves no cyclic garbage once dropped
     p = _params(variant)
-    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), N_SPK)
+    batch = _utterance_batch(_toy_dataset(tmp_path)[0], _toy_prompts(), p)
     gc.collect()
     gc.disable()
     try:
@@ -376,6 +387,9 @@ def test_train_config_errors(tmp_path):
     bad[0].emotion = 5
     with pytest.raises(DataError, match="emotion 5 out of range"):
         train_tts(bad, prompts, "vits", TtsConfig(steps=1))
+    # the prompt rows become the condition, which synthesis refuses unless unit norm
+    with pytest.raises(DataError, match="u_emo must be unit norm"):
+        train_tts(data, 2.0 * prompts, "vits", TtsConfig(steps=1))
 
 
 def test_trained_model_tracks_reference_mel(tmp_path):
@@ -386,7 +400,7 @@ def test_trained_model_tracks_reference_mel(tmp_path):
     text = "a cat sat."
     wins = 0
     for emo in range(2):
-        _, mel = synthesize(text, prompts[emo], speaker_one_hot(0, N_SPK), p)
+        _, mel = synthesize(text, prompts[emo], 0, p)
         refs = [mel_spectrogram(render_reference(text, e, 0)).frames for e in range(2)]
         n = min(len(mel.frames), min(len(r) for r in refs))
         d = [np.mean((mel.frames[:n] - r[:n]) ** 2) for r in refs]
