@@ -6,8 +6,8 @@ Tensor graph here; `tts` keeps the blocks' weights in its parameter layout:
 
   * "vits": an invertible affine coupling flow whose scale/shift come from
     a gated conditioner network fed with the condition,
-  * "fastspeech": a learned condition bias on the encoder state,
-    h + W_v c with the condition token c = W_c u, which `tts` projects.
+  * "fastspeech": a learned condition bias on the encoder state, h + u W,
+    one matrix W (`att_w`) from the condition to the text features.
 
 The third variant, "tacotron", concatenates u onto every frame in
 `tts._condition_graph` and has no weights of its own.
@@ -70,16 +70,9 @@ def coupling_graph(blocks, h_t, u_t, inverse=False):
 # Condition bias (the fastspeech variant)
 # ---------------------------------------------------------------------------
 
-def attention_block_shapes(d, cond_dim):
-    return {
-        "att_wv": (d, d),
-        "att_cproj": (cond_dim, d),
-    }
+def attention_graph(blocks, h_t, u_t):
+    """Condition bias: h + u W, the same row added to every character.
 
-
-def attention_graph(blocks, h_t, c_t):
-    """Residual value of the single condition token: h + broadcast(W_v c).
-
-    This is cross-attention from the frames onto one key, whose softmax
-    weight is exactly 1, so no query or key projection enters the output."""
-    return h_t + c_t @ blocks["att_wv"].T
+    u W is linear in u, so a single matrix spans every map that a chain of
+    projections with no nonlinearity between them could express."""
+    return h_t + u_t @ blocks["att_w"]

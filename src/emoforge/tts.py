@@ -8,7 +8,7 @@ the old order, expansion first.  The three variants differ only in where
 the condition u = [u_emo; one-hot speaker], built by `condition`, enters:
 
   "vits"        affine coupling flow applied to the decoded mel rows
-  "fastspeech"  learned condition bias on the text features, h + W_v W_c u
+  "fastspeech"  learned condition bias on the text features, h + u W
   "tacotron"    plain concatenation of u onto the text features
 
 All variants share the same base weights for a given seed (each block is
@@ -22,12 +22,7 @@ import numpy as np
 
 from . import checkpoint
 from .autodiff import ParamLayout, AdamState, adam_step, constant, concat, grad, repeat_rows
-from .conditioning import (
-    attention_block_shapes,
-    attention_graph,
-    coupling_block_shapes,
-    coupling_graph,
-)
+from .conditioning import attention_graph, coupling_block_shapes, coupling_graph
 from .dsp import HOP, N_FFT, N_MELS, MelSpectrogram, griffin_lim, mel_spectrogram, wav_read
 from .errors import ConfigError, DataError, FormatError
 from .numeric import rng_stream
@@ -112,7 +107,7 @@ def tts_block_shapes(variant, embed, n_speakers):
         # don't have to route through the shared tanh layer
         shapes["dec_wc"] = (d_u, N_MELS)
         if variant == "fastspeech":
-            shapes.update(attention_block_shapes(CHAR_DIM, d_u))
+            shapes["att_w"] = (d_u, CHAR_DIM)
     return shapes
 
 
@@ -126,7 +121,7 @@ def init_tts(variant, embed, n_speakers, seed):
 def condition(u_emo, speaker, params):
     """The 1 x (embed + n_speakers) condition row [u_emo; one-hot speaker]."""
     u_emo = np.asarray(u_emo, dtype=np.float64)
-    if abs(np.linalg.norm(u_emo) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(u_emo) - 1.0) <= 1e-6:
         raise DataError("u_emo must be unit norm")
     if len(u_emo) != params.dims["embed"]:
         raise DataError("emotion embedding has dim %d, model expects %d"
@@ -149,7 +144,7 @@ def _condition_graph(blocks, h_t, u, variant):
     if variant == "tacotron":
         return concat([h_t, constant(np.repeat(u, h_t.shape[0], axis=0))])
     if variant == "fastspeech":
-        return attention_graph(blocks, h_t, constant(u) @ blocks["att_cproj"])
+        return attention_graph(blocks, h_t, constant(u))
     return h_t  # vits conditions the decoder output instead
 
 

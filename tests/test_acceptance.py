@@ -16,12 +16,7 @@ import pytest
 from emoforge import epalign
 from emoforge.autodiff import ParamLayout, constant, finite_diff_check
 from emoforge.cli import main as cli_main
-from emoforge.conditioning import (
-    attention_block_shapes,
-    attention_graph,
-    coupling_block_shapes,
-    coupling_graph,
-)
+from emoforge.conditioning import attention_graph, coupling_block_shapes, coupling_graph
 from emoforge.datagen import CorpusConfig, _TEXT_POOL, gen_corpus, render_reference
 from emoforge.dsp import (
     N_MELS,
@@ -151,14 +146,13 @@ def test_criterion_02_gradient_fidelity(verdict):
             lambda t: coupling_graph(cl.unpack(t), h, u)[1].sum(), ct, epsilon=eps)
         worst["log_det"] = max(worst["log_det"], err)
 
-        al = ParamLayout(attention_block_shapes(4, 3 + 2))
+        al = ParamLayout({"att_w": (3 + 2, 4)})
         at = al.init(lambda name: rng_stream(seed, "tts:" + name))
         ah = constant(rng.standard_normal((3, 4)))
         u = constant(rng.standard_normal((1, 3 + 2)))
 
         def att_loss(t):
-            blocks = al.unpack(t)
-            out = attention_graph(blocks, ah, u @ blocks["att_cproj"])
+            out = attention_graph(al.unpack(t), ah, u)
             return (out * out).sum()
 
         err = finite_diff_check(att_loss, at, epsilon=eps)

@@ -22,7 +22,8 @@ from emoforge.dsp import HOP, Waveform, wav_read, wav_write
 from emoforge.epalign import (EMBED, HIDDEN, AlignTrainConfig, init_epalign, load_epalign,
                               save_epalign)
 from emoforge.errors import DataError
-from emoforge.tts import VARIANTS, TtsConfig, load_tts, save_tts
+from emoforge.autodiff import ParamLayout
+from emoforge.tts import CHAR_DIM, VARIANTS, TtsConfig, load_tts, save_tts, tts_block_shapes
 from theta_codec import decode_theta, encode_theta
 from wav_header import set_sample_rate
 
@@ -388,6 +389,14 @@ def _one_class_as_true(payload, params):
     payload["theta"] = encode_theta(np.concatenate([theta[:a + EMBED], theta[b:]]))
 
 
+def _no_classes(payload, params):
+    # n_classes 0, with theta cut to an empty prompt table so the size fits
+    a, b = params.layout.slices["prompt_table"]
+    payload["n_classes"] = 0
+    theta = decode_theta(payload["theta"])
+    payload["theta"] = encode_theta(np.concatenate([theta[:a], theta[b:]]))
+
+
 def _parent_format(payload, params):
     # the layout before untrained blocks were dropped: all three prompt
     # projections, and an anchor naming the one the loss read
@@ -413,6 +422,25 @@ def _tts_format_2(payload):
     # widths format 3 made constants
     payload["magic"] = "EMITTS/2"
     payload["dims"] = dict(char_dim=32, **payload["dims"], dec_hidden=64, gate=16)
+
+
+def _tts_layout(payload):
+    return ParamLayout(tts_block_shapes(payload["variant"], **payload["dims"]))
+
+
+def _no_speakers(payload):
+    # dims.n_speakers 0, with theta cut to the size of that layout so the size fits
+    payload["dims"]["n_speakers"] = 0
+    payload["theta"] = encode_theta(decode_theta(payload["theta"])[:_tts_layout(payload).size])
+
+
+def _two_matrix_bias(payload):
+    # the layout before fastspeech's condition bias became one matrix: a
+    # CHAR_DIM x CHAR_DIM block (here I, so the model is the same) ahead of it
+    a = _tts_layout(payload).offset("att_w")
+    theta = decode_theta(payload["theta"])
+    payload["theta"] = encode_theta(np.concatenate([theta[:a], np.eye(CHAR_DIM).ravel(),
+                                                    theta[a:]]))
 
 
 def _ragged_bytes(payload, params):
@@ -501,6 +529,7 @@ MALFORMED = {
     "scores-not-utf8": lambda w, tmp: ["mos", "--scores", _file(tmp / "s.txt", b"4.0\n\xff\n")],
     "align-float-dims": _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64.0)),
     "align-bool-classes": _eval_align_checkpoint(_one_class_as_true),
+    "align-zero-classes": _eval_align_checkpoint(_no_classes),
     "align-no-modalities": _eval_align_checkpoint(lambda p, _: p.update(modalities=[])),
     # both once loaded silently, the second with each encoder on another modality's blocks
     "align-repeated-modality": _trained_on(
@@ -522,6 +551,8 @@ MALFORMED = {
     "tts-unknown-variant": _synth_tts_checkpoint(lambda p: p.update(variant="wavenet")),
     "tts-theta-wrong-size": _synth_tts_checkpoint(
         lambda p: p.update(theta=encode_theta(decode_theta(p["theta"])[:-1]))),
+    "tts-zero-speakers": _synth_tts_checkpoint(_no_speakers),
+    "tts-two-matrix-bias": _synth_tts_checkpoint(_two_matrix_bias),
     # the synthesizer checkpoint is trained on speakers 0 and 1
     "synth-speaker-past-count": _synth_speaker("2"),
     "synth-speaker-negative": _synth_speaker("-1"),
@@ -568,6 +599,7 @@ REASON = {
     "manifest-int-past-float": "malformed field 'feat_vis'",
     "align-float-dims": "malformed field 'dims.d_vis'",
     "align-bool-classes": "malformed field 'n_classes'",
+    "align-zero-classes": "malformed field 'n_classes'",
     "align-no-modalities": "names no implicit modality",
     "align-repeated-modality": "modalities vis, vis are not distinct names in vis, audio, tex order",
     "align-modalities-reordered": "modalities tex, vis, audio are not distinct names in vis",
@@ -583,7 +615,9 @@ REASON = {
     "tts-unknown-field": "fields its format does not name: extra",
     "tts-format-2": "is format 'EMITTS/2', want 'EMITTS/3'",
     "tts-unknown-variant": "unknown variant 'wavenet'",
-    "tts-theta-wrong-size": "11224 parameters, layout wants 11225",
+    "tts-theta-wrong-size": "10200 parameters, layout wants 10201",
+    "tts-zero-speakers": "malformed field 'dims.n_speakers'",
+    "tts-two-matrix-bias": "11225 parameters, layout wants 10201",
     "synth-speaker-past-count": "speaker 2 out of range [0, 2)",
     "synth-speaker-negative": "speaker -1 out of range [0, 2)",
     "align-label-past-classes": "labels must lie in [0, 3)",
@@ -891,7 +925,10 @@ def test_mos_output(tmp_path, capsys):
 # the training targets moved by rounding, and with them the two synthesized WAVs
 # and the eval report (vits 68ba7fa9... / 1af386ef..., fastspeech bf6eab91... /
 # 7688104d..., tacotron d896d605... / 9c0ef72e..., syn/happy.wav 24b8b40a...,
-# syn/ref.wav ae90f471..., eval.json a87e6c8e... before).
+# syn/ref.wav ae90f471..., eval.json a87e6c8e... before). Fastspeech's one
+# condition-bias matrix re-pinned its checkpoint and "#theta" entries, the WAV
+# it synthesizes and the eval report that scores it (c8c3c81a... / acc02162...,
+# syn/happy.wav c7fe8098..., eval.json 9bf98842... before).
 PINNED_SESSION_SHA256 = {
     "align.json": "152487768505934a6632b29d37590d58504126931527a895be6efeb1bd3519f3",
     "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
@@ -911,15 +948,15 @@ PINNED_SESSION_SHA256 = {
     "corpus/wav/utt_00012.wav": "0658939c59578a4ebaa3feb5b2e1a5cd0f14834e62765214135e76744e1c67d1",
     "corpus/wav/utt_00013.wav": "175658e8ad84b55047ac60a1222919523f4026427d46c773200699b4b04624a4",
     "corpus/wav/utt_00014.wav": "b1b51bf958a26611a87e0268506578013e472acff7079831112b07d3002ee9fd",
-    "eval.json": "9bf9884219e7bc0f3fc98425195e14ef8bfed7abbc1edbf70495171207a66999",
-    "syn/happy.wav": "c7fe80980d3d60fe69623d8cb522a7495e088ca8d25f2c3a50497c44c2c08885",
+    "eval.json": "870fdfeaf42f91c00ae5e287e487cbc9cf520e76c05d176f94b5faf5e1d1526c",
+    "syn/happy.wav": "612638c7c2fe34a60c5d6702320bd427b15db6d5eede09dde49fde562bca450b",
     "syn/ref.wav": "98b1c66787ce323af5028a7520132baea91a6a56bf5da28ebcd799e33ebeeef1",
-    "tts_fastspeech.json": "c8c3c81aa7a1f075b1e20716ad13d69d5d9bfc8d82ace66dc9d699c8a4ba7b57",
+    "tts_fastspeech.json": "9d36be866cc69b91c1ffeb78d9bc22e391a6a4fba4da76e6f431b1ce3e039f02",
     "tts_tacotron.json": "88a07c838f5f18e1a5dc882c8e4ddeaeed5213740236cbf25baf39f93393d484",
     "tts_vits.json": "2aa36defff1a52b49692ee667269f1f369fb9277f71cdc67e90747f08e6c5daf",
     "align.json#theta": "99d85db9d60beb56dcef0c790d72b2325d4d6141334e0c3522e57a9ef576b9c5",
     "tts_vits.json#theta": "4df7ae29a449dc4586b512cf9aa1b169215de2e4eb932952f5e3b8361c834561",
-    "tts_fastspeech.json#theta": "acc021622c5935ae4d757ef900c2a5f81e00d2da13caa568f03fbdc79cd8aa06",
+    "tts_fastspeech.json#theta": "244833bf338b8e7bda3861f1896c9ea9ba7d293f96a35a2fd6d6e1acda1d8666",
     "tts_tacotron.json#theta": "fd0cabbaa728c0581cc8293c666fe8d929e86f0904e65e1979f9e7563155be91",
 }
 

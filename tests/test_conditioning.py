@@ -5,7 +5,6 @@ import pytest
 
 from emoforge.autodiff import ParamLayout, constant, finite_diff_check
 from emoforge.conditioning import (
-    attention_block_shapes,
     attention_graph,
     coupling_block_shapes,
     coupling_graph,
@@ -40,12 +39,10 @@ def _flow(prefix="flow_a_", seed=42, zero=(), **arrays):
     return {k: constant(v) for k, v in blocks.items()}
 
 
-def _att(seed=42, **arrays):
-    """The condition-bias blocks of a fastspeech model, as Tensor constants."""
-    layout, theta = _init_blocks(attention_block_shapes(CHAR_DIM, COND), "", seed)
-    blocks = {k: np.array(v) for k, v in layout.unpack(theta).items()}
-    blocks.update({"att_" + k: v for k, v in arrays.items()})
-    return {k: constant(v) for k, v in blocks.items()}
+def _att(seed=42):
+    """The condition-bias block of a fastspeech model, as a Tensor constant."""
+    layout, theta = _init_blocks({"att_w": (COND, CHAR_DIM)}, "", seed)
+    return {k: constant(np.array(v)) for k, v in layout.unpack(theta).items()}
 
 
 def _run(blocks, h, u, inverse=False):
@@ -137,32 +134,31 @@ def test_coupling_log_det_gradient():
 
 # -- condition bias (fastspeech) -------------------------------------------------
 
-def test_attention_single_token_weight_is_one():
+def test_attention_adds_one_condition_row_to_every_character():
     blocks = _att(seed=3)
     rng = rng_stream(7, "attone")
-    h = rng.standard_normal((4, 32))
-    c = rng.standard_normal((1, 32))
-    out = attention_graph(blocks, constant(h), constant(c)).data
-    assert np.array_equal(out, c @ blocks["att_wv"].data.T + h)
+    h = rng.standard_normal((4, CHAR_DIM))
+    u = rng.standard_normal((1, COND))
+    out = attention_graph(blocks, constant(h), constant(u)).data
+    assert np.array_equal(out, h + u @ blocks["att_w"].data)
 
 
-def test_attention_zero_wv_is_residual_passthrough():
-    blocks = _att(seed=3, wv=np.zeros((32, 32)))
+def test_attention_zero_w_is_residual_passthrough():
+    blocks = {"att_w": constant(np.zeros((COND, CHAR_DIM)))}
     rng = rng_stream(7, "attres")
-    h = rng.standard_normal((4, 32))
-    out = attention_graph(blocks, constant(h), constant(rng.standard_normal((1, 32)))).data
+    h = rng.standard_normal((4, CHAR_DIM))
+    out = attention_graph(blocks, constant(h), constant(rng.standard_normal((1, COND)))).data
     assert np.array_equal(out, h)
 
 
 def test_attention_gradient():
-    layout, theta = _init_blocks(attention_block_shapes(4, 3 + 2), "", 13)
+    layout, theta = _init_blocks({"att_w": (3 + 2, 4)}, "", 13)
     rng = rng_stream(7, "attgrad")
     h = constant(rng.standard_normal((3, 4)))
     u = constant(rng.standard_normal((1, 3 + 2)))
 
     def loss(t):
-        blocks = layout.unpack(t)
-        out = attention_graph(blocks, h, u @ blocks["att_cproj"])
+        out = attention_graph(layout.unpack(t), h, u)
         return (out * out).sum()
 
     assert finite_diff_check(loss, theta) < 1e-4

@@ -106,6 +106,8 @@ def test_condition_rejects_bad_vectors():
     p = _params("tacotron")
     with pytest.raises(DataError, match="unit norm"):
         synthesize("a cat sat.", np.ones(EMBED), 0, p)  # not unit norm
+    with pytest.raises(DataError, match="u_emo must be unit norm"):
+        synthesize("a cat sat.", np.full(EMBED, np.nan), 0, p)  # once overflowed in the vocoder
     with pytest.raises(DataError, match="emotion embedding has dim"):
         synthesize("a cat sat.", _unit(3, "cb")[:4] / np.linalg.norm(_unit(3, "cb")[:4]), 0, p)
     with pytest.raises(DataError, match=r"speaker -1 out of range \[0, 2\)"):
@@ -155,9 +157,9 @@ def test_conditioning_sensitivity(variant):
 
 
 def test_neutralized_variants_agree():
-    # cross-attention with W_v = 0 and coupling with a zeroed conditioner are
+    # a condition bias with W = 0 and coupling with a zeroed conditioner are
     # both identity injections, so the shared base weights must line up
-    fs = _zero_blocks(_params("fastspeech", seed=9), ["att_wv", "dec_wc"])
+    fs = _zero_blocks(_params("fastspeech", seed=9), ["att_w", "dec_wc"])
     vi = _zero_blocks(_params("vits", seed=9),
                       [p + n for p in ("flow_a_", "flow_b_")
                        for n in ("ewn_wf", "ewn_bf", "ewn_wg", "ewn_bg", "ewn_wo", "ewn_bo")])
@@ -171,10 +173,11 @@ def test_neutralized_variants_agree():
 # WAV SHA-256 per variant for init_tts(v, embed=8, n_speakers=2, seed=5),
 # recorded before fastspeech's query/key weights were removed: the remaining
 # blocks draw from their own named streams, so all three must hold. Re-pinned
-# once since, when Griffin-Lim's rounds moved to float32.
+# once since, when Griffin-Lim's rounds moved to float32; fastspeech once more
+# when its condition bias became one matrix (82dc9d73... before).
 PINNED_WAV_SHA256 = {
     "vits": "caf2799a6c148a5e0108b7f8935d859df5e42edebd1fe46a2e8058f2eaca82cb",
-    "fastspeech": "82dc9d73e2eafe221ee2a708d0a9b5b084e469f82daee0537cc3ec42f926daef",
+    "fastspeech": "5a3b1fb0c16387895f86f01c1ef3943a6dfd24dec791185d9c8058a74a7ae410",
     "tacotron": "1184a023d134fd715fde2bb5d0874d0865c6e07ce7c151f49ce92e587e87d90e",
 }
 
@@ -295,7 +298,7 @@ def test_utterance_graphs_free_by_refcount(variant, tmp_path):
 
 
 def test_fastspeech_parameter_count():
-    assert init_tts("fastspeech", embed=32, n_speakers=4, seed=42).theta.size == 11369
+    assert init_tts("fastspeech", embed=32, n_speakers=4, seed=42).theta.size == 10345
 
 
 # -- training -----------------------------------------------------------------
@@ -344,10 +347,11 @@ def test_train_loss_decreases_and_is_deterministic(tmp_path):
 # its magic and a dims block of embed and n_speakers alone (format 2: vits
 # 62b77c90..., fastspeech bb922760..., tacotron 615531ca...). The float32 mel
 # analysis moved the target mels by rounding, and so θ (vits 7d59f870...,
-# fastspeech 67d5c362..., tacotron b35c0deb... before).
+# fastspeech 67d5c362..., tacotron b35c0deb... before). Fastspeech's one
+# condition-bias matrix moved its θ (cc61bc3c... before).
 PINNED_CKPT_SHA256 = {
     "vits": "7363bda405c0b8abfa79a147010dd75683e87e57c20a257977daeb4c4f3e7f24",
-    "fastspeech": "cc61bc3c9258408af8e49a1b112d77ca5b66dadeff1d7b137fa92a883aff378b",
+    "fastspeech": "a3e33335fc6ed1f8c57eb04ecdf9aeaf145af4f6a6031914a5ab525272d3f96b",
     "tacotron": "27a6b62dd9a01bd251cccfedee2c572b934a8d9d8efbdee2b8c007743db5035c",
 }
 
@@ -390,6 +394,11 @@ def test_train_config_errors(tmp_path):
     # the prompt rows become the condition, which synthesis refuses unless unit norm
     with pytest.raises(DataError, match="u_emo must be unit norm"):
         train_tts(data, 2.0 * prompts, "vits", TtsConfig(steps=1))
+    # NaN fails every comparison, so `|norm - 1| > tol` once passed a NaN row
+    # and training returned a NaN θ
+    with pytest.raises(DataError, match="u_emo must be unit norm"):
+        train_tts(data, np.where(prompts == 1.0, np.nan, prompts), "fastspeech",
+                  TtsConfig(steps=1))
 
 
 def test_trained_model_tracks_reference_mel(tmp_path):
@@ -445,11 +454,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
     bad.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="has 2 parameters"):
         load_tts(bad)
-    # 13,417 values: the fastspeech layout that still carried query/key weights
+    # 11,369 values: the fastspeech layout whose condition bias was a product
+    # of two matrices, (32 + 4) x 32 and 32 x 32, in place of one (32 + 4) x 32
     p = init_tts("fastspeech", embed=32, n_speakers=4, seed=42)
-    payload.update(variant="fastspeech", dims=p.dims, theta=encode_theta(np.zeros(13417)))
+    payload.update(variant="fastspeech", dims=p.dims, theta=encode_theta(np.zeros(11369)))
     bad.write_text(json.dumps(payload))
-    with pytest.raises(FormatError, match="has 13417 parameters, layout wants 11369"):
+    with pytest.raises(FormatError, match="has 11369 parameters, layout wants 10345"):
         load_tts(bad)
 
 
