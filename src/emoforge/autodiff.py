@@ -13,6 +13,7 @@ a tape and no closure to its own output node, so a graph holds no reference
 cycle and is freed by reference counting once its last node is dropped.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,7 +321,7 @@ class ParamLayout:
         self.slices = {}
         offset = 0
         for name, shape in self.shapes.items():
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)
             self.slices[name] = (offset, offset + n)
             offset += n
         self.size = offset

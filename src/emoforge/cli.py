@@ -145,25 +145,26 @@ def _cmd_train_tts(args):
     return 0
 
 
-def _emotion_embedding(args, align):
+def _emotion_class(args, align):
+    """The class `--emotion` names, or the one alignment infers from `--ref-features`."""
     if args.emotion is not None:
         class_id = datagen.emotion_id(args.emotion)
-        prompts = epalign.anchored_prompts(align)
-        if class_id >= len(prompts):
+        if class_id >= align.n_classes:
             raise DataError("emotion %r is class %d but the checkpoint has %d classes"
-                            % (args.emotion, class_id, len(prompts)))
-        return prompts[class_id]
+                            % (args.emotion, class_id, align.n_classes))
+        return class_id
     raw, where = read(args.ref_features), "feature file %s" % args.ref_features
     if type(raw) is not dict:
         raise FormatError("%s is not a JSON object of modality -> vector" % where)
     features = {k: np.asarray(field(raw, k, "nums", where), np.float64) for k in raw}
-    return epalign.align_infer(features, align).u_emo
+    return epalign.align_infer(features, align)
 
 
 def _cmd_synth(args):
     params = tts.load_tts(args.ckpt)
     align = epalign.load_epalign(args.align_ckpt)
-    u_emo = _emotion_embedding(args, align)
+    class_id = _emotion_class(args, align)
+    u_emo = epalign.anchored_prompts(align)[class_id]
     wav, _ = tts.synthesize(args.text, u_emo, args.speaker, params)
     wav_write(args.out, wav)
     print("wrote %s (%d samples, %.2f s)"

@@ -39,13 +39,6 @@ class EpAlignParams:
     seed: int
 
 
-@dataclass
-class AlignmentResult:
-    predicted_class: int
-    u_emo: np.ndarray  # unit norm, dim EMBED
-    per_class_similarity: np.ndarray
-
-
 def _block_shapes(dims, n_classes, modalities):
     """An encoder per trained modality and one prompt projection into the
     text space: the blocks the loss reads, and no others."""
@@ -126,12 +119,6 @@ def _implicit_t(blocks, feats):
 def _prompts_t(blocks):
     """All C prompt embeddings, projected into the text space and L2-normalized."""
     return _l2rows_t(blocks["prompt_table"] @ blocks["w_pro_tex"])
-
-
-def _check_modality(modality, params):
-    if modality not in params.modalities:
-        raise DataError("modality %r is not one the model was trained on (%s)"
-                        % (modality, ", ".join(params.modalities)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +215,17 @@ def anchored_prompts(params):
 
 def _infer_batch(feats, params):
     """Shared inference core: dict of (N x D_mu) feature matrices in, predicted
-    classes, similarity matrix and the normalized prompt table out."""
+    classes and the (N x C) cosine similarity matrix out."""
     blocks = params.layout.unpack(constant(params.theta))
-    fused = _l2rows_t(_implicit_t(blocks, feats))
-    prompts = _prompts_t(blocks)
-    sims = (fused @ prompts.T).data
-    return np.argmax(sims, axis=1), sims, prompts.data
+    sims = (_l2rows_t(_implicit_t(blocks, feats)) @ _prompts_t(blocks).T).data
+    return np.argmax(sims, axis=1), sims
 
 
 def _checked_features(mu, x, params):
     """One sample's `mu` feature vector as float64, checked against the model."""
-    _check_modality(mu, params)
+    if mu not in params.modalities:
+        raise DataError("modality %r is not one the model was trained on (%s)"
+                        % (mu, ", ".join(params.modalities)))
     x = np.asarray(x, dtype=np.float64)
     want = params.dims["d_" + mu]
     if x.ndim != 1 or x.size != want:
@@ -252,15 +239,13 @@ def align_infer(features, params):
     """Classify one sample from whichever modalities are present.
 
     features: dict mapping modality name -> feature vector. Returns the
-    argmax class, its unit-norm prompt embedding (u_emo) and the per-class
-    cosine similarities.
+    class whose prompt has the highest cosine to the fused embedding; that
+    class's emotion vector is its row of `anchored_prompts(params)`.
     """
     if not features:
         raise DataError("align_infer needs at least one modality")
     feats = {mu: _checked_features(mu, x, params)[None, :] for mu, x in features.items()}
-    preds, sims, prompts = _infer_batch(feats, params)
-    c = int(preds[0])
-    return AlignmentResult(predicted_class=c, u_emo=prompts[c], per_class_similarity=sims[0])
+    return int(_infer_batch(feats, params)[0][0])
 
 
 def classification_report(y_true, y_pred, n_classes):
@@ -297,7 +282,7 @@ def eval_alignment(params, dataset, modalities):
                         % (params.n_classes, y.min(), y.max()))
     feats = {mu: np.stack([_checked_features(mu, getattr(u, _FEAT_ATTR[mu]), params)
                            for u in dataset]) for mu in mods}
-    preds, _, _ = _infer_batch(feats, params)
+    preds, _ = _infer_batch(feats, params)
     return classification_report(y, preds, params.n_classes)
 
 

@@ -21,8 +21,13 @@ scope reads but that neither the module nor `builtins` defines is a
 NameError waiting for the first run of that line.
 
 An exception class is worth defining only if some handler tells it apart,
-so the last guard fails on any class in `errors.py` that no `except`
+so another guard fails on any class in `errors.py` that no `except`
 clause in the package names.
+
+A result field that nothing reads is a second answer to keep right, so the
+last guard fails on any field of a `@dataclass` whose name no code in the
+package reads, as an attribute or as a string constant (a checkpoint schema
+key, an argparse `dest`).
 """
 
 import ast
@@ -188,3 +193,32 @@ def uncaught_error_types(src=SRC):
 
 def test_every_error_type_is_caught_in_the_package():
     assert uncaught_error_types() == []
+
+
+def _is_dataclass(decorator):
+    d = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+
+
+def unread_fields(src=SRC):
+    """module.class.field of each dataclass field the package never reads."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                unread += ["%s.%s.%s" % (path.stem, node.name, item.target.id)
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+    return sorted(unread)
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_fields() == []

@@ -273,6 +273,12 @@ def test_param_layout_roundtrip():
     assert float(back["t"]) == 1.5
 
 
+def test_param_layout_size_does_not_wrap_past_int64():
+    # an int64 product wraps: 40 * (2**61 + 34) came out as 1360, and a
+    # checkpoint whose dims overflow then passed the θ-size check
+    assert ParamLayout({"w": (2 ** 61 + 34, 40)}).size == 40 * (2 ** 61 + 34)
+
+
 def test_param_layout_unpack_tensor_is_differentiable():
     layout = ParamLayout({"w": (2, 2), "b": (1, 2)})
 

@@ -216,6 +216,15 @@ def test_synth_by_name_and_features(workdir, tts_ckpt, tmp_path, capsys):
                  "--text", "a calm cat.", "--ref-features", str(feats),
                  "--out", str(wav2)]) == 0
     assert len(wav_read(wav2).samples) > 1000
+    # both sources take the same row of the prompt table for the same class
+    c = epalign.align_infer({"vis": np.array(manifest[0]["feat_vis"]),
+                             "tex": np.array(manifest[0]["feat_text"])},
+                            load_epalign(workdir["align"]))
+    by_name = tmp_path / "by_name.wav"
+    assert main(["synth", "--ckpt", str(tts_ckpt), "--align-ckpt", str(workdir["align"]),
+                 "--text", "a calm cat.", "--emotion", datagen.EMOTIONS[c],
+                 "--out", str(by_name)]) == 0
+    assert by_name.read_bytes() == wav2.read_bytes()
 
     assert main(["synth", "--ckpt", str(tts_ckpt), "--align-ckpt", str(workdir["align"]),
                  "--text", "hi.", "--emotion", "joyous", "--out", str(tmp_path / "x.wav")]) == 2
@@ -553,6 +562,12 @@ MALFORMED = {
         lambda p: p.update(theta=encode_theta(decode_theta(p["theta"])[:-1]))),
     "tts-zero-speakers": _synth_tts_checkpoint(_no_speakers),
     "tts-two-matrix-bias": _synth_tts_checkpoint(_two_matrix_bias),
+    # both sized θ by an int64 product that wrapped back to the file's θ size,
+    # and failed only after the size check: a traceback, and a reshape error
+    "tts-speakers-past-int64": _synth_tts_checkpoint(
+        lambda p: p["dims"].update(n_speakers=2 + 2 ** 61)),
+    "align-classes-past-int64": _eval_align_checkpoint(
+        lambda p, _: p.update(n_classes=3 + 2 ** 59)),
     # the synthesizer checkpoint is trained on speakers 0 and 1
     "synth-speaker-past-count": _synth_speaker("2"),
     "synth-speaker-negative": _synth_speaker("-1"),
@@ -618,6 +633,8 @@ REASON = {
     "tts-theta-wrong-size": "10200 parameters, layout wants 10201",
     "tts-zero-speakers": "malformed field 'dims.n_speakers'",
     "tts-two-matrix-bias": "11225 parameters, layout wants 10201",
+    "tts-speakers-past-int64": "10201 parameters, layout wants 166020696663385974745",
+    "align-classes-past-int64": "22913 parameters, layout wants 18446744073709574529",
     "synth-speaker-past-count": "speaker 2 out of range [0, 2)",
     "synth-speaker-negative": "speaker -1 out of range [0, 2)",
     "align-label-past-classes": "labels must lie in [0, 3)",

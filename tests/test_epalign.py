@@ -64,6 +64,13 @@ def _sims(params, x):
     return _infer_batch({"tex": np.atleast_2d(x)}, params)[1]
 
 
+def _sample_sims(params, features):
+    """One sample's cosine to each prompt, scored as `align_infer` scores it:
+    a dict of modality -> feature vector in."""
+    feats = {mu: np.asarray(x, dtype=np.float64)[None, :] for mu, x in features.items()}
+    return _infer_batch(feats, params)[1][0]
+
+
 def _loss(params, x, labels):
     """The loss the trainer differentiates, at the model's own parameters."""
     return _batch_loss_graph(constant(params.theta), params, {"tex": x}, labels).item()
@@ -116,11 +123,12 @@ def test_encode_identity_config_is_tanh():
 def test_encode_batch_and_errors():
     p = _tiny_params()
     x = rng_stream(7, "enc").standard_normal((6, 4))
-    _, sims, _ = _infer_batch({"audio": x}, p)
+    preds, sims = _infer_batch({"audio": x}, p)
     assert sims.shape == (6, 3)
     # batched BLAS and single-row matmul may round differently in the last ulp
-    single = align_infer({"audio": x[2]}, p).per_class_similarity
+    single = _sample_sims(p, {"audio": x[2]})
     assert np.allclose(sims[2], single, atol=1e-12)
+    assert align_infer({"audio": x[2]}, p) == preds[2] == np.argmax(single)
     with pytest.raises(DataError, match="features must be 1-D"):
         align_infer({"audio": np.ones(5)}, p)
     with pytest.raises(DataError, match="not one the model was trained on"):
@@ -312,11 +320,12 @@ def test_align_infer_exact_prompt_match():
     p = _with_blocks(
         p, enc_tex_w1=zero, enc_tex_b1=np.zeros(4), enc_tex_w2=zero, enc_tex_b2=v,
         w_imp_tex=np.eye(4), w_pro_tex=np.eye(4), prompt_table=table)
-    res = align_infer({"tex": np.ones(4)}, p)
-    assert res.predicted_class == 1
-    assert res.per_class_similarity[1] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(res.u_emo, v / np.linalg.norm(v))
-    assert abs(np.linalg.norm(res.u_emo) - 1.0) < 1e-12
+    c = align_infer({"tex": np.ones(4)}, p)
+    assert type(c) is int and c == 1
+    assert _sample_sims(p, {"tex": np.ones(4)})[1] == pytest.approx(1.0, abs=1e-12)
+    u_emo = anchored_prompts(p)[c]
+    assert np.allclose(u_emo, v / np.linalg.norm(v))
+    assert abs(np.linalg.norm(u_emo) - 1.0) < 1e-12
 
 
 def test_align_infer_fuses_as_the_training_loss_does():
@@ -334,7 +343,8 @@ def test_align_infer_fuses_as_the_training_loss_does():
 
     u = (implicit("audio") + implicit("tex")) / 2
     cosines = anchored_prompts(p) @ (u / np.linalg.norm(u))
-    assert np.allclose(align_infer(feats, p).per_class_similarity, cosines, atol=1e-12)
+    assert np.allclose(_sample_sims(p, feats), cosines, atol=1e-12)
+    assert align_infer(feats, p) == np.argmax(cosines)
 
 
 def test_modality_set_is_in_modalities_order():
@@ -353,8 +363,8 @@ def test_align_infer_fuses_in_one_order_whatever_the_features_order():
         rng = rng_stream(seed, "fusion-order")
         feats = {mu: rng.standard_normal(4) for mu in MODALITIES}
         reordered = {mu: feats[mu] for mu in ("tex", "vis", "audio")}
-        assert np.array_equal(align_infer(feats, p).per_class_similarity,
-                              align_infer(reordered, p).per_class_similarity), seed
+        assert np.array_equal(_sample_sims(p, feats), _sample_sims(p, reordered)), seed
+        assert align_infer(feats, p) == align_infer(reordered, p), seed
 
 
 def test_align_infer_temperature_invariant(corpus):
@@ -362,11 +372,11 @@ def test_align_infer_temperature_invariant(corpus):
     params, _ = train_epalign(train, AlignTrainConfig(batch=5, epochs=5, lr=1e-2, seed=3))
     sample = test[0]
     feats = {"vis": sample.feat_vis, "audio": sample.feat_audio, "tex": sample.feat_text}
-    before = align_infer(feats, params)
+    before = align_infer(feats, params), _sample_sims(params, feats)
     params.theta[params.layout.offset("log_t")] = 0.123
-    after = align_infer(feats, params)
-    assert before.predicted_class == after.predicted_class
-    assert np.allclose(before.per_class_similarity, after.per_class_similarity)
+    after = align_infer(feats, params), _sample_sims(params, feats)
+    assert before[0] == after[0]
+    assert np.allclose(before[1], after[1])
 
 
 def test_align_infer_input_errors():
@@ -407,10 +417,8 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     assert back.modalities == params.modalities and back.n_classes == params.n_classes
     sample = test[0]
     feats = {"tex": sample.feat_text}
-    a = align_infer(feats, params)
-    b = align_infer(feats, back)
-    assert a.predicted_class == b.predicted_class
-    assert np.array_equal(a.per_class_similarity, b.per_class_similarity)
+    assert align_infer(feats, params) == align_infer(feats, back)
+    assert np.array_equal(_sample_sims(params, feats), _sample_sims(back, feats))
 
 
 def test_checkpoint_stores_trained_dims_only(tmp_path):
