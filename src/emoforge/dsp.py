@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.fft import dct, irfft, rfft
 
 from .errors import DataError, FormatError
@@ -153,8 +153,10 @@ def stft(x):
     if x.size <= pad:
         raise DataError("signal too short: %d samples < %d" % (x.size, pad + 1))
     window = _WINDOW32 if x.dtype == np.float32 else WINDOW
-    x = np.pad(x, pad, mode="reflect")
-    return rfft(sliding_window_view(x, N_FFT)[::HOP] * window, axis=1)
+    # np.pad(x, pad, mode="reflect") for x.size > pad, without its overhead
+    x = np.concatenate((x[pad:0:-1], x, x[-2:-pad - 2:-1]))
+    frames = as_strided(x, (1 + (x.size - N_FFT) // HOP, N_FFT), (HOP * x.itemsize, x.itemsize))
+    return rfft(frames * window, axis=1)
 
 
 def _overlap_add(frames):

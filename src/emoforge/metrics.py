@@ -25,24 +25,33 @@ from .errors import DataError
 def edit_distance(ref, hyp):
     """Levenshtein distance between two token sequences (unit costs).
 
-    The DP runs row by row. Each cell takes the diagonal (match or
-    substitution) first; the cell above, then the cell to the left, replace
-    it only when strictly smaller.
+    Tokens must be hashable (they are dict keys). Myers' bit-vector algorithm
+    (J. ACM 46(3), 1999) in Hyyrö's (2001) form: bit i of Python ints with no
+    length cap holds the DP column's vertical delta D[i+1][j] - D[i][j] over
+    ref, and each hyp token advances the whole column in a few int operations.
     """
-    prev = list(range(len(hyp) + 1))
-    for i, r in enumerate(ref, 1):
-        left = i
-        cur = [left]
-        for j, h in enumerate(hyp):
-            best = prev[j] if r == h else prev[j] + 1
-            if prev[j + 1] + 1 < best:
-                best = prev[j + 1] + 1
-            if left + 1 < best:
-                best = left + 1
-            cur.append(best)
-            left = best
-        prev = cur
-    return prev[-1]
+    m = len(ref)
+    if not m:
+        return len(hyp)
+    peq = {}
+    for i, r in enumerate(ref):
+        peq[r] = peq.get(r, 0) | 1 << i
+    mask, top = (1 << m) - 1, 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for h in hyp:
+        eq = peq.get(h, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        ph = ph << 1 | 1  # row 0 of the DP rises by one per hyp token
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 _KEEP = re.compile(r"[^a-z0-9' ]+")
@@ -73,8 +82,10 @@ def dtw_align(a, b):
     whose +inf border stands in for the missing neighbours of row and
     column 0. Every cell is the same single add of an exact minimum as in a
     cell-by-cell loop, so acc and the path do not depend on the fill order.
-    The backtrack prefers the diagonal, then up, then left on ties, which
-    fixes the path shape (the cost is the same for every tied path).
+    The diagonals' bounds are precomputed in numpy and both minima go into one
+    reused buffer. The backtrack reads acc through a memoryview, as Python
+    floats, and prefers the diagonal, then up, then left on ties, which fixes
+    the path shape (the cost is the same for every tied path).
     """
     from scipy.spatial.distance import cdist  # 0.4 s to import: only commands that align pay it
     a = np.asarray(a, dtype=np.float64)
@@ -98,14 +109,19 @@ def dtw_align(a, b):
     # consecutive cells of an anti-diagonal lie cols - 1 apart in flat;
     # their diagonal, up and left neighbours lie cols + 1, cols and 1 before
     step = cols - 1
-    for d in range(ta + tb - 1):
-        i0, i1 = max(0, d - tb + 1), min(d, ta - 1)
-        start = cols + d + 1 + i0 * step
-        stop = start + (i1 - i0) * step + 1
-        best = np.minimum(flat[start - cols - 1:stop - cols - 1:step],
-                          flat[start - cols:stop - cols:step])
+    d = np.arange(ta + tb - 1)
+    i0 = np.maximum(0, d - tb + 1)
+    sizes = np.minimum(d, ta - 1) - i0 + 1
+    starts = cols + d + 1 + i0 * step
+    buf = np.empty(min(ta, tb))
+    for start, stop, n in zip(starts.tolist(), (starts + (sizes - 1) * step + 1).tolist(),
+                              sizes.tolist()):
+        best = buf[:n]
+        np.minimum(flat[start - cols - 1:stop - cols - 1:step],
+                   flat[start - cols:stop - cols:step], out=best)
         np.minimum(best, flat[start - 1:stop - 1:step], out=best)
         flat[start:stop:step] += best
+    cell = memoryview(flat)  # Python floats: cheaper to read one at a time
     path = [(ta - 1, tb - 1)]
     i, j = ta - 1, tb - 1
     while i or j:
@@ -115,7 +131,8 @@ def dtw_align(a, b):
             i -= 1
         else:
             # cells (i-1, j-1), (i-1, j), (i, j-1) in padded coordinates
-            diag, up, left = acc[i, j], acc[i, j + 1], acc[i + 1, j]
+            k = i * cols + j
+            diag, up, left = cell[k], cell[k + 1], cell[k + cols]
             if diag <= up and diag <= left:
                 i, j = i - 1, j - 1
             elif up <= left:

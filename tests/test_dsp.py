@@ -208,6 +208,19 @@ def test_stft_bits_match_gather(n):
     assert np.array_equal(stft(x), _stft_oracle(x))
 
 
+@pytest.mark.parametrize("n", [257, 258, 511, 512, 513, 16000])
+def test_stft_float32_bits_match_gather(n):
+    # the branch Griffin-Lim and mel_spectrogram run; same rfft, gathered frames
+    from scipy.fft import rfft
+    x = _noise_wave("gather32_%d" % n, n=n).samples.astype(np.float32)
+    padded = np.pad(x, N_FFT // 2, mode="reflect")
+    idx = np.arange(N_FFT)[None, :] + HOP * np.arange(1 + (padded.size - N_FFT) // HOP)[:, None]
+    want = rfft(padded[idx] * WINDOW.astype(np.float32), axis=1)
+    got = stft(x)
+    assert got.dtype == want.dtype == np.complex64
+    assert np.array_equal(got, want)
+
+
 def test_stft_sine_peak_bin():
     # 1 kHz at 16 kHz with n_fft=512 lands exactly on bin 1000/16000*512 = 32
     t = np.arange(16000) / 16000.0

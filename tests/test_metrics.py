@@ -186,6 +186,42 @@ def test_edit_distance_is_a_metric():
         assert edit_distance(a, a) == 0
 
 
+def row_dp_edit_distance(ref, hyp):
+    # the row-by-row DP edit_distance ran before the bit-vector algorithm
+    prev = list(range(len(hyp) + 1))
+    for i, r in enumerate(ref, 1):
+        left = i
+        cur = [left]
+        for j, h in enumerate(hyp):
+            best = prev[j] if r == h else prev[j] + 1
+            if prev[j + 1] + 1 < best:
+                best = prev[j + 1] + 1
+            if left + 1 < best:
+                best = left + 1
+            cur.append(best)
+            left = best
+        prev = cur
+    return prev[-1]
+
+
+def test_edit_distance_long_inputs_match_row_dp():
+    # 60-400 tokens cross several 64-bit words of the bit vectors
+    rng = rng_stream(7, "editlong")
+    cases = []
+    for k in range(200):
+        size = int(rng.integers(2, 31))
+        ref, hyp = (rng.integers(0, size, rng.integers(60, 401)) for _ in range(2))
+        if k % 2:
+            cases.append(("".join(chr(97 + int(t)) for t in ref),
+                          "".join(chr(97 + int(t)) for t in hyp)))
+        else:
+            cases.append((["w%d" % t for t in ref], ["w%d" % t for t in hyp]))
+    ref = "".join(chr(97 + int(t)) for t in rng.integers(0, 27, 1100))
+    cases.append((ref, ref[:400] + ref[420:900] + "xyz" + ref[900:]))
+    for ref, hyp in cases:
+        assert edit_distance(ref, hyp) == row_dp_edit_distance(ref, hyp), (ref, hyp)
+
+
 # -- text normalization, WER, CER ---------------------------------------------
 
 def test_normalize_text():
@@ -279,6 +315,15 @@ def test_dtw_path_matches_reference_dp():
             a = rng.integers(0, 3, (ta, dim)).astype(np.float64)
             b = rng.integers(0, 3, (tb, dim)).astype(np.float64)
         assert dtw_align(a, b) == reference_dtw_path(a, b), (ta, tb, dim)
+
+
+def test_dtw_skewed_shapes_match_reference_dp():
+    # one-cell diagonals, and diagonals as long as the shorter side
+    rng = rng_stream(7, "dtwskew")
+    for ta, tb in [(1, 300), (300, 1), (2, 257), (257, 3), (3, 700)]:
+        a = rng.integers(0, 3, (ta, 2)).astype(np.float64)
+        b = rng.integers(0, 3, (tb, 2)).astype(np.float64)
+        assert dtw_align(a, b) == reference_dtw_path(a, b), (ta, tb)
 
 
 def test_dtw_rejects_non_finite_features():
