@@ -51,8 +51,6 @@ def _build_parser():
     g.add_argument("--classes", type=int, dest="n_classes")
     g.add_argument("--speakers", type=int, dest="n_speakers")
     g.add_argument("--per-class", type=int, dest="samples_per_class")
-    g.add_argument("--sep", type=float, dest="separation")
-    g.add_argument("--noise", type=float, dest="noise_std")
     g.add_argument("--seed", type=int)
 
     t = sub.add_parser("train-align", help="train the emotion-prompt alignment model",
@@ -69,7 +67,7 @@ def _build_parser():
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True, metavar="DIR")
     e.add_argument("--modalities", type=names)
-    e.add_argument("--out", default="eval_align.json", metavar="JSON")
+    e.add_argument("--out", required=True, metavar="JSON")
 
     tt = sub.add_parser("train-tts", help="train the toy synthesizer", **no_default)
     tt.add_argument("--data", required=True, metavar="DIR")

@@ -20,6 +20,8 @@ from .numeric import rng_stream
 
 EMOTIONS = ("neutral", "happy", "sad", "angry", "surprise")
 FEATURE_DIM = 64  # length of each modality's feature vector
+SEPARATION = 4.0  # distance of each class centroid from the origin
+NOISE_STD = 1.0  # per-dimension spread of the features around their centroid
 
 # base fundamental per speaker; roughly bass / tenor / alto / soprano
 _SPEAKER_F0 = (110.0, 146.0, 196.0, 246.0)
@@ -62,22 +64,16 @@ class CorpusConfig:
     n_classes: int = 5
     n_speakers: int = 4
     samples_per_class: int = 200
-    separation: float = 4.0
-    noise_std: float = 1.0
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ConfigError("need at least 2 emotion classes")
-        if self.n_speakers < 1 or self.samples_per_class < 1:
-            raise ConfigError("need at least one speaker and one sample per class")
-        if not (np.isfinite(self.separation) and self.separation > 0):
-            raise ConfigError("separation must be finite and positive")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ConfigError("noise_std must be finite and non-negative")
-        if self.n_classes > FEATURE_DIM:
-            raise ConfigError("cannot orthogonalize %d class directions in dim %d"
-                              % (self.n_classes, FEATURE_DIM))
+        if not 2 <= self.n_classes <= len(EMOTIONS):
+            raise ConfigError("need 2 to %d emotion classes (%s), got %d"
+                              % (len(EMOTIONS), ", ".join(EMOTIONS), self.n_classes))
+        if not 1 <= self.n_speakers <= len(_SPEAKER_F0):
+            raise ConfigError("need 1 to %d speakers, got %d" % (len(_SPEAKER_F0), self.n_speakers))
+        if self.samples_per_class < 1:
+            raise ConfigError("need at least one sample per class")
 
 
 @dataclass
@@ -124,18 +120,6 @@ def text_durations(text):
     return [char_frames(ch) for ch in text]
 
 
-def speaker_f0(speaker):
-    if speaker < len(_SPEAKER_F0):
-        return _SPEAKER_F0[speaker]
-    return _SPEAKER_F0[-1] * 1.26 ** (speaker - len(_SPEAKER_F0) + 1)
-
-
-def _emotion_render_params(class_id):
-    if class_id < len(EMOTIONS):
-        return _EMOTION_RENDER[EMOTIONS[class_id]]
-    return (1.0 + 0.06 * (class_id - 4), lambda p: 1.0, 0.5)
-
-
 def render_reference(text, emotion, speaker):
     """Render reference audio: one harmonic tone segment per character.
 
@@ -145,14 +129,14 @@ def render_reference(text, emotion, speaker):
     """
     if not text:
         raise DataError("cannot render empty text")
-    if emotion < 0:
-        raise DataError("emotion class must be non-negative")
-    if speaker < 0:
-        raise DataError("speaker id must be non-negative")
+    if not 0 <= emotion < len(EMOTIONS):
+        raise DataError("emotion class %d is not in 0..%d" % (emotion, len(EMOTIONS) - 1))
+    if not 0 <= speaker < len(_SPEAKER_F0):
+        raise DataError("speaker id %d is not in 0..%d" % (speaker, len(_SPEAKER_F0) - 1))
 
-    mult, contour, amp = _emotion_render_params(emotion)
-    f0 = speaker_f0(speaker)
-    alpha, max_h, step = _SPEAKER_TIMBRE[speaker % len(_SPEAKER_TIMBRE)]
+    mult, contour, amp = _EMOTION_RENDER[EMOTIONS[emotion]]
+    f0 = _SPEAKER_F0[speaker]
+    alpha, max_h, step = _SPEAKER_TIMBRE[speaker]
     parts = [(h, h ** -alpha) for h in range(1, max_h + 1, step)]
     total_amp = sum(a for _, a in parts)
 
@@ -186,11 +170,7 @@ def class_directions(rng, n_classes, dim):
         v = rng.standard_normal(dim)
         for prev in dirs[:c]:
             v = v - (v @ prev) * prev
-        norm = np.linalg.norm(v)
-        while norm < 1e-8:  # essentially impossible, but stay well-defined
-            v = rng.standard_normal(dim)
-            norm = np.linalg.norm(v)
-        dirs[c] = v / norm
+        dirs[c] = v / np.linalg.norm(v)
     return dirs
 
 
@@ -205,8 +185,8 @@ def gen_corpus(config, out_dir):
 
     modalities = ("vis", "audio", "text")
     centers = {
-        mu: config.separation * class_directions(rng_stream(config.seed, "datagen:dirs:" + mu),
-                                                 config.n_classes, FEATURE_DIM)
+        mu: SEPARATION * class_directions(rng_stream(config.seed, "datagen:dirs:" + mu),
+                                          config.n_classes, FEATURE_DIM)
         for mu in modalities
     }
     feat_rng = {mu: rng_stream(config.seed, "datagen:feats:" + mu) for mu in modalities}
@@ -218,7 +198,7 @@ def gen_corpus(config, out_dir):
             speaker = s % config.n_speakers
             text = _TEXT_POOL[(s // config.n_speakers) % len(_TEXT_POOL)]
             feats = {
-                mu: centers[mu][c] + config.noise_std * feat_rng[mu].standard_normal(FEATURE_DIM)
+                mu: centers[mu][c] + NOISE_STD * feat_rng[mu].standard_normal(FEATURE_DIM)
                 for mu in modalities
             }
             utt_id = "utt_%05d" % idx

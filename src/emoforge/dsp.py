@@ -35,19 +35,12 @@ class Waveform:
     samples: np.ndarray  # float64 in [-1, 1], at SAMPLE_RATE
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise DataError("waveform must be a non-empty 1-D array")
+        self.samples = np.asarray(self.samples, dtype=np.float64)  # griffin_lim's float32 too
 
 
 @dataclass
 class MelSpectrogram:
-    frames: np.ndarray  # T x n_mels, log scale
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise DataError("mel spectrogram needs at least one T x n_mels frame")
+    frames: np.ndarray  # T x n_mels float64, log scale
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +249,6 @@ def mel_spectrogram(w):
     """Log-mel spectrogram: log(mel_fb @ |STFT|^2 + floor), shape (T, N_MELS). The STFT,
     power and filterbank run in float32, whose cast is exact for 16-bit PCM since k/32768
     fits its 24-bit significand; floor and log stay float64, so a gain shifts all bands alike."""
-    if not isinstance(w, Waveform):
-        raise DataError("mel_spectrogram expects a Waveform")
     power = np.abs(stft(w.samples.astype(np.float32))) ** 2
     mel_power = power @ _MEL_FB32_T
     return MelSpectrogram(frames=np.log(mel_power.astype(np.float64) + LOG_FLOOR))
