@@ -4,10 +4,10 @@ Every text input (manifest, pairs, reference features, scores, checkpoints)
 goes through `read`, which decodes UTF-8 whatever the locale, and `field`,
 which checks a value's kind.
 
-Format 3 is a JSON object: its magic string (`<MODEL>/3`), the fields a schema
-names (in schema order) and `theta` last, the flat float64 parameter vector as
-base64 of its little-endian bytes. A file of another version, or with a field
-the schema does not name, is refused."""
+A checkpoint is a JSON object: its magic string (`EMITTS/3`, `EPALIGN/4`),
+the fields a schema names (in schema order) and `theta` last, the flat float64
+parameter vector as base64 of its little-endian bytes. A file of another
+version, or with a field the schema does not name, is refused."""
 
 import base64
 import json
@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import FormatError
 
-# kind -> test of a decoded value; a tuple is a dims block of just those names (any if empty)
+# kind -> test of a decoded value; a tuple is a dims block of just those names
 _KINDS = {
     "int": lambda v: type(v) is int,
     "pos": lambda v: type(v) is int and v > 0,
     "str": lambda v: type(v) is str,
-    "strs": lambda v: type(v) is list and all(type(s) is str for s in v),
     "ints": lambda v: type(v) is list and all(type(i) is int for i in v),
     # numbers that convert to finite float64s
     "nums": lambda v: type(v) is list and all(type(x) in (int, float)
@@ -63,8 +62,8 @@ def field(obj, name, kind, where, label=None):
     if name not in obj:
         raise FormatError("%s is missing field %r" % (where, label))
     value = obj[name]
-    if isinstance(kind, tuple) and type(value) is dict and set(value) <= set(kind or value):
-        return {k: field(value, k, "pos", where, label + "." + k) for k in kind or value}
+    if isinstance(kind, tuple) and type(value) is dict and set(value) <= set(kind):
+        return {k: field(value, k, "pos", where, label + "." + k) for k in kind}
     if isinstance(kind, tuple) or not _KINDS[kind](value):
         raise FormatError("%s has a malformed field %r" % (where, label))
     return value

@@ -57,7 +57,6 @@ def _build_parser():
                        **no_default)
     t.add_argument("--data", required=True, metavar="DIR")
     t.add_argument("--out", required=True, metavar="CKPT")
-    t.add_argument("--modalities", type=names)
     t.add_argument("--epochs", type=int)
     t.add_argument("--batch", type=int)
     t.add_argument("--lr", type=float)
@@ -189,7 +188,7 @@ def _cmd_eval(args):
     with open(args.out, "w") as f:
         f.write(report.to_json())
     print("n_utts %d  WER %.4f  CER %.4f  MCD %.3f  SECS %.4f"
-          % (report.n_utts, report.wer, report.cer, report.mcd_median, report.secs_median))
+          % (len(report.utterances), report.wer, report.cer, report.mcd_median, report.secs_median))
     print("report written to %s" % args.out)
     return 0
 

@@ -2,6 +2,8 @@
 
 Per-modality encoders map vision / audio / text features into a shared
 space; a learnable prompt table holds one embedding per emotion class.
+Every model holds an encoder for each of the three modalities, as every
+corpus carries all three; inference fuses whichever subset a caller has.
 Implicit (content) and explicit (prompt) embeddings are pulled together by
 a symmetric cross-entropy over temperature-scaled cosine logits, and
 inference picks the prompt with the highest cosine to the fused implicit
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import checkpoint
 from .autodiff import AdamState, ParamLayout, adam_step, constant, grad, log_softmax_rows
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError
 from .numeric import rng_stream
 
 MODALITIES = ("vis", "audio", "tex")
@@ -33,17 +35,16 @@ _FEAT_ATTR = {"vis": "feat_vis", "audio": "feat_audio", "tex": "feat_text"}
 class EpAlignParams:
     theta: np.ndarray
     layout: ParamLayout
-    dims: dict  # d_<mu> for each trained modality: the input widths; the rest are constants
+    dims: dict  # d_<mu> for each modality: the input widths; the rest are constants
     n_classes: int
-    modalities: tuple
     seed: int
 
 
-def _block_shapes(dims, n_classes, modalities):
-    """An encoder per trained modality and one prompt projection into the
-    text space: the blocks the loss reads, and no others."""
+def _block_shapes(dims, n_classes):
+    """An encoder per modality and one prompt projection into the text space:
+    the blocks the loss reads, and no others."""
     shapes = {}
-    for mu in modalities:
+    for mu in MODALITIES:
         shapes["enc_%s_w1" % mu] = (dims["d_" + mu], HIDDEN)
         shapes["enc_%s_b1" % mu] = (HIDDEN,)
         shapes["enc_%s_w2" % mu] = (HIDDEN, EMBED)
@@ -57,7 +58,7 @@ def _block_shapes(dims, n_classes, modalities):
 
 def modality_set(names):
     """`names` in MODALITIES order, whatever order they came in, so that one
-    set of modalities lays θ out and fuses one way."""
+    set of prompts fuses one way."""
     ordered = tuple(mu for mu in MODALITIES if mu in names)
     if not names or len(ordered) != len(names):
         raise ConfigError("want one or more distinct modalities among %s, got %s"
@@ -65,16 +66,12 @@ def modality_set(names):
     return ordered
 
 
-def init_epalign(dims, n_classes, seed, modalities):
-    """A fresh model for `modalities`; dims maps d_<mu> to the input width of
-    at least each of them."""
-    modalities = modality_set(modalities)
-    dims = {"d_" + mu: dims["d_" + mu] for mu in modalities}
-    layout = ParamLayout(_block_shapes(dims, n_classes, modalities))
+def init_epalign(dims, n_classes, seed):
+    """A fresh model; dims maps d_<mu> to the input width of each modality."""
+    layout = ParamLayout(_block_shapes(dims, n_classes))
     theta = layout.init(lambda name: rng_stream(seed, "epalign:" + name), unit=("prompt_table",))
     theta[layout.offset("log_t")] = np.log(1.0 / 0.07)  # CLIP-style warm start
-    return EpAlignParams(theta=theta, layout=layout, dims=dims, n_classes=n_classes,
-                         modalities=modalities, seed=seed)
+    return EpAlignParams(theta=theta, layout=layout, dims=dims, n_classes=n_classes, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +128,6 @@ class AlignTrainConfig:
     epochs: int = 30
     lr: float = 1e-3
     seed: int = 42
-    modalities: tuple = MODALITIES
 
     def __post_init__(self):
         if self.batch < 1:
@@ -169,7 +165,7 @@ def train_epalign(dataset, config):
         raise DataError("emotion id %d is not below %d utterances" % (n_classes - 1, n))
 
     dims = {"d_" + mu: getattr(dataset[0], _FEAT_ATTR[mu]).size for mu in MODALITIES}
-    params = init_epalign(dims, n_classes, config.seed, config.modalities)
+    params = init_epalign(dims, n_classes, config.seed)
     theta = params.theta
     state = AdamState.zeros(theta.size)
     rng = rng_stream(config.seed, "epalign:batches")
@@ -192,7 +188,7 @@ def train_epalign(dataset, config):
         for idx in batches:
             idx = np.asarray(idx)
             feats = {mu: np.stack([getattr(dataset[i], _FEAT_ATTR[mu]) for i in idx])
-                     for mu in params.modalities}
+                     for mu in MODALITIES}
             blab = labels[idx]
             loss_fn = lambda th: _batch_loss_graph(th, params, feats, blab)
             g, loss = grad(loss_fn, theta, return_loss=True)
@@ -223,9 +219,8 @@ def _infer_batch(feats, params):
 
 def _checked_features(mu, x, params):
     """One sample's `mu` feature vector as float64, checked against the model."""
-    if mu not in params.modalities:
-        raise DataError("modality %r is not one the model was trained on (%s)"
-                        % (mu, ", ".join(params.modalities)))
+    if mu not in MODALITIES:
+        raise DataError("unknown modality %r: want one of %s" % (mu, ", ".join(MODALITIES)))
     x = np.asarray(x, dtype=np.float64)
     want = params.dims["d_" + mu]
     if x.ndim != 1 or x.size != want:
@@ -272,10 +267,10 @@ def classification_report(y_true, y_pred, n_classes):
 
 def eval_alignment(params, dataset, modalities):
     """Evaluate alignment over a labeled dataset with the given modality
-    subset (None: the modalities the model was trained with)."""
+    subset (None: all of MODALITIES)."""
     if not dataset:
         raise ConfigError("cannot evaluate on an empty dataset")
-    mods = params.modalities if modalities is None else modality_set(modalities)
+    mods = MODALITIES if modalities is None else modality_set(modalities)
     y = np.array([u.emotion for u in dataset])
     if y.min() < 0 or y.max() >= params.n_classes:
         raise DataError("labels must lie in [0, %d), got %d..%d"
@@ -290,8 +285,8 @@ def eval_alignment(params, dataset, modalities):
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-_MAGIC = "EPALIGN/3"
-_SCHEMA = {"dims": (), "n_classes": "pos", "modalities": "strs", "seed": "int"}
+_MAGIC = "EPALIGN/4"
+_SCHEMA = {"dims": tuple("d_" + mu for mu in MODALITIES), "n_classes": "pos", "seed": "int"}
 
 
 def save_epalign(params, path):
@@ -299,16 +294,6 @@ def save_epalign(params, path):
 
 
 def load_epalign(path):
-    def layout_of(fields):
-        mods = fields["modalities"] = tuple(fields["modalities"])
-        if not mods:
-            raise FormatError("checkpoint %s names no implicit modality" % path)
-        if mods != tuple(mu for mu in MODALITIES if mu in mods):  # θ's block order
-            raise FormatError("checkpoint %s modalities %s are not distinct names in %s order"
-                              % (path, ", ".join(mods), ", ".join(MODALITIES)))
-        if set(fields["dims"]) != {"d_" + mu for mu in mods}:
-            raise FormatError("checkpoint %s dims do not match its modalities" % path)
-        return ParamLayout(_block_shapes(fields["dims"], fields["n_classes"], mods))
-
-    fields, layout, theta = checkpoint.load(path, _MAGIC, _SCHEMA, layout_of)
+    fields, layout, theta = checkpoint.load(
+        path, _MAGIC, _SCHEMA, lambda f: ParamLayout(_block_shapes(f["dims"], f["n_classes"])))
     return EpAlignParams(theta=theta, layout=layout, **fields)

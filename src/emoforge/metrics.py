@@ -232,7 +232,6 @@ class EvalReport:
     cer: float
     mcd_median: float
     secs_median: float
-    n_utts: int
 
     def to_json(self):
         payload = {
@@ -241,7 +240,7 @@ class EvalReport:
             "mcd_median": self.mcd_median,
             "secs_median": self.secs_median,
             "mos": None,  # opinion scores are aggregated by `emoforge mos`
-            "n_utts": self.n_utts,
+            "n_utts": len(self.utterances),
             "utterances": [
                 {k: u[k] for k in ("id", "wer", "cer", "mcd", "secs")} for u in self.utterances
             ],
@@ -284,5 +283,4 @@ def aggregate_report(per_utt):
         cer=sum(u["char_edits"] for u in per_utt) / sum(u["char_count"] for u in per_utt),
         mcd_median=float(np.median([u["mcd"] for u in per_utt])),
         secs_median=float(np.median([u["secs"] for u in per_utt])),
-        n_utts=len(per_utt),
     )

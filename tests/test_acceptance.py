@@ -127,11 +127,11 @@ def test_criterion_02_gradient_fidelity(verdict):
         with pytest.MonkeyPatch.context() as narrow:
             narrow.setattr(epalign, "HIDDEN", 6)
             narrow.setattr(epalign, "EMBED", 4)
-            p = init_epalign({"d_vis": 5, "d_audio": 5, "d_tex": 5}, 3, seed, epalign.MODALITIES)
+            p = init_epalign({"d_vis": 5, "d_audio": 5, "d_tex": 5}, 3, seed)
         # moderate temperature: finite differences themselves lose accuracy
         # at the warm-start scale, so check the gradient where FD is reliable
         p.theta[p.layout.offset("log_t")] = 0.0
-        feats = {m: rng.standard_normal((3, 5)) for m in p.modalities}
+        feats = {m: rng.standard_normal((3, 5)) for m in epalign.MODALITIES}
         labels = np.array([0, 1, 2])
         err = finite_diff_check(
             lambda t: _batch_loss_graph(t, p, feats, labels), p.theta, epsilon=eps)

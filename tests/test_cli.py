@@ -21,8 +21,7 @@ from emoforge import datagen, epalign, errors, metrics, tts
 from emoforge.cli import _build_parser, main
 from emoforge.datagen import CorpusConfig, render_reference
 from emoforge.dsp import HOP, Waveform, wav_read, wav_write
-from emoforge.epalign import (EMBED, HIDDEN, AlignTrainConfig, init_epalign, load_epalign,
-                              save_epalign)
+from emoforge.epalign import EMBED, HIDDEN, AlignTrainConfig, load_epalign
 from emoforge.errors import DataError
 from emoforge.autodiff import ParamLayout
 from emoforge.tts import CHAR_DIM, VARIANTS, TtsConfig, load_tts, save_tts, tts_block_shapes
@@ -91,7 +90,6 @@ CONFIG_FLAGS = {
         "--classes": ("n_classes", "3", 3), "--speakers": ("n_speakers", "2", 2),
         "--per-class": ("samples_per_class", "3", 3), "--seed": ("seed", "7", 7)}),
     "train-align": (epalign, "train_epalign", 1, AlignTrainConfig, {
-        "--modalities": ("modalities", "audio, tex", ("audio", "tex")),
         "--epochs": ("epochs", "3", 3), "--batch": ("batch", "4", 4),
         "--lr": ("lr", "0.01", 0.01), "--seed": ("seed", "7", 7)}),
     "train-tts": (tts, "train_tts", 3, TtsConfig, {
@@ -131,7 +129,6 @@ def test_usage_errors(workdir, tmp_path, capsys):
                  ["gen-data", "--out", out, "--speakers", "0"],
                  ["gen-data", "--out", out, "--per-class", "0"],
                  align + ["--lr", "nan"], align + ["--epochs", "0"], align + ["--batch", "0"],
-                 align + ["--modalities", "tex,tex"],
                  ["eval-align", "--ckpt", str(workdir["align"]), "--data", str(workdir["data"]),
                   "--modalities", "tex,tex", "--out", out],
                  ["eval-align", "--ckpt", str(workdir["align"]), "--data", str(workdir["data"])],
@@ -176,9 +173,10 @@ def test_train_and_eval_align(workdir, tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert set(report) >= {"accuracy", "macro_f1", "confusion"}
     assert len(report["confusion"]) == 3
-    # modality subset also works
-    assert main(["eval-align", "--ckpt", str(workdir["align"]), "--data", str(workdir["data"]),
-                 "--modalities", "tex", "--out", str(tmp_path / "r2.json")]) == 0
+    # a modality subset of the full model is the single-modality ablation
+    for mu in ("vis", "tex"):
+        assert main(["eval-align", "--ckpt", str(workdir["align"]), "--data", str(workdir["data"]),
+                     "--modalities", mu, "--out", str(tmp_path / "r2.json")]) == 0, mu
 
 
 def test_train_align_deterministic(workdir, tmp_path):
@@ -186,15 +184,6 @@ def test_train_align_deterministic(workdir, tmp_path):
     assert main(["train-align", "--data", str(workdir["data"]), "--out", str(again),
                  "--epochs", "6", "--batch", "3", "--seed", "9"]) == 0
     assert again.read_bytes() == workdir["align"].read_bytes()
-
-
-def test_modality_order_trains_one_checkpoint(workdir, tmp_path):
-    # θ's blocks and the fusion sum follow MODALITIES, whatever the flag's order
-    for flag in ("tex,vis,audio", "audio,tex,vis"):
-        out = tmp_path / (flag + ".json")
-        assert main(["train-align", "--data", str(workdir["data"]), "--out", str(out),
-                     "--epochs", "6", "--batch", "3", "--seed", "9", "--modalities", flag]) == 0
-        assert out.read_bytes() == workdir["align"].read_bytes(), flag
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +267,7 @@ def test_synth_rejects_tts_checkpoint_missing_fields(workdir, tts_ckpt, tmp_path
 def test_synth_rejects_wrongly_typed_checkpoint_fields(workdir, tts_ckpt, tmp_path, capsys):
     bad_tts = _edited(tts_ckpt, tmp_path / "tts.json", lambda p: p["dims"].update(embed="8"))
     bad_align = _edited(workdir["align"], tmp_path / "align.json",
-                        lambda p: p.update(modalities=5))
+                        lambda p: p["dims"].update(d_tex="64"))
     for tts_path, align_path in ((bad_tts, workdir["align"]), (tts_ckpt, bad_align)):
         assert _synth_exit(tts_path, align_path, tmp_path / "x.wav") == 2
         assert "malformed field" in capsys.readouterr().err
@@ -315,10 +304,13 @@ def test_synth_rejects_nonfinite_checkpoints(workdir, tts_ckpt, tmp_path, capsys
 
 
 def test_synth_rejects_unknown_alignment_anchor(workdir, tts_ckpt, tmp_path, capsys):
-    bad = _edited(workdir["align"], tmp_path / "align.json",
-                  lambda p: p.update(modalities=["vis", "zzz"]))
-    assert _synth_exit(tts_ckpt, bad, tmp_path / "x.wav") == 2
-    assert "zzz" in capsys.readouterr().err
+    feats = tmp_path / "feats.json"
+    feats.write_text(json.dumps({"vis": [0.5] * 64, "zzz": [0.5] * 64}))
+    assert main(["synth", "--ckpt", str(tts_ckpt), "--align-ckpt", str(workdir["align"]),
+                 "--text", "hi.", "--ref-features", str(feats),
+                 "--out", str(tmp_path / "x.wav")]) == 2
+    assert "error: unknown modality 'zzz': want one of vis, audio, tex" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
 
 
 # -- malformed inputs: exit 2 with an error line, never a traceback -----------------
@@ -434,6 +426,12 @@ def _format_1(payload, params):
     payload["theta"] = params.theta.tolist()
 
 
+def _format_3(payload, params):
+    # the format-3 file of the same model, which named its trained modalities
+    payload["magic"] = "EPALIGN/3"
+    payload["modalities"] = list(epalign.MODALITIES)
+
+
 def _tts_format_2(payload):
     # the format-2 file of the same model: dims that still hold the three
     # widths format 3 made constants
@@ -471,15 +469,6 @@ def _huge_weight(payload, params):
     theta = decode_theta(payload["theta"])
     theta[params.layout.offset("w_imp_vis")] = 1.94e307
     payload["theta"] = encode_theta(theta)
-
-
-def _trained_on(mu, argv):
-    """The same command against an alignment checkpoint of a `mu`-only model."""
-    def with_one_modality(w, tmp):
-        path = tmp / (mu + ".json")
-        save_epalign(init_epalign({"d_" + mu: 64}, 3, 42, (mu,)), path)
-        return argv(dict(w, align=path), tmp)
-    return with_one_modality
 
 
 def _eval_align_checkpoint(edit):
@@ -547,18 +536,13 @@ MALFORMED = {
     "align-float-dims": _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64.0)),
     "align-bool-classes": _eval_align_checkpoint(_one_class_as_true),
     "align-zero-classes": _eval_align_checkpoint(_no_classes),
-    "align-no-modalities": _eval_align_checkpoint(lambda p, _: p.update(modalities=[])),
-    # both once loaded silently, the second with each encoder on another modality's blocks
-    "align-repeated-modality": _trained_on(
-        "vis", _eval_align_checkpoint(lambda p, _: p.update(modalities=["vis", "vis"]))),
-    "align-modalities-reordered": _eval_align_checkpoint(
-        lambda p, _: p.update(modalities=["tex", "vis", "audio"])),
     "align-parent-format": _eval_align_checkpoint(_parent_format),
     "align-format-1": _eval_align_checkpoint(_format_1),
+    "align-format-3": _eval_align_checkpoint(_format_3),
     "align-theta-ragged-bytes": _eval_align_checkpoint(_ragged_bytes),
-    "align-untrained-dims": _trained_on(
-        "audio", _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64))),
+    "align-untrained-dims": _eval_align_checkpoint(lambda p, _: p["dims"].update(d_video=64)),
     "align-dims-stale-hidden": _eval_align_checkpoint(lambda p, _: p["dims"].update(hidden=64)),
+    "align-dims-no-tex": _eval_align_checkpoint(lambda p, _: p["dims"].pop("d_tex")),
     "align-weight-huge": _eval_align_checkpoint(_huge_weight),
     "tts-theta-not-base64": _synth_tts_checkpoint(lambda p: p.update(theta="not base64!")),
     "tts-theta-not-ascii": _synth_tts_checkpoint(lambda p: p.update(theta="\u03b8" * 8)),
@@ -583,11 +567,6 @@ MALFORMED = {
     "align-label-past-classes": _eval_align_data(_first_row(emotion=4)),
     "align-label-negative": _eval_align_data(_first_row(emotion=-1)),
     "align-features-short": _eval_align_data(_vis_features(lambda v: v[:8], first=0)),
-    "untrained-modality-eval": _trained_on(
-        "audio", lambda w, tmp: ["eval-align", "--ckpt", str(w["align"]), "--data", str(w["data"]),
-                                 "--modalities", "vis", "--out", str(tmp / "r.json")]),
-    "untrained-modality-features": _trained_on(
-        "audio", _synth_features(json.dumps({"vis": [0.5] * 64}))),
     "manifest-text-number": _train_align_manifest(_first_row(text=5)),
     "manifest-id-null": _train_align_manifest(_first_row(id=None)),
     "manifest-emotion-float": _train_align_manifest(_first_row(emotion=1.7)),
@@ -623,14 +602,13 @@ REASON = {
     "align-float-dims": "malformed field 'dims.d_vis'",
     "align-bool-classes": "malformed field 'n_classes'",
     "align-zero-classes": "malformed field 'n_classes'",
-    "align-no-modalities": "names no implicit modality",
-    "align-repeated-modality": "modalities vis, vis are not distinct names in vis, audio, tex order",
-    "align-modalities-reordered": "modalities tex, vis, audio are not distinct names in vis",
     "align-parent-format": "fields its format does not name: anchor",
-    "align-format-1": "is format 'EPALIGN/1', want 'EPALIGN/3'",
+    "align-format-1": "is format 'EPALIGN/1', want 'EPALIGN/4'",
+    "align-format-3": "is format 'EPALIGN/3', want 'EPALIGN/4'",
     "align-theta-ragged-bytes": "multiple of element size",
-    "align-untrained-dims": "dims do not match its modalities",
-    "align-dims-stale-hidden": "dims do not match its modalities",
+    "align-untrained-dims": "malformed field 'dims'",
+    "align-dims-stale-hidden": "malformed field 'dims'",
+    "align-dims-no-tex": "missing field 'dims.d_tex'",
     "align-weight-huge": "eval-align stopped on a floating-point error: overflow",
     "tts-theta-not-base64": "malformed field 'theta'",
     "tts-theta-not-ascii": "malformed field 'theta'",
@@ -682,7 +660,8 @@ def test_malformed_input_exits_2_without_traceback(case, workdir, tts_ckpt, tmp_
     argv = MALFORMED[case](dict(workdir, tts=tts_ckpt), tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+    assert "Traceback" not in err
     assert REASON.get(case, "") in err
     assert WAV_NAMED.get(case, "") in err
 
@@ -975,7 +954,7 @@ def test_readme_walkthrough_commands_parse():
 # it synthesizes and the eval report that scores it (c8c3c81a... / acc02162...,
 # syn/happy.wav c7fe8098..., eval.json 9bf98842... before).
 PINNED_SESSION_SHA256 = {
-    "align.json": "152487768505934a6632b29d37590d58504126931527a895be6efeb1bd3519f3",
+    "align.json": "73d3837aceae0a2513ba9eccca49706ffeb5692748991ad40e64f0c4d1d9cb07",
     "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
     "corpus/manifest.jsonl": "3837f705ea68de28fabefee0b372d9d3c9fe1926a859335b928c2df9df58da3c",
     "corpus/wav/utt_00000.wav": "416a3ac0fd319652d97f741ba2e4bef0d368351ca5ff2a4884025ee73ad0fb70",

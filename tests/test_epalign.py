@@ -31,12 +31,12 @@ from emoforge.numeric import rng_stream
 DIMS = {"d_vis": 64, "d_audio": 64, "d_tex": 64}  # the corpus's feature widths
 
 
-def _tiny_params(d=4, hidden=4, embed=4, n_classes=3, modalities=MODALITIES):
+def _tiny_params(d=4, hidden=4, embed=4, n_classes=3):
     """A model with narrowed input, encoder and embedding widths."""
     with pytest.MonkeyPatch.context() as narrow:
         narrow.setattr(epalign, "HIDDEN", hidden)
         narrow.setattr(epalign, "EMBED", embed)
-        return init_epalign(dict.fromkeys(DIMS, d), n_classes, 7, modalities)
+        return init_epalign(dict.fromkeys(DIMS, d), n_classes, 7)
 
 
 def _with_blocks(params, **overrides):
@@ -48,10 +48,11 @@ def _with_blocks(params, **overrides):
 
 
 def _tex_model(d=4, n_classes=4, **overrides):
-    """Text-only model: encoder f = tanh(x), identity projections, prompt rows
-    e_0..e_{C-1}. Each similarity row inference returns is then the implicit
-    embedding u = f @ W_imp, normalized; `overrides` replace blocks."""
-    p = _tiny_params(d, hidden=d, embed=d, n_classes=n_classes, modalities=("tex",))
+    """A model read through text alone: encoder f = tanh(x), identity
+    projections, prompt rows e_0..e_{C-1}. Each similarity row inference
+    returns for text features is then the implicit embedding u = f @ W_imp,
+    normalized; `overrides` replace blocks."""
+    p = _tiny_params(d, hidden=d, embed=d, n_classes=n_classes)
     eye = np.eye(d)
     blocks = dict(enc_tex_w1=eye, enc_tex_b1=np.zeros(d), enc_tex_w2=eye,
                   enc_tex_b2=np.zeros(d), w_imp_tex=eye, w_pro_tex=eye,
@@ -104,7 +105,7 @@ def corpus():
 def test_encode_zero_params_gives_zero():
     # zero encoder weights put every sample at the origin, which neither
     # inference nor the training loss will normalize
-    p = _tiny_params(modalities=("vis",))
+    p = _tiny_params()
     p = _with_blocks(p, **{k: np.zeros(shape) for k, shape in p.layout.shapes.items()
                            if k.startswith("enc_vis_")})
     with pytest.raises(DataError, match="zero or non-finite norm"):
@@ -131,7 +132,7 @@ def test_encode_batch_and_errors():
     assert align_infer({"audio": x[2]}, p) == preds[2] == np.argmax(single)
     with pytest.raises(DataError, match="features must be 1-D"):
         align_infer({"audio": np.ones(5)}, p)
-    with pytest.raises(DataError, match="not one the model was trained on"):
+    with pytest.raises(DataError, match="unknown modality 'video': want one of vis, audio, tex"):
         align_infer({"video": np.ones(4)}, p)
 
 
@@ -163,20 +164,18 @@ def test_project_prompt_identity_and_errors(corpus):
         train_epalign(bad, AlignTrainConfig(batch=3, epochs=1))
 
 
-@pytest.mark.parametrize("modalities", [("vis", "audio", "tex"), ("audio",), ("tex",)])
-def test_every_block_gets_gradient(modalities):
+def test_every_block_gets_gradient():
     # a block with an all-zero gradient can never learn
-    p = _tiny_params(modalities=modalities)
+    p = _tiny_params()
     rng = rng_stream(5, "grad-blocks")
-    feats = {mu: rng.standard_normal((3, 4)) for mu in modalities}
+    feats = {mu: rng.standard_normal((3, 4)) for mu in MODALITIES}
     g = grad(lambda t: _batch_loss_graph(t, p, feats, np.arange(3)), p.theta)
     dead = [name for name, (a, b) in p.layout.slices.items() if not np.any(g[a:b])]
     assert dead == []
 
 
 def test_parameter_counts():
-    assert init_epalign(DIMS, 5, 42, MODALITIES).theta.size == 22977
-    assert init_epalign(DIMS, 5, 42, ("audio",)).theta.size == 8449
+    assert init_epalign(DIMS, 5, 42).theta.size == 22977
 
 
 # -- logits and loss ---------------------------------------------------------------
@@ -278,7 +277,7 @@ def test_train_rejects_bad_config(corpus):
 def test_train_lr_zero_keeps_params(corpus):
     train, _ = corpus
     params, curve = train_epalign(train, AlignTrainConfig(batch=5, epochs=6, lr=0.0, seed=42))
-    fresh = init_epalign(DIMS, 5, 42, MODALITIES)
+    fresh = init_epalign(DIMS, 5, 42)
     assert np.array_equal(params.theta, fresh.theta)
     assert len(curve) == 6
     assert max(curve) - min(curve) < 0.5 * np.mean(curve)
@@ -332,7 +331,7 @@ def test_align_infer_fuses_as_the_training_loss_does():
     # audio's projection is ten times the text one, so audio dominates the
     # mean the loss trains on; inference must score that same mean, not a
     # mean of per-modality unit vectors
-    p = _with_blocks(_tiny_params(modalities=("audio", "tex")), w_imp_audio=10 * np.eye(4))
+    p = _with_blocks(_tiny_params(), w_imp_audio=10 * np.eye(4))
     rng = rng_stream(3, "fusion")
     feats = {mu: rng.standard_normal(4) for mu in ("audio", "tex")}
     blocks = p.layout.unpack(p.theta)
@@ -350,7 +349,6 @@ def test_align_infer_fuses_as_the_training_loss_does():
 def test_modality_set_is_in_modalities_order():
     assert modality_set(("tex", "vis")) == ("vis", "tex")
     assert modality_set(("audio", "tex", "vis")) == MODALITIES
-    assert init_epalign(DIMS, 3, 7, ("tex", "audio")).modalities == ("audio", "tex")
     for bad in ((), ("tex", "tex"), ("vis", "zzz")):
         with pytest.raises(ConfigError):
             modality_set(bad)
@@ -385,7 +383,7 @@ def test_align_infer_input_errors():
         align_infer({}, p)
     with pytest.raises(DataError, match="features must be 1-D"):
         align_infer({"vis": np.ones(9)}, p)
-    with pytest.raises(DataError, match="not one the model was trained on"):
+    with pytest.raises(DataError, match="unknown modality 'speech'"):
         align_infer({"speech": np.ones(4)}, p)
     with pytest.raises(DataError, match="features must be finite"):
         align_infer({"vis": [1.0, np.nan, 0.0, 0.0]}, p)
@@ -414,19 +412,11 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     save_epalign(params, path)
     back = load_epalign(path)
     assert np.array_equal(back.theta, params.theta)
-    assert back.modalities == params.modalities and back.n_classes == params.n_classes
+    assert back.dims == params.dims and back.n_classes == params.n_classes
     sample = test[0]
     feats = {"tex": sample.feat_text}
     assert align_infer(feats, params) == align_infer(feats, back)
     assert np.array_equal(_sample_sims(params, feats), _sample_sims(back, feats))
-
-
-def test_checkpoint_stores_trained_dims_only(tmp_path):
-    path = tmp_path / "align.ckpt"
-    save_epalign(init_epalign(DIMS, 5, 42, ("audio",)), path)
-    dims = {"d_audio": 64}
-    assert json.loads(path.read_text())["dims"] == dims
-    assert load_epalign(path).dims == dims
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

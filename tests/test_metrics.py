@@ -500,7 +500,7 @@ def test_report_pools_and_serializes(tmp_path):
     report = aggregate_report(rows)
     # pooled WER: (1 + 0) edits over (3 + 3) reference words
     assert abs(report.wer - 1.0 / 6.0) < 1e-12
-    assert report.n_utts == 2
+    assert len(report.utterances) == 2
     assert report.mcd_median == pytest.approx(np.median([rows[0]["mcd"], rows[1]["mcd"]]))
 
     blob = report.to_json()
@@ -509,7 +509,7 @@ def test_report_pools_and_serializes(tmp_path):
     for key in ("wer", "cer", "mcd_median", "secs_median", "mos", "n_utts"):
         assert key in payload
     assert payload["mos"] is None  # opinion scores go through `emoforge mos`
-    assert len(payload["utterances"]) == 2
+    assert payload["n_utts"] == len(payload["utterances"]) == 2
 
 
 def test_report_requires_rows():
