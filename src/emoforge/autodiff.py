@@ -4,8 +4,8 @@ Every arithmetic op builds a `Tensor` node holding its value and a closure
 that routes the output gradient back to its parents. While `grad` runs the
 loss, each such node appends itself to that call's tape: creation order is a
 topological order, so backward walks the tape in reverse, and `grad` drops
-it on return. `finite_diff_check` verifies a gradient against central
-differences; `adam_step` is the optimizer of every trainer in this package.
+it on return. `adam_step` is the optimizer of every trainer in this package;
+the tests check every gradient against central differences.
 
 Constants (`constant()` leaves, wrapped raw values, ops on constants only
 and every op built while no `grad` runs) are not recorded. No node refers to
@@ -254,29 +254,6 @@ def grad(loss_fn, params, return_loss=False):
     if return_loss:
         return g, float(out.data)
     return g
-
-
-def finite_diff_check(loss_fn, params, epsilon=1e-3):
-    """Worst relative error of `grad` against central finite differences.
-
-    Relative error uses |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    theta = np.asarray(params, dtype=np.float64)
-    analytic = grad(loss_fn, theta)
-
-    def value_at(p):
-        return float(loss_fn(constant(p)).data)
-
-    worst_err = 0.0
-    for i in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[i] = epsilon
-        numeric = (value_at(theta + bump) - value_at(theta - bump)) / (2.0 * epsilon)
-        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-        worst_err = max(worst_err, abs(analytic[i] - numeric) / denom)
-    return worst_err
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

@@ -1,15 +1,14 @@
 """The one reader of text inputs, and the one checkpoint format both models use.
 
-Every text input (manifest, pairs, reference features, scores, checkpoints)
-goes through `read`, which decodes UTF-8 whatever the locale, and `field`,
-which checks a value's kind.
+Every text input (manifest, pairs, reference features, scores, a checkpoint's
+header) goes through one parser, which decodes UTF-8 whatever the locale, and
+`field`, which checks a value's kind.
 
-A checkpoint is a JSON object: its magic string (`EMITTS/3`, `EPALIGN/4`),
-the fields a schema names (in schema order) and `theta` last, the flat float64
-parameter vector as base64 of its little-endian bytes. A file of another
-version, or with a field the schema does not name, is refused."""
+A checkpoint is one UTF-8 JSON header line, an object of its magic (`EMITTS/4`,
+`EPALIGN/5`) and the fields a schema names in schema order, then θ: every byte
+after that line's "\\n" is the flat parameter vector as little-endian float64s.
+A file of another version, or with a field the schema does not name, is refused."""
 
-import base64
 import json
 import sys
 
@@ -36,17 +35,24 @@ def read(path, row=None, parse=json.loads):
     non-blank line split on "\\n"], `where` naming the line and file. Bytes
     that are not UTF-8, text `parse` refuses and a ValueError from `row` are
     a FormatError naming them."""
-    where, rows = path, []
+    return _parsed(path, row, parse)[0]
+
+
+def _parsed(path, row, parse, head=False):
+    """(`read`, b""); given `head`, (the parse of the first line alone, the bytes after it)."""
+    where, rows, rest = path, [], b""
     try:
         with open(path, "rb") as f:
             blob = f.read()
+        if head:
+            blob, _, rest = blob.partition(b"\n")
         if row is None:
-            return parse(blob.decode("utf-8"))
+            return parse(blob.decode("utf-8")), rest
         for n, line in enumerate(blob.split(b"\n"), 1):
             where, line = "line %d of %s" % (n, path), line.decode("utf-8")
             if line.strip():
                 rows.append(row(parse(line), where))
-        return rows
+        return rows, rest
     except FormatError:
         raise
     except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
@@ -70,29 +76,26 @@ def field(obj, name, kind, where, label=None):
 
 
 def save(path, magic, schema, params):
-    payload = {"magic": magic, **{k: getattr(params, k) for k in schema},
-               "theta": base64.b64encode(params.theta.astype("<f8").tobytes()).decode("ascii")}
-    with open(path, "w") as f:
-        json.dump(payload, f)
+    header = {"magic": magic, **{k: getattr(params, k) for k in schema}}
+    with open(path, "wb") as f:
+        f.write(json.dumps(header).encode("ascii") + b"\n" + params.theta.astype("<f8").tobytes())
 
 
 def load(path, magic, schema, layout_of):
     """Returns (fields, layout, theta); `layout_of(fields)` gives the layout."""
-    payload, where = read(path), "checkpoint %s" % path
-    found = payload.get("magic") if type(payload) is dict else None
+    (header, raw), where = _parsed(path, None, json.loads, head=True), "checkpoint %s" % path
+    found = header.get("magic") if type(header) is dict else None
     if found != magic:
         raise FormatError("%s is format %r, want %r" % (where, found, magic))
-    unknown = set(payload) - {"magic", "theta", *schema}
+    unknown = set(header) - {"magic", *schema}
     if unknown:
         raise FormatError("%s has fields its format does not name: %s"
                           % (where, ", ".join(sorted(unknown))))
-    fields = {name: field(payload, name, kind, where) for name, kind in schema.items()}
-    raw = field(payload, "theta", "str", where)
+    fields = {name: field(header, name, kind, where) for name, kind in schema.items()}
     layout = layout_of(fields)
-    try:  # binascii.Error, text that is not ASCII, or bytes that are not whole float64s
-        theta = np.frombuffer(base64.b64decode(raw, validate=True), "<f8").astype(np.float64)
-    except ValueError as e:
-        raise FormatError("%s has a malformed field 'theta': %s" % (where, e))
+    if len(raw) % 8:
+        raise FormatError("%s has %d bytes of parameters, not whole float64s" % (where, len(raw)))
+    theta = np.frombuffer(raw, "<f8").astype(np.float64)
     if theta.size != layout.size:
         raise FormatError("%s has %d parameters, layout wants %d" % (where, theta.size, layout.size))
     if not np.isfinite(theta).all():

@@ -7,6 +7,7 @@ OSError; or a float overflow, 0-division or NaN).
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -26,6 +27,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _refuse_out_over_input(args):
+    """An --out naming a file the command reads would destroy it: a DataError before any work."""
+    reads = [getattr(args, k, None) for k in ("ckpt", "align_ckpt", "ref_features", "pairs")]
+    reads += [os.path.join(args.data, "manifest.jsonl")] if hasattr(args, "data") else []
+    for path in filter(None, reads):
+        if os.path.exists(args.out) and os.path.exists(path) and os.path.samefile(path, args.out):
+            raise DataError("--out %s names the input %s" % (args.out, path))
+
+
 def _load_dataset(data_dir):
     manifest = os.path.join(data_dir, "manifest.jsonl")
     if not os.path.exists(manifest):
@@ -39,6 +49,7 @@ def _config(cls, args):
     return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
+@functools.cache  # one parser per process, however often main runs in it
 def _build_parser():
     p = _Parser(prog="emoforge", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
@@ -219,6 +230,7 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow passes
+            _refuse_out_over_input(args)
             return _COMMANDS[args.cmd](args)
     except ConfigError as e:
         code, msg = 1, e

@@ -285,7 +285,7 @@ def eval_alignment(params, dataset, modalities):
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-_MAGIC = "EPALIGN/4"
+_MAGIC = "EPALIGN/5"
 _SCHEMA = {"dims": tuple("d_" + mu for mu in MODALITIES), "n_classes": "pos", "seed": "int"}
 
 

@@ -36,7 +36,7 @@ MAX_FRAMES_PER_CHAR = 20
 # Griffin-Lim's centered STFT needs more than N_FFT/2 samples, and T frames
 # give (T - 1) * HOP of them, so T must be at least N_FFT // (2 * HOP) + 2.
 MIN_FRAMES = N_FFT // (2 * HOP) + 2
-CKPT_MAGIC = "EMITTS/3"
+CKPT_MAGIC = "EMITTS/4"
 
 
 @dataclass

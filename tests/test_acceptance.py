@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from emoforge import epalign
-from emoforge.autodiff import ParamLayout, constant, finite_diff_check
+from emoforge.autodiff import ParamLayout, constant
 from emoforge.cli import main as cli_main
 from emoforge.conditioning import attention_graph, coupling_block_shapes, coupling_graph
 from emoforge.datagen import CorpusConfig, _TEXT_POOL, gen_corpus, render_reference
@@ -39,6 +39,7 @@ from emoforge.epalign import (
 from emoforge.metrics import dtw_align, edit_distance, mcd, mos_aggregate, secs
 from emoforge.numeric import rng_stream
 from emoforge.tts import TtsConfig, init_tts, synthesize, train_tts
+from gradcheck import finite_diff_check
 
 
 @pytest.fixture

@@ -39,8 +39,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "emoforge"
 
 # qualified name -> why it may have no caller inside the package
 ALLOWED = {
-    "autodiff.finite_diff_check": "the reference oracle behind the finite-difference "
-                                  "check of every gradient; tests are its callers",
     "cli._Parser.error": "argparse calls this override, not emoforge code",
 }
 
@@ -92,8 +90,6 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 # qualified name.parameter -> why no call in the package need pass it
 ALLOWED_KNOBS = {
-    "autodiff.finite_diff_check.epsilon": "the step of the test oracle; tests pick it "
-                                          "per loss curvature",
     "cli.main.argv": "the entry point: None reads sys.argv, tests pass a list",
     "conditioning.coupling_graph.inverse": "the flow's inverse direction, which "
                                            "acceptance criterion 1 runs",

@@ -13,12 +13,12 @@ from emoforge.autodiff import (
     adam_step,
     concat,
     constant,
-    finite_diff_check,
     grad,
     log_softmax_rows,
     repeat_rows,
 )
 from emoforge.errors import DataError
+from gradcheck import finite_diff_check
 
 
 def test_grad_quadratic():

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emoforge import datagen, epalign, errors, metrics, tts
+from emoforge import cli, datagen, epalign, errors, metrics, tts
 from emoforge.cli import _build_parser, main
 from emoforge.datagen import CorpusConfig, render_reference
 from emoforge.dsp import HOP, Waveform, wav_read, wav_write
@@ -25,7 +25,7 @@ from emoforge.epalign import EMBED, HIDDEN, AlignTrainConfig, load_epalign
 from emoforge.errors import DataError
 from emoforge.autodiff import ParamLayout
 from emoforge.tts import CHAR_DIM, VARIANTS, TtsConfig, load_tts, save_tts, tts_block_shapes
-from theta_codec import decode_theta, encode_theta
+from theta_codec import decode_checkpoint, encode_checkpoint
 from wav_header import set_sample_rate
 
 
@@ -139,6 +139,51 @@ def test_usage_errors(workdir, tmp_path, capsys):
         assert not os.path.exists(out), argv
 
 
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    cli._build_parser.cache_clear()
+    assert main(["mos", "--frobnicate"]) == 1
+    assert capsys.readouterr().err.startswith("usage: emoforge")
+    first = len(built)
+    assert first > 0
+    assert main(["--help"]) == 0
+    assert "synth" in capsys.readouterr().out
+    assert len(built) == first
+
+
+# an --out that names an input: (the input, argv); each once exited 0 and destroyed it
+OUT_OVER_INPUT = {
+    # a spelling of the same path that only os.path.samefile sees through
+    "synth-over-its-checkpoint": lambda w: (w["tts"], [
+        "synth", "--ckpt", w["tts"], "--align-ckpt", w["align"], "--text", "hi.",
+        "--emotion", "sad", "--out", w["data"] / ".." / "tts.json"]),
+    "train-tts-over-its-alignment": lambda w: (w["align"], [
+        "train-tts", "--data", w["data"], "--variant", "vits", "--align-ckpt", w["align"],
+        "--out", w["align"], "--steps", "1", "--batch", "1"]),
+    "train-align-over-its-manifest": lambda w: (w["data"] / "manifest.jsonl", [
+        "train-align", "--data", w["data"], "--out", w["data"] / "manifest.jsonl",
+        "--epochs", "1", "--batch", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OVER_INPUT))
+def test_out_naming_an_input_exits_2_and_keeps_it(case, workdir, tts_ckpt, tmp_path, capsys):
+    w = {"data": tmp_path / "data", "align": tmp_path / "align.json", "tts": tmp_path / "tts.json"}
+    shutil.copytree(workdir["data"], w["data"])
+    shutil.copy(workdir["align"], w["align"])
+    shutil.copy(tts_ckpt, w["tts"])
+    victim, argv = OUT_OVER_INPUT[case](w)
+    before = victim.read_bytes()
+    assert main([str(a) for a in argv]) == 2
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    out = argv[argv.index("--out") + 1]
+    assert err == ["error: --out %s names the input %s" % (out, victim)], err
+    assert victim.read_bytes() == before
+
+
 def test_gen_data_refuses_a_speaker_without_a_voice(tmp_path, capsys):
     out = tmp_path / "c"
     assert main(["gen-data", "--out", str(out), "--speakers", "5"]) == 1
@@ -249,19 +294,23 @@ def _synth_exit(tts_path, align_path, out):
 
 
 def _edited(src, dst, edit):
-    payload = json.loads(src.read_text())
+    payload = decode_checkpoint(src.read_bytes())
     edit(payload)
-    dst.write_text(json.dumps(payload))
+    dst.write_bytes(encode_checkpoint(payload))
     return dst
 
 
 def test_synth_rejects_tts_checkpoint_missing_fields(workdir, tts_ckpt, tmp_path, capsys):
-    edits = [lambda p, k=k: p.pop(k) for k in ("dims", "seed", "theta")]
+    edits = [lambda p, k=k: p.pop(k) for k in ("dims", "seed")]
     edits += [lambda p, k=k: p["dims"].pop(k) for k in ("embed", "n_speakers")]
     for edit in edits:
         bad = _edited(tts_ckpt, tmp_path / "tts.json", edit)
         assert _synth_exit(bad, workdir["align"], tmp_path / "x.wav") == 2
         assert "missing field" in capsys.readouterr().err
+    # the header line alone: no θ bytes after it
+    bad = _edited(tts_ckpt, tmp_path / "tts.json", lambda p: p.pop("theta"))
+    assert _synth_exit(bad, workdir["align"], tmp_path / "x.wav") == 2
+    assert "has 0 parameters, layout wants 10201" in capsys.readouterr().err
 
 
 def test_synth_rejects_wrongly_typed_checkpoint_fields(workdir, tts_ckpt, tmp_path, capsys):
@@ -291,9 +340,7 @@ def test_synth_short_texts(workdir, tts_ckpt, tmp_path):
 
 def test_synth_rejects_nonfinite_checkpoints(workdir, tts_ckpt, tmp_path, capsys):
     def poison(p):
-        theta = decode_theta(p["theta"])
-        theta[0] = float("nan")
-        p["theta"] = encode_theta(theta)
+        p["theta"][0] = float("nan")
 
     bad_tts = _edited(tts_ckpt, tmp_path / "tts.json", poison)
     bad_align = _edited(workdir["align"], tmp_path / "align.json", poison)
@@ -394,16 +441,16 @@ def _one_class_as_true(payload, params):
     # n_classes true, with theta cut to a one-class prompt table so the size fits
     a, b = params.layout.slices["prompt_table"]
     payload["n_classes"] = True
-    theta = decode_theta(payload["theta"])
-    payload["theta"] = encode_theta(np.concatenate([theta[:a + EMBED], theta[b:]]))
+    theta = payload["theta"]
+    payload["theta"] = np.concatenate([theta[:a + EMBED], theta[b:]])
 
 
 def _no_classes(payload, params):
     # n_classes 0, with theta cut to an empty prompt table so the size fits
     a, b = params.layout.slices["prompt_table"]
     payload["n_classes"] = 0
-    theta = decode_theta(payload["theta"])
-    payload["theta"] = encode_theta(np.concatenate([theta[:a], theta[b:]]))
+    theta = payload["theta"]
+    payload["theta"] = np.concatenate([theta[:a], theta[b:]])
 
 
 def _parent_format(payload, params):
@@ -414,8 +461,8 @@ def _parent_format(payload, params):
     names = [n % mu for mu in ("vis", "audio", "tex")
              for n in ("enc_%s_w1", "enc_%s_b1", "enc_%s_w2", "enc_%s_b2", "w_imp_%s", "w_pro_%s")]
     payload["anchor"] = "tex"
-    payload["theta"] = encode_theta(np.concatenate([blocks.get(n, np.zeros((e, e))).ravel()
-                                                    for n in names + ["prompt_table", "log_t"]]))
+    payload["theta"] = np.concatenate([blocks.get(n, np.zeros((e, e))).ravel()
+                                       for n in names + ["prompt_table", "log_t"]])
 
 
 def _format_1(payload, params):
@@ -446,47 +493,60 @@ def _tts_layout(payload):
 def _no_speakers(payload):
     # dims.n_speakers 0, with theta cut to the size of that layout so the size fits
     payload["dims"]["n_speakers"] = 0
-    payload["theta"] = encode_theta(decode_theta(payload["theta"])[:_tts_layout(payload).size])
+    payload["theta"] = payload["theta"][:_tts_layout(payload).size]
 
 
 def _two_matrix_bias(payload):
     # the layout before fastspeech's condition bias became one matrix: a
     # CHAR_DIM x CHAR_DIM block (here I, so the model is the same) ahead of it
     a = _tts_layout(payload).offset("att_w")
-    theta = decode_theta(payload["theta"])
-    payload["theta"] = encode_theta(np.concatenate([theta[:a], np.eye(CHAR_DIM).ravel(),
-                                                    theta[a:]]))
+    theta = payload["theta"]
+    payload["theta"] = np.concatenate([theta[:a], np.eye(CHAR_DIM).ravel(), theta[a:]])
 
 
 def _ragged_bytes(payload, params):
     # θ's bytes less the last 3: whole bytes, but not whole float64s
-    payload["theta"] = base64.b64encode(base64.b64decode(payload["theta"])[:-3]).decode()
+    payload["theta"] = payload["theta"].astype("<f8").tobytes()[:-3]
 
 
 def _huge_weight(payload, params):
     # finite, so the checkpoint loads; its square overflows in the row norm,
     # which zeroed every fused row and scored every utterance as class 0
-    theta = decode_theta(payload["theta"])
-    theta[params.layout.offset("w_imp_vis")] = 1.94e307
-    payload["theta"] = encode_theta(theta)
+    payload["theta"][params.layout.offset("w_imp_vis")] = 1.94e307
+
+
+def _one_json_line(ckpt, magic):
+    """The checkpoint file `ckpt` as the one JSON line of format `magic`: θ as base64."""
+    payload = decode_checkpoint(ckpt.read_bytes())
+    theta = base64.b64encode(payload["theta"].astype("<f8").tobytes()).decode()
+    return json.dumps(dict(payload, magic=magic, theta=theta)).encode()
+
+
+def _eval_align_on(blob, w, tmp):
+    """eval-align with the alignment checkpoint file `blob`."""
+    return ["eval-align", "--ckpt", _file(tmp / "align.json", blob),
+            "--data", str(w["data"]), "--out", str(tmp / "r.json")]
+
+
+def _synth_tts_on(blob, w, tmp):
+    """synth with the TTS checkpoint file `blob`."""
+    return ["synth", "--ckpt", _file(tmp / "tts.json", blob), "--align-ckpt", str(w["align"]),
+            "--text", "pack my box.", "--emotion", "sad", "--out", str(tmp / "x.wav")]
 
 
 def _eval_align_checkpoint(edit):
     def argv(w, tmp):
-        payload = json.loads(w["align"].read_text())
+        payload = decode_checkpoint(w["align"].read_bytes())
         edit(payload, load_epalign(w["align"]))
-        return ["eval-align", "--ckpt", _file(tmp / "align.json", json.dumps(payload)),
-                "--data", str(w["data"]), "--out", str(tmp / "r.json")]
+        return _eval_align_on(encode_checkpoint(payload), w, tmp)
     return argv
 
 
 def _synth_tts_checkpoint(edit):
     def argv(w, tmp):
-        payload = json.loads(w["tts"].read_text())
+        payload = decode_checkpoint(w["tts"].read_bytes())
         edit(payload)
-        return ["synth", "--ckpt", _file(tmp / "tts.json", json.dumps(payload)),
-                "--align-ckpt", str(w["align"]), "--text", "pack my box.", "--emotion", "sad",
-                "--out", str(tmp / "x.wav")]
+        return _synth_tts_on(encode_checkpoint(payload), w, tmp)
     return argv
 
 
@@ -539,19 +599,26 @@ MALFORMED = {
     "align-parent-format": _eval_align_checkpoint(_parent_format),
     "align-format-1": _eval_align_checkpoint(_format_1),
     "align-format-3": _eval_align_checkpoint(_format_3),
+    # the files of the format before this one: one JSON line, θ as base64
+    "align-format-4": lambda w, tmp: _eval_align_on(_one_json_line(w["align"], "EPALIGN/4"),
+                                                    w, tmp),
+    "tts-format-3": lambda w, tmp: _synth_tts_on(_one_json_line(w["tts"], "EMITTS/3"), w, tmp),
     "align-theta-ragged-bytes": _eval_align_checkpoint(_ragged_bytes),
     "align-untrained-dims": _eval_align_checkpoint(lambda p, _: p["dims"].update(d_video=64)),
     "align-dims-stale-hidden": _eval_align_checkpoint(lambda p, _: p["dims"].update(hidden=64)),
     "align-dims-no-tex": _eval_align_checkpoint(lambda p, _: p["dims"].pop("d_tex")),
     "align-weight-huge": _eval_align_checkpoint(_huge_weight),
-    "tts-theta-not-base64": _synth_tts_checkpoint(lambda p: p.update(theta="not base64!")),
-    "tts-theta-not-ascii": _synth_tts_checkpoint(lambda p: p.update(theta="\u03b8" * 8)),
+    "tts-header-not-utf8-json": lambda w, tmp: _synth_tts_on(b"\xff" + w["tts"].read_bytes(),
+                                                             w, tmp),
+    # θ's bytes alone
+    "tts-no-header-line": lambda w, tmp: _synth_tts_on(
+        w["tts"].read_bytes().partition(b"\n")[2], w, tmp),
     "tts-dims-unknown-key": _synth_tts_checkpoint(lambda p: p["dims"].update(n_mels=40)),
     "tts-unknown-field": _synth_tts_checkpoint(lambda p: p.update(extra=[1])),
     "tts-format-2": _synth_tts_checkpoint(_tts_format_2),
     "tts-unknown-variant": _synth_tts_checkpoint(lambda p: p.update(variant="wavenet")),
     "tts-theta-wrong-size": _synth_tts_checkpoint(
-        lambda p: p.update(theta=encode_theta(decode_theta(p["theta"])[:-1]))),
+        lambda p: p.update(theta=p["theta"][:-1])),
     "tts-zero-speakers": _synth_tts_checkpoint(_no_speakers),
     "tts-two-matrix-bias": _synth_tts_checkpoint(_two_matrix_bias),
     # both sized θ by an int64 product that wrapped back to the file's θ size,
@@ -603,18 +670,20 @@ REASON = {
     "align-bool-classes": "malformed field 'n_classes'",
     "align-zero-classes": "malformed field 'n_classes'",
     "align-parent-format": "fields its format does not name: anchor",
-    "align-format-1": "is format 'EPALIGN/1', want 'EPALIGN/4'",
-    "align-format-3": "is format 'EPALIGN/3', want 'EPALIGN/4'",
-    "align-theta-ragged-bytes": "multiple of element size",
+    "align-format-1": "is format 'EPALIGN/1', want 'EPALIGN/5'",
+    "align-format-3": "is format 'EPALIGN/3', want 'EPALIGN/5'",
+    "align-format-4": "is format 'EPALIGN/4', want 'EPALIGN/5'",
+    "align-theta-ragged-bytes": "bytes of parameters, not whole float64s",
     "align-untrained-dims": "malformed field 'dims'",
     "align-dims-stale-hidden": "malformed field 'dims'",
     "align-dims-no-tex": "missing field 'dims.d_tex'",
     "align-weight-huge": "eval-align stopped on a floating-point error: overflow",
-    "tts-theta-not-base64": "malformed field 'theta'",
-    "tts-theta-not-ascii": "malformed field 'theta'",
+    "tts-header-not-utf8-json": "can't decode byte 0xff in position 0",
+    "tts-no-header-line": "tts.json: ",
     "tts-dims-unknown-key": "malformed field 'dims'",
     "tts-unknown-field": "fields its format does not name: extra",
-    "tts-format-2": "is format 'EMITTS/2', want 'EMITTS/3'",
+    "tts-format-2": "is format 'EMITTS/2', want 'EMITTS/4'",
+    "tts-format-3": "is format 'EMITTS/3', want 'EMITTS/4'",
     "tts-unknown-variant": "unknown variant 'wavenet'",
     "tts-theta-wrong-size": "10200 parameters, layout wants 10201",
     "tts-zero-speakers": "malformed field 'dims.n_speakers'",
@@ -795,14 +864,32 @@ def test_huge_theta_values_exit_0_or_2_without_traceback(workdir, tts_ckpt, tmp_
     inputs = [(name, blob, argv) for name, blob, argv
               in _fuzz_inputs(dict(workdir, tts=tts_ckpt), tmp_path) if name in ("tts", "align")]
     for name, blob, argv in inputs:
-        payload, path = json.loads(blob), tmp_path / "data" / name
-        theta = decode_theta(payload["theta"])
+        payload, path = decode_checkpoint(blob), tmp_path / "data" / name
+        theta = payload["theta"]
         for _ in range(12):
             at = rng.integers(theta.size, size=int(rng.integers(1, 4)))
             mutant = theta.copy()
             mutant[at] = rng.choice([-1.94e307, 1.94e307], size=at.size)
-            path.write_text(json.dumps(dict(payload, theta=encode_theta(mutant))))
+            path.write_bytes(encode_checkpoint(dict(payload, theta=mutant)))
             _exits_0_or_2_cleanly(argv(path), tmp_path, capsys, (name, at.tolist()))
+
+
+def test_theta_byte_flips_exit_0_or_2_without_traceback(workdir, tts_ckpt, tmp_path, capsys):
+    # θ is raw float64 bytes, so one flipped byte can reach any sign, exponent or
+    # mantissa bit: huge, tiny and harmless values alike
+    rng = np.random.default_rng(19)
+    (tmp_path / "data").mkdir()
+    inputs = [(name, blob, argv) for name, blob, argv
+              in _fuzz_inputs(dict(workdir, tts=tts_ckpt), tmp_path) if name in ("tts", "align")]
+    for name, blob, argv in inputs:
+        path, start = tmp_path / "data" / name, blob.index(b"\n") + 1
+        for at, flip in zip(rng.integers(start, len(blob), size=200),
+                            rng.integers(1, 256, size=200)):
+            mutant = bytearray(blob)
+            mutant[at] ^= flip
+            path.write_bytes(mutant)
+            code, err = _exits_0_or_2_cleanly(argv(path), tmp_path, capsys, (name, at, flip))
+            assert code == 0 or len([l for l in err.splitlines() if l.startswith("error:")]) == 1
 
 
 # finite, so every feature file below is accepted; the encoder's tanh saturates
@@ -952,9 +1039,13 @@ def test_readme_walkthrough_commands_parse():
 # syn/ref.wav ae90f471..., eval.json a87e6c8e... before). Fastspeech's one
 # condition-bias matrix re-pinned its checkpoint and "#theta" entries, the WAV
 # it synthesizes and the eval report that scores it (c8c3c81a... / acc02162...,
-# syn/happy.wav c7fe8098..., eval.json 9bf98842... before).
+# syn/happy.wav c7fe8098..., eval.json 9bf98842... before). Checkpoint format
+# 4 (EMITTS/4, EPALIGN/5: a JSON header line, then θ's raw bytes) re-pinned the
+# four checkpoint files (their "#theta" entries held); the one-JSON-line files
+# of the format before hashed align 73d3837a..., vits 2aa36def..., fastspeech
+# 9d36be86... and tacotron 88a07c83....
 PINNED_SESSION_SHA256 = {
-    "align.json": "73d3837aceae0a2513ba9eccca49706ffeb5692748991ad40e64f0c4d1d9cb07",
+    "align.json": "a05d6ad160f0f2205c21d4eb1500c9195e1b0a877bd444a6d080b227776743dc",
     "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
     "corpus/manifest.jsonl": "3837f705ea68de28fabefee0b372d9d3c9fe1926a859335b928c2df9df58da3c",
     "corpus/wav/utt_00000.wav": "416a3ac0fd319652d97f741ba2e4bef0d368351ca5ff2a4884025ee73ad0fb70",
@@ -975,9 +1066,9 @@ PINNED_SESSION_SHA256 = {
     "eval.json": "870fdfeaf42f91c00ae5e287e487cbc9cf520e76c05d176f94b5faf5e1d1526c",
     "syn/happy.wav": "612638c7c2fe34a60c5d6702320bd427b15db6d5eede09dde49fde562bca450b",
     "syn/ref.wav": "98b1c66787ce323af5028a7520132baea91a6a56bf5da28ebcd799e33ebeeef1",
-    "tts_fastspeech.json": "9d36be866cc69b91c1ffeb78d9bc22e391a6a4fba4da76e6f431b1ce3e039f02",
-    "tts_tacotron.json": "88a07c838f5f18e1a5dc882c8e4ddeaeed5213740236cbf25baf39f93393d484",
-    "tts_vits.json": "2aa36defff1a52b49692ee667269f1f369fb9277f71cdc67e90747f08e6c5daf",
+    "tts_fastspeech.json": "68ea1b8561de3d26c34cd9f8bce1244b429ea4627327e59196fc7f4ede6f1c73",
+    "tts_tacotron.json": "61f0c3eba93b3484e479cfbdb80f1375cf8bf0332a985416d23ac528208011e9",
+    "tts_vits.json": "f023e9f723a984968a3d4abc6db74bb0c11604f5798c4bebb5fac32f83bd5413",
     "align.json#theta": "99d85db9d60beb56dcef0c790d72b2325d4d6141334e0c3522e57a9ef576b9c5",
     "tts_vits.json#theta": "4df7ae29a449dc4586b512cf9aa1b169215de2e4eb932952f5e3b8361c834561",
     "tts_fastspeech.json#theta": "244833bf338b8e7bda3861f1896c9ea9ba7d293f96a35a2fd6d6e1acda1d8666",

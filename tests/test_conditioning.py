@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from emoforge.autodiff import ParamLayout, constant, finite_diff_check
+from emoforge.autodiff import ParamLayout, constant
 from emoforge.conditioning import (
     attention_graph,
     coupling_block_shapes,
@@ -14,6 +14,7 @@ from emoforge.dsp import N_MELS
 from emoforge.errors import DataError
 from emoforge.numeric import rng_stream
 from emoforge.tts import CHAR_DIM, COUPLING_GATE, _condition_graph, condition, init_tts
+from gradcheck import finite_diff_check
 
 EMBED, N_SPK = 8, 2
 COND = EMBED + N_SPK

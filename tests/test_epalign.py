@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emoforge import epalign
-from emoforge.autodiff import constant, finite_diff_check, grad
+from emoforge.autodiff import constant, grad
 from emoforge.datagen import CorpusConfig, gen_corpus
 from emoforge.epalign import (
     MODALITIES,
@@ -27,6 +27,7 @@ from emoforge.epalign import (
 )
 from emoforge.errors import ConfigError, DataError, FormatError
 from emoforge.numeric import rng_stream
+from gradcheck import finite_diff_check
 
 DIMS = {"d_vis": 64, "d_audio": 64, "d_tex": 64}  # the corpus's feature widths
 
@@ -420,11 +421,12 @@ def test_checkpoint_round_trip(tmp_path, corpus):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
+    theta = np.zeros(4, "<f8").tobytes()
     bad = tmp_path / "bad.ckpt"
-    bad.write_text("not json at all {")
-    with pytest.raises(FormatError):
+    bad.write_bytes(b"not json at all {\n" + theta)
+    with pytest.raises(FormatError, match="bad.ckpt: Expecting value"):
         load_epalign(bad)
     wrong = tmp_path / "wrong.ckpt"
-    wrong.write_text(json.dumps({"magic": "SOMETHING/9"}))
-    with pytest.raises(FormatError):
+    wrong.write_bytes(json.dumps({"magic": "SOMETHING/9"}).encode() + b"\n" + theta)
+    with pytest.raises(FormatError, match="format 'SOMETHING/9', want 'EPALIGN/5'"):
         load_epalign(wrong)

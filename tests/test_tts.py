@@ -2,7 +2,6 @@
 
 import gc
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from emoforge.tts import (
     train_tts,
     tts_block_shapes,
 )
-from theta_codec import encode_theta
+from theta_codec import encode_checkpoint
 
 EMBED = 8
 N_SPK = 2
@@ -348,11 +347,14 @@ def test_train_loss_decreases_and_is_deterministic(tmp_path):
 # 62b77c90..., fastspeech bb922760..., tacotron 615531ca...). The float32 mel
 # analysis moved the target mels by rounding, and so θ (vits 7d59f870...,
 # fastspeech 67d5c362..., tacotron b35c0deb... before). Fastspeech's one
-# condition-bias matrix moved its θ (cc61bc3c... before).
+# condition-bias matrix moved its θ (cc61bc3c... before). Format 4 (EMITTS/4:
+# a JSON header line, then θ's raw bytes) moved only the bytes (the one-line
+# files of format 3: vits 7363bda4..., fastspeech a3e33335..., tacotron
+# 27a6b62d...).
 PINNED_CKPT_SHA256 = {
-    "vits": "7363bda405c0b8abfa79a147010dd75683e87e57c20a257977daeb4c4f3e7f24",
-    "fastspeech": "a3e33335fc6ed1f8c57eb04ecdf9aeaf145af4f6a6031914a5ab525272d3f96b",
-    "tacotron": "27a6b62dd9a01bd251cccfedee2c572b934a8d9d8efbdee2b8c007743db5035c",
+    "vits": "caca1c0678330288d8c4ef126581ef50f555f7fc348c3cb0f30913344da1a42c",
+    "fastspeech": "a0e1313889ad211e3c1cf590445d7ffc49d10c47e9e1c7d975a99d452d0a1df9",
+    "tacotron": "00946e7c428b202ee8fb3f8492bb6e522f95e0267ccce21e3358bfb7dab151a8",
 }
 
 
@@ -450,15 +452,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_tts(bad)
     p = _params("vits")
     payload = {"magic": CKPT_MAGIC, "variant": "vits", "dims": p.dims,
-               "seed": 42, "theta": encode_theta([1.0, 2.0])}
-    bad.write_text(json.dumps(payload))
+               "seed": 42, "theta": [1.0, 2.0]}
+    bad.write_bytes(encode_checkpoint(payload))
     with pytest.raises(FormatError, match="has 2 parameters"):
         load_tts(bad)
     # 11,369 values: the fastspeech layout whose condition bias was a product
     # of two matrices, (32 + 4) x 32 and 32 x 32, in place of one (32 + 4) x 32
     p = init_tts("fastspeech", embed=32, n_speakers=4, seed=42)
-    payload.update(variant="fastspeech", dims=p.dims, theta=encode_theta(np.zeros(11369)))
-    bad.write_text(json.dumps(payload))
+    payload.update(variant="fastspeech", dims=p.dims, theta=np.zeros(11369))
+    bad.write_bytes(encode_checkpoint(payload))
     with pytest.raises(FormatError, match="has 11369 parameters, layout wants 10345"):
         load_tts(bad)
 

@@ -1,13 +1,19 @@
-"""The θ field of a checkpoint (formats 2 and 3): base64 of little-endian float64 bytes."""
+"""A checkpoint (formats EMITTS/4 and EPALIGN/5) as one dict: the fields of its
+JSON header line, and "theta", the little-endian float64s of every byte after it."""
 
-import base64
+import json
 
 import numpy as np
 
 
-def decode_theta(text):
-    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").copy()
+def decode_checkpoint(blob):
+    head, _, raw = blob.partition(b"\n")
+    return dict(json.loads(head), theta=np.frombuffer(raw, dtype="<f8").copy())
 
 
-def encode_theta(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def encode_checkpoint(payload):
+    """The file of `payload`; a "theta" of bytes is written as it is, and none as no bytes."""
+    header = {k: v for k, v in payload.items() if k != "theta"}
+    theta = payload.get("theta", b"")
+    raw = theta if isinstance(theta, bytes) else np.asarray(theta, dtype="<f8").tobytes()
+    return json.dumps(header).encode() + b"\n" + raw
