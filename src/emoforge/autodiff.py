@@ -86,11 +86,22 @@ class Tensor:
         return Tensor(-self.data, (self,), lambda g: self._accum(-g))
 
     def __sub__(self, other):
-        return self + (-_wrap(other))
+        other = _wrap(other)
+        def back(g):
+            if not self.const:
+                self._accum(_unbroadcast(g, self.data.shape))
+            if not other.const:
+                other._accum(-_unbroadcast(g, other.data.shape))
+        return Tensor(self.data - other.data, (self, other), back)
 
     def __mul__(self, other):
         other = _wrap(other)
         def back(g):
+            if other is self:  # x * x: g * x once, accumulated twice in turn
+                gx = g * self.data
+                self._accum(gx)
+                self._accum(gx)
+                return
             if not self.const:
                 self._accum(_unbroadcast(g * other.data, self.data.shape))
             if not other.const:
@@ -150,7 +161,9 @@ class Tensor:
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def mean(self):
-        return self.sum() * (1.0 / self.data.size)
+        scale = 1.0 / self.data.size
+        return Tensor(self.data.sum() * scale, (self,),
+                      lambda g: self._accum(np.full(self.data.shape, g * scale)))
 
     @property
     def T(self):

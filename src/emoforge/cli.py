@@ -27,20 +27,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _refuse_out_over_input(args):
-    """An --out naming a file the command reads would destroy it: a DataError before any work."""
+def _refuse_out_over_input(args, wavs=()):
+    """An --out naming a file the command reads would destroy it: a DataError before any write."""
     reads = [getattr(args, k, None) for k in ("ckpt", "align_ckpt", "ref_features", "pairs")]
     reads += [os.path.join(args.data, "manifest.jsonl")] if hasattr(args, "data") else []
-    for path in filter(None, reads):
+    for path in filter(None, [*reads, *wavs]):
         if os.path.exists(args.out) and os.path.exists(path) and os.path.samefile(path, args.out):
             raise DataError("--out %s names the input %s" % (args.out, path))
 
 
-def _load_dataset(data_dir):
-    manifest = os.path.join(data_dir, "manifest.jsonl")
+def _load_dataset(args):
+    """The manifest under --data, once --out is known to name none of the WAVs it lists."""
+    manifest = os.path.join(args.data, "manifest.jsonl")
     if not os.path.exists(manifest):
-        raise FormatError("no manifest.jsonl under %s" % data_dir)
-    return datagen.load_manifest(manifest)
+        raise FormatError("no manifest.jsonl under %s" % args.data)
+    dataset = datagen.load_manifest(manifest)
+    _refuse_out_over_input(args, [u.wav_path for u in dataset])
+    return dataset
 
 
 def _config(cls, args):
@@ -119,7 +122,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_train_align(args):
-    dataset = _load_dataset(args.data)
+    dataset = _load_dataset(args)
     params, curve = epalign.train_epalign(dataset, _config(epalign.AlignTrainConfig, args))
     epalign.save_epalign(params, args.out)
     print("trained %d epochs, loss %.4f -> %.4f, checkpoint %s"
@@ -129,7 +132,7 @@ def _cmd_train_align(args):
 
 def _cmd_eval_align(args):
     params = epalign.load_epalign(args.ckpt)
-    dataset = _load_dataset(args.data)
+    dataset = _load_dataset(args)
     report = epalign.eval_alignment(params, dataset, args.modalities)
     print("macro F1: %.4f  accuracy: %.4f" % (report["macro_f1"], report["accuracy"]))
     print("confusion (rows = true class):")
@@ -142,7 +145,7 @@ def _cmd_eval_align(args):
 
 
 def _cmd_train_tts(args):
-    dataset = _load_dataset(args.data)
+    dataset = _load_dataset(args)
     align = epalign.load_epalign(args.align_ckpt)
     prompts = epalign.anchored_prompts(align)
     config = _config(tts.TtsConfig, args)

@@ -4,16 +4,16 @@ Two of the three synthesizer variants inject `tts.condition`'s row u =
 [u_emo; one-hot speaker] through a learned block built on the autodiff
 Tensor graph here; `tts` keeps the blocks' weights in its parameter layout:
 
-  * "vits": an invertible affine coupling flow whose scale/shift come from
-    a gated conditioner network fed with the condition,
+  * "vits": an invertible affine coupling flow on explicit channel halves:
+    the caller passes the half that goes through and the half to transform,
+    whose scale/shift come from a gated conditioner network fed with the
+    first half and the condition,
   * "fastspeech": a learned condition bias on the encoder state, h + u W,
     one matrix W (`att_w`) from the condition to the text features.
 
 The third variant, "tacotron", concatenates u onto every frame in
 `tts._condition_graph` and has no weights of its own.
 """
-
-from .autodiff import concat
 
 LOG_S_LIMIT = 5.0
 
@@ -47,23 +47,16 @@ def ewn_graph(blocks, x_t):
     return log_s, b
 
 
-def coupling_graph(blocks, h_t, u_t, inverse=False):
-    """Affine coupling on Tensors. The first half of the channels (h0) passes
+def coupling_graph(blocks, h0, h1, u_t, inverse=False):
+    """Affine coupling on Tensors. h0, one half of the channels, passes
     through untouched and, shifted by the projected condition, drives
-    the scale/shift applied to the second half: h1' = exp(log_s) * h1 + b,
+    the scale/shift applied to the other half h1: h1' = exp(log_s) * h1 + b,
     and with inverse=True h1 = (h1' - b) * exp(-log_s). Returns
-    (h_out, log_s); log_s.sum() is the forward direction's log-determinant."""
-    d = h_t.data.shape[1]
-    half = d // 2
-    h0 = h_t[:, :half]
-    h1 = h_t[:, half:]
-    cond = h0 + u_t @ blocks["cond_proj"]
-    log_s, b = ewn_graph(blocks, cond)
+    (h1_out, log_s); log_s.sum() is the forward direction's log-determinant."""
+    log_s, b = ewn_graph(blocks, h0 + u_t @ blocks["cond_proj"])
     if inverse:
-        h1_out = (h1 - b) * (-log_s).exp()
-    else:
-        h1_out = log_s.exp() * h1 + b
-    return concat([h0, h1_out]), log_s
+        return (h1 - b) * (-log_s).exp(), log_s
+    return log_s.exp() * h1 + b, log_s
 
 
 # ---------------------------------------------------------------------------

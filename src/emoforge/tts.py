@@ -97,8 +97,8 @@ def tts_block_shapes(variant, embed, n_speakers):
         "dec_b2": (N_MELS,),
     }
     if variant == "vits":
-        # two coupling blocks with a half-swap between them, so both halves
-        # of the mel frame are transformable (a single block pins the first)
+        # two coupling blocks that take turns at which half of the mel frame
+        # they transform, so both halves are transformable (one pins the first)
         for prefix in ("flow_a_", "flow_b_"):
             for name, shape in coupling_block_shapes(N_MELS, d_u, COUPLING_GATE).items():
                 shapes[prefix + name] = shape
@@ -152,11 +152,6 @@ def _duration_graph(blocks, h_cond_t):
     return (h_cond_t @ blocks["dur_w"] + blocks["dur_b"]).softplus()
 
 
-def _swap_halves(t):
-    half = t.shape[1] // 2
-    return concat([t[:, half:], t[:, :half]])
-
-
 def _decoder_graph(blocks, h_cond_t, u, variant, durations):
     # a lone character runs as two rows, its copy given no frames: one-row gemv rounds unlike gemm
     rows, counts = ((h_cond_t, durations) if h_cond_t.shape[0] > 1
@@ -167,9 +162,11 @@ def _decoder_graph(blocks, h_cond_t, u, variant, durations):
     if variant == "vits":
         flow_a = {k[len("flow_a_"):]: v for k, v in blocks.items() if k.startswith("flow_a_")}
         flow_b = {k[len("flow_b_"):]: v for k, v in blocks.items() if k.startswith("flow_b_")}
-        mel, _ = coupling_graph(flow_a, mel, u)
-        mel, _ = coupling_graph(flow_b, _swap_halves(mel), u)
-        mel = _swap_halves(mel)
+        half = N_MELS // 2
+        lo, hi = mel[:, :half], mel[:, half:]
+        hi, _ = coupling_graph(flow_a, lo, hi, u)  # each block transforms the half
+        lo, _ = coupling_graph(flow_b, hi, lo, u)  # the other one passed through
+        mel = concat([lo, hi])
     else:
         mel = mel + u @ blocks["dec_wc"]
     return repeat_rows(mel, counts)
@@ -240,6 +237,8 @@ def train_tts(dataset, prompts, variant, config):
     """
     if not dataset:
         raise ConfigError("empty training set")
+    if config.batch > len(dataset):  # bounds the order queue as train_epalign bounds its batch
+        raise ConfigError("batch size %d out of range for %d samples" % (config.batch, len(dataset)))
     prompts = np.asarray(prompts, dtype=np.float64)
     if prompts.ndim != 2:
         raise ConfigError("prompt table must be a C x E matrix")

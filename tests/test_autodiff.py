@@ -76,6 +76,9 @@ def test_every_primitive_against_finite_differences():
         "softplus": lambda t: t.softplus().sum(),
         "pow": lambda t: (t * t).sum(),
         "mean": lambda t: (t * t).mean(),
+        "sub_broadcast": lambda t: (as_2x3(t) - as_2x3(t)[1:2].tanh()).exp().sum(),
+        "sub_constant": lambda t: (t - np.linspace(-1.0, 1.0, 6)).tanh().sum(),
+        "square_shared": lambda t: (lambda x: (x * x * x.exp()).sum())(t.tanh()),
         "slice": lambda t: (t[1:4] * t[0:3]).sum(),
         "concat": lambda t: concat([as_2x3(t), as_2x3(t) * 2.0]).sum(),
         "transpose": lambda t: (as_2x3(t).T @ as_2x3(t)).sum(),

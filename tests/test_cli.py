@@ -133,7 +133,7 @@ def test_usage_errors(workdir, tmp_path, capsys):
                   "--modalities", "tex,tex", "--out", out],
                  ["eval-align", "--ckpt", str(workdir["align"]), "--data", str(workdir["data"])],
                  train_tts + ["--lr", "nan"], train_tts + ["--lr", "-1"],
-                 train_tts + ["--batch", "0"]):
+                 train_tts + ["--batch", "0"], train_tts + ["--batch", "100000000"]):
         assert main(argv) == 1, argv
         assert "Traceback" not in capsys.readouterr().err
         assert not os.path.exists(out), argv
@@ -166,6 +166,16 @@ OUT_OVER_INPUT = {
     "train-align-over-its-manifest": lambda w: (w["data"] / "manifest.jsonl", [
         "train-align", "--data", w["data"], "--out", w["data"] / "manifest.jsonl",
         "--epochs", "1", "--batch", "3"]),
+    # a WAV the manifest lists, which no flag names
+    "train-tts-over-a-listed-wav": lambda w: (w["data"] / "wav" / "utt_00000.wav", [
+        "train-tts", "--data", w["data"], "--variant", "vits", "--align-ckpt", w["align"],
+        "--out", w["data"] / "wav" / "utt_00000.wav", "--steps", "1", "--batch", "1"]),
+    "train-align-over-a-listed-wav": lambda w: (w["data"] / "wav" / "utt_00001.wav", [
+        "train-align", "--data", w["data"], "--out", w["data"] / "wav" / "utt_00001.wav",
+        "--epochs", "1", "--batch", "3"]),
+    "eval-align-over-a-listed-wav": lambda w: (w["data"] / "wav" / "utt_00002.wav", [
+        "eval-align", "--ckpt", w["align"], "--data", w["data"],
+        "--out", w["data"] / "wav" / "utt_00002.wav"]),
 }
 
 

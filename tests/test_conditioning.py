@@ -47,9 +47,9 @@ def _att(seed=42):
 
 
 def _run(blocks, h, u, inverse=False):
-    out, log_s = coupling_graph(blocks, constant(h), constant(np.asarray(u)[None, :]),
-                                inverse=inverse)
-    return out.data, float(log_s.sum().data)
+    h1_out, log_s = coupling_graph(blocks, constant(h[:, :HALF]), constant(h[:, HALF:]),
+                                   constant(np.asarray(u)[None, :]), inverse=inverse)
+    return np.concatenate([h[:, :HALF], h1_out.data], axis=1), float(log_s.sum().data)
 
 
 # -- coupling flow -------------------------------------------------------------
@@ -124,11 +124,12 @@ def test_coupling_log_det_equals_log_s_sum():
 def test_coupling_log_det_gradient():
     layout, theta = _init_blocks(coupling_block_shapes(N_MELS, 3 + 1, 4), "flow_a_", 9)
     rng = rng_stream(7, "cplgrad")
-    h = constant(rng.standard_normal((4, N_MELS)))
+    h = rng.standard_normal((4, N_MELS))
     u = constant(rng.standard_normal((1, 4)))
 
     def loss(t):
-        return coupling_graph(layout.unpack(t), h, u)[1].sum()
+        return coupling_graph(layout.unpack(t), constant(h[:, :HALF]), constant(h[:, HALF:]),
+                              u)[1].sum()
 
     assert finite_diff_check(loss, theta) < 1e-4
 

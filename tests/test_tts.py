@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emoforge import autodiff, tts
-from emoforge.autodiff import constant, grad
+from emoforge.autodiff import Tensor, concat, constant, grad, repeat_rows
 from emoforge.conditioning import coupling_graph
 from emoforge.datagen import Utterance, render_reference, text_durations
 from emoforge.dsp import HOP, N_MELS, mel_spectrogram, wav_write
@@ -191,6 +191,23 @@ def test_synthesized_wav_bytes_pinned(variant, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_WAV_SHA256[variant]
 
 
+def _swap_halves(t):
+    half = t.shape[1] // 2
+    return concat([t[:, half:], t[:, :half]])
+
+
+def _swap_flow(blocks, mel, u):
+    """The vits flow as it ran before each coupling took explicit halves: a
+    block split its input, passed the first half through and joined the two
+    again, and a half-swap copy after each block let the next transform the
+    other half."""
+    for prefix in ("flow_a_", "flow_b_"):
+        flow = {k[len(prefix):]: v for k, v in blocks.items() if k.startswith(prefix)}
+        h0, h1 = mel[:, :N_MELS // 2], mel[:, N_MELS // 2:]
+        mel = _swap_halves(concat([h0, coupling_graph(flow, h0, h1, u)[0]]))
+    return mel
+
+
 def _per_frame_decoder(blocks, h_cond_t, u, variant, durations):
     """The decoder as it ran before decoding once per character: expand the
     character rows to frames first, then decode every frame."""
@@ -199,11 +216,7 @@ def _per_frame_decoder(blocks, h_cond_t, u, variant, durations):
     mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
     u = constant(u)
     if variant == "vits":
-        flow_a = {k[len("flow_a_"):]: v for k, v in blocks.items() if k.startswith("flow_a_")}
-        flow_b = {k[len("flow_b_"):]: v for k, v in blocks.items() if k.startswith("flow_b_")}
-        mel, _ = coupling_graph(flow_a, mel, u)
-        mel, _ = coupling_graph(flow_b, tts._swap_halves(mel), u)
-        mel = tts._swap_halves(mel)
+        mel = _swap_flow(blocks, mel, u)
     else:
         mel = mel + u @ blocks["dec_wc"]
     return mel
@@ -234,6 +247,49 @@ def test_decoder_matches_per_frame_oracle(variant, tmp_path, monkeypatch):
         assert np.array_equal(mel, want)
     for g, want in zip(grads, want_grads):
         np.testing.assert_allclose(g, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _unfused_loss_graph(theta_t, params, batch):
+    """`_loss_graph` as the tape ran it before `-`, `mean` and `x * x` each
+    became one node, with the swap-halves vits flow: a - b as a + (-b), a
+    mean as sum() * (1/n), and x * x through a second operand node, so that
+    g * x is formed once per operand."""
+    def mean_square(x):
+        twin = Tensor(x.data, (x,), x._accum)
+        return (x * twin).sum() * (1.0 / x.data.size)
+
+    blocks, u, durations = params.layout.unpack(theta_t), batch["u"], batch["durations"]
+    h_lg = tts._text_graph(blocks, batch["ids"], batch["posenc"])
+    h_cond = tts._condition_graph(blocks, h_lg, u, params.variant)
+    dur_soft = tts._duration_graph(blocks, h_cond)
+    rows, counts = ((h_cond, durations) if h_cond.shape[0] > 1
+                    else (h_cond[[0, 0]], [durations[0], 0]))
+    hidden = (rows @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
+    mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
+    if params.variant == "vits":
+        mel = _swap_flow(blocks, mel, constant(u))
+    else:
+        mel = mel + constant(u) @ blocks["dec_wc"]
+    mel = repeat_rows(mel, counts)
+    mel_err = mel + (-constant(batch["target"]))
+    dur_err = dur_soft + (-constant(durations.astype(np.float64)[:, None]))
+    return mean_square(mel_err) + mean_square(dur_err)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_loss_gradient_bits_match_the_unfused_graph(variant, tmp_path):
+    # one-node `-`, `mean` and `x * x` and the flow on explicit halves move no bit
+    p = _params(variant)
+    p.theta = p.theta + rng_stream(4, "tts:unfused").normal(0.0, 0.1, p.theta.size)
+    data = _toy_dataset(tmp_path)
+    # a one-character text takes the decoder's padded-row path
+    frames = sum(data[0].durations)
+    data[0].text, data[0].durations = "a", [frames]
+    for utt in data:
+        b = _utterance_batch(utt, _toy_prompts(), p)
+        g, loss = grad(lambda t: _loss_graph(t, p, b), p.theta, return_loss=True)
+        want, want_loss = grad(lambda t: _unfused_loss_graph(t, p, b), p.theta, return_loss=True)
+        assert g.tobytes() == want.tobytes() and loss == want_loss, utt.id
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -325,9 +381,9 @@ def _toy_prompts():
 
 def test_train_loss_decreases_and_is_deterministic(tmp_path):
     data, prompts = _toy_dataset(tmp_path), _toy_prompts()
-    cfg = TtsConfig(steps=60, lr=0.05, seed=3)
+    cfg = TtsConfig(steps=60, lr=0.05, batch=6, seed=3)
     p1, c1 = train_tts(data, prompts, "tacotron", cfg)
-    p2, c2 = train_tts(data, prompts, "tacotron", TtsConfig(steps=60, lr=0.05, seed=3))
+    p2, c2 = train_tts(data, prompts, "tacotron", TtsConfig(steps=60, lr=0.05, batch=6, seed=3))
     assert c1[-1] < c1[0]
     assert c1 == c2
     assert np.array_equal(p1.theta, p2.theta)
@@ -370,7 +426,7 @@ def test_trained_checkpoint_bytes_pinned(variant, tmp_path):
 def test_train_lr_zero_flat_curve(tmp_path):
     # the curve holds the probe loss before the first step and after the last
     p, curve = train_tts(_toy_dataset(tmp_path), _toy_prompts(), "vits",
-                         TtsConfig(steps=25, lr=0.0, seed=1))
+                         TtsConfig(steps=25, lr=0.0, batch=6, seed=1))
     assert curve == [curve[0], curve[0]]
     init = init_tts("vits", embed=EMBED, n_speakers=p.dims["n_speakers"], seed=1)
     assert np.array_equal(p.theta, init.theta)
@@ -386,26 +442,30 @@ def test_train_config_errors(tmp_path):
         with pytest.raises(ConfigError):
             TtsConfig(lr=bad_lr)
     with pytest.raises(ConfigError):
-        train_tts(data, prompts, "wavenet", TtsConfig(steps=1))
+        train_tts(data, prompts, "wavenet", TtsConfig(steps=1, batch=1))
     with pytest.raises(ConfigError):
-        train_tts(data, prompts[0], "vits", TtsConfig(steps=1))
+        train_tts(data, prompts[0], "vits", TtsConfig(steps=1, batch=1))
+    # a batch past the data would grow the order queue without bound
+    with pytest.raises(ConfigError, match="batch size 7 out of range for 6 samples"):
+        train_tts(data, prompts, "vits", TtsConfig(steps=1, batch=7))
     bad = _toy_dataset(tmp_path)
     bad[0].emotion = 5
     with pytest.raises(DataError, match="emotion 5 out of range"):
-        train_tts(bad, prompts, "vits", TtsConfig(steps=1))
+        train_tts(bad, prompts, "vits", TtsConfig(steps=1, batch=1))
     # the prompt rows become the condition, which synthesis refuses unless unit norm
     with pytest.raises(DataError, match="u_emo must be unit norm"):
-        train_tts(data, 2.0 * prompts, "vits", TtsConfig(steps=1))
+        train_tts(data, 2.0 * prompts, "vits", TtsConfig(steps=1, batch=1))
     # NaN fails every comparison, so `|norm - 1| > tol` once passed a NaN row
     # and training returned a NaN θ
     with pytest.raises(DataError, match="u_emo must be unit norm"):
         train_tts(data, np.where(prompts == 1.0, np.nan, prompts), "fastspeech",
-                  TtsConfig(steps=1))
+                  TtsConfig(steps=1, batch=1))
 
 
 def test_trained_model_tracks_reference_mel(tmp_path):
     data, prompts = _toy_dataset(tmp_path), _toy_prompts()
-    p, curve = train_tts(data, prompts, "fastspeech", TtsConfig(steps=300, lr=0.05, seed=5))
+    p, curve = train_tts(data, prompts, "fastspeech",
+                         TtsConfig(steps=300, lr=0.05, batch=6, seed=5))
     assert curve[-1] < 0.5 * curve[0]
     # synthesized mel should sit closer to the matched-emotion reference
     text = "a cat sat."
