@@ -284,17 +284,14 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr):
-    """One Adam update. Pure: returns (new_params, new_state)."""
-    p = np.asarray(params, dtype=np.float64)
-    g = np.asarray(grads, dtype=np.float64)
-    if p.shape != g.shape:
-        raise DataError("params shape %s != grads shape %s" % (p.shape, g.shape))
+    """One Adam update. Pure: returns (new_params, new_state). Both trainers pass
+    their float64 θ and its own gradient, so the two shapes match."""
     t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
     m_hat = m / (1.0 - ADAM_BETA1 ** t)
     v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    new_p = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_p, AdamState(m=m, v=v, t=t)
 
 

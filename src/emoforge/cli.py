@@ -192,12 +192,13 @@ def _read_pairs(path):
 
 
 def _cmd_eval(args):
-    per_utt = []
-    for row in _read_pairs(args.pairs):
-        ref = wav_read(os.path.join(args.ref_dir, row["ref"]))
-        syn = wav_read(os.path.join(args.syn_dir, row["syn"]))
-        per_utt.append(metrics.utterance_metrics(row["id"], ref, syn,
-                                                 row["ref_text"], row["hyp_text"]))
+    pairs = _read_pairs(args.pairs)
+    wavs = [(os.path.join(args.ref_dir, p["ref"]), os.path.join(args.syn_dir, p["syn"]))
+            for p in pairs]
+    _refuse_out_over_input(args, [path for pair in wavs for path in pair])  # before any read
+    per_utt = [metrics.utterance_metrics(p["id"], wav_read(ref), wav_read(syn),
+                                         p["ref_text"], p["hyp_text"])
+               for p, (ref, syn) in zip(pairs, wavs)]
     report = metrics.aggregate_report(per_utt)
     with open(args.out, "w") as f:
         f.write(report.to_json())

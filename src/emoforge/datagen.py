@@ -94,9 +94,6 @@ class Utterance:
         self.feat_text = np.asarray(self.feat_text, dtype=np.float64)
         if any(d < 1 for d in self.durations):
             raise DataError("character durations must be >= 1 frame")
-        for f in (self.feat_vis, self.feat_audio, self.feat_text):
-            if not np.all(np.isfinite(f)):
-                raise DataError("utterance features must be finite")
 
 
 def emotion_id(name):

@@ -179,11 +179,9 @@ def istft(spec):
     trimmed. Each sample sums its frames in increasing t, as a per-frame
     loop does, so the bits match that loop; that is why `_overlap_add`
     adds the frames' blocks r = 3, 2, 1, 0 in that order. A complex64
-    spectrum gives float32 samples, as in `stft`.
+    spectrum gives float32 samples, as in `stft`. Its one caller,
+    `griffin_lim`, passes (T, N_FFT // 2 + 1) spectra.
     """
-    spec = np.asarray(spec)
-    if spec.ndim != 2 or spec.shape[1] != N_FFT // 2 + 1:
-        raise DataError("expected (T, %d) spectrogram, got %s" % (N_FFT // 2 + 1, spec.shape))
     frames = irfft(spec, n=N_FFT, axis=1)
     frames *= _WINDOW32 if spec.dtype == np.complex64 else WINDOW
     out = _overlap_add(frames)

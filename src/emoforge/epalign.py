@@ -153,8 +153,6 @@ def train_epalign(dataset, config):
     contrastive target coherent; larger batches fall back to plain shuffled
     chunks where same-class pairs act as ordinary in-batch negatives.
     """
-    if not dataset:
-        raise ConfigError("cannot train on an empty dataset")
     if config.batch > len(dataset):
         raise ConfigError("batch size %d out of range for %d samples" % (config.batch, len(dataset)))
     labels = np.array([u.emotion for u in dataset])
@@ -210,11 +208,10 @@ def anchored_prompts(params):
 
 
 def _infer_batch(feats, params):
-    """Shared inference core: dict of (N x D_mu) feature matrices in, predicted
-    classes and the (N x C) cosine similarity matrix out."""
+    """Shared inference core: dict of (N x D_mu) feature matrices in, the N
+    classes whose prompts have the highest cosine to the fused rows out."""
     blocks = params.layout.unpack(constant(params.theta))
-    sims = (_l2rows_t(_implicit_t(blocks, feats)) @ _prompts_t(blocks).T).data
-    return np.argmax(sims, axis=1), sims
+    return np.argmax((_l2rows_t(_implicit_t(blocks, feats)) @ _prompts_t(blocks).T).data, axis=1)
 
 
 def _checked_features(mu, x, params):
@@ -225,8 +222,6 @@ def _checked_features(mu, x, params):
     want = params.dims["d_" + mu]
     if x.ndim != 1 or x.size != want:
         raise DataError("%s features must be 1-D of dim %d, got %s" % (mu, want, x.shape))
-    if not np.isfinite(x).all():
-        raise DataError("%s features must be finite" % mu)
     return x
 
 
@@ -240,7 +235,7 @@ def align_infer(features, params):
     if not features:
         raise DataError("align_infer needs at least one modality")
     feats = {mu: _checked_features(mu, x, params)[None, :] for mu, x in features.items()}
-    return int(_infer_batch(feats, params)[0][0])
+    return int(_infer_batch(feats, params)[0])
 
 
 def classification_report(y_true, y_pred, n_classes):
@@ -268,8 +263,6 @@ def classification_report(y_true, y_pred, n_classes):
 def eval_alignment(params, dataset, modalities):
     """Evaluate alignment over a labeled dataset with the given modality
     subset (None: all of MODALITIES)."""
-    if not dataset:
-        raise ConfigError("cannot evaluate on an empty dataset")
     mods = MODALITIES if modalities is None else modality_set(modalities)
     y = np.array([u.emotion for u in dataset])
     if y.min() < 0 or y.max() >= params.n_classes:
@@ -277,8 +270,7 @@ def eval_alignment(params, dataset, modalities):
                         % (params.n_classes, y.min(), y.max()))
     feats = {mu: np.stack([_checked_features(mu, getattr(u, _FEAT_ATTR[mu]), params)
                            for u in dataset]) for mu in mods}
-    preds, _ = _infer_batch(feats, params)
-    return classification_report(y, preds, params.n_classes)
+    return classification_report(y, _infer_batch(feats, params), params.n_classes)
 
 
 # ---------------------------------------------------------------------------

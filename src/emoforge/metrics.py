@@ -73,7 +73,8 @@ def dtw_align(a, b):
 
     Returns the monotone path of (i, j) index pairs from (0, 0) to
     (T_a-1, T_b-1) minimizing the summed per-pair Euclidean cost, with
-    steps {(1,0), (0,1), (1,1)}. Features must be finite.
+    steps {(1,0), (0,1), (1,1)}. Its one caller, `mcd`, passes two finite
+    float64 arrays of 13-column cepstra, 3 or more frames each.
 
     The accumulated cost acc[i, j] = cost[i, j] + min(acc[i-1, j-1],
     acc[i-1, j], acc[i, j-1]) is filled one anti-diagonal (i + j = d) at a
@@ -88,14 +89,6 @@ def dtw_align(a, b):
     the path shape (the cost is the same for every tied path).
     """
     from scipy.spatial.distance import cdist  # 0.4 s to import: only commands that align pay it
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] < 1 or b.shape[0] < 1:
-        raise DataError("dtw_align needs two non-empty 2-D sequences")
-    if a.shape[1] != b.shape[1]:
-        raise DataError("feature dims differ: %d vs %d" % (a.shape[1], b.shape[1]))
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DataError("dtw_align needs finite features")
     ta, tb = a.shape[0], b.shape[0]
     # acc[i + 1, j + 1] holds cell (i, j); acc[0, 0] = 0 starts the path
     cols = tb + 1
@@ -275,8 +268,6 @@ def aggregate_report(per_utt):
     WER/CER are pooled (total edits / total reference tokens); MCD and SECS
     are reported as medians.
     """
-    if not per_utt:
-        raise DataError("no utterances to aggregate")
     return EvalReport(
         utterances=list(per_utt),
         wer=sum(u["word_edits"] for u in per_utt) / sum(u["word_count"] for u in per_utt),

@@ -79,8 +79,6 @@ def _posenc(t_len):
 
 
 def tts_block_shapes(variant, embed, n_speakers):
-    if variant not in VARIANTS:
-        raise ConfigError("unknown variant %r (want one of %s)" % (variant, "/".join(VARIANTS)))
     d_u = embed + n_speakers  # the width of `condition`'s row
     d_cond = CHAR_DIM + d_u if variant == "tacotron" else CHAR_DIM
     shapes = {
@@ -230,18 +228,14 @@ def _loss_graph(theta_t, params, batch):
 def train_tts(dataset, prompts, variant, config):
     """Teacher-forced trainer: L2 on mel frames plus L2 on soft durations.
 
-    Targets are the mel frames of each utterance's 16 kHz WAV (`wav_path`);
-    `prompts` holds one unit-norm alignment prompt per emotion class (as
-    `epalign.anchored_prompts` returns them). Returns (params, curve), the
-    mean probe-set loss before the first update and after the last.
+    Targets are the mel frames of each utterance's 16 kHz WAV (`wav_path`).
+    The caller passes a loaded manifest and, as `prompts`, the C x E float64
+    table `epalign.anchored_prompts` returns: one unit-norm row per emotion
+    class. Returns (params, curve), the mean probe-set loss before the first
+    update and after the last.
     """
-    if not dataset:
-        raise ConfigError("empty training set")
     if config.batch > len(dataset):  # bounds the order queue as train_epalign bounds its batch
         raise ConfigError("batch size %d out of range for %d samples" % (config.batch, len(dataset)))
-    prompts = np.asarray(prompts, dtype=np.float64)
-    if prompts.ndim != 2:
-        raise ConfigError("prompt table must be a C x E matrix")
     n_speakers = max(u.speaker for u in dataset) + 1
     if n_speakers > len(dataset):  # θ is sized by it: bound it before init_tts allocates
         raise DataError("speaker id %d is not below %d, the number of utterances"

@@ -133,7 +133,9 @@ def test_usage_errors(workdir, tmp_path, capsys):
                   "--modalities", "tex,tex", "--out", out],
                  ["eval-align", "--ckpt", str(workdir["align"]), "--data", str(workdir["data"])],
                  train_tts + ["--lr", "nan"], train_tts + ["--lr", "-1"],
-                 train_tts + ["--batch", "0"], train_tts + ["--batch", "100000000"]):
+                 train_tts + ["--batch", "0"], train_tts + ["--batch", "100000000"],
+                 # argparse's choices own the variant names; nothing past the parser checks them
+                 [a if a != "vits" else "wavenet" for a in train_tts]):
         assert main(argv) == 1, argv
         assert "Traceback" not in capsys.readouterr().err
         assert not os.path.exists(out), argv
@@ -176,7 +178,20 @@ OUT_OVER_INPUT = {
     "eval-align-over-a-listed-wav": lambda w: (w["data"] / "wav" / "utt_00002.wav", [
         "eval-align", "--ckpt", w["align"], "--data", w["data"],
         "--out", w["data"] / "wav" / "utt_00002.wav"]),
+    # a WAV the pairs file lists, on either side of its pair
+    "eval-over-a-reference-wav": lambda w: _eval_one_pair(w, "utt_00003.wav"),
+    "eval-over-a-synthesis-wav": lambda w: _eval_one_pair(w, "utt_00004.wav"),
 }
+
+
+def _eval_one_pair(w, victim):
+    """eval of the pair utt_00003 (reference) / utt_00004 (synthesis), --out naming `victim`."""
+    wav = w["data"] / "wav"
+    pair = dict(id="u", ref="utt_00003.wav", syn="utt_00004.wav", ref_text="a", hyp_text="a")
+    pairs = w["data"].parent / "pairs.jsonl"
+    pairs.write_text(json.dumps(pair) + "\n")
+    return wav / victim, ["eval", "--ref-dir", wav, "--syn-dir", wav, "--pairs", pairs,
+                          "--out", wav / victim]
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OVER_INPUT))
@@ -602,6 +617,11 @@ MALFORMED = {
     "manifest-matrix-features": _train_align_manifest(
         _vis_features(lambda v: [v[:32], v[32:]], first=0)),
     "manifest-int-past-float": _train_align_manifest(_vis_features(lambda v: [10 ** 400] + v[1:])),
+    # the reader owns these facts alone: nothing past it re-checks them
+    "manifest-empty": _train_align_manifest(lambda lines: []),
+    "manifest-nan-feature": _train_align_manifest(
+        _vis_features(lambda v: [float("nan")] + v[1:], first=0)),
+    "features-nan": _synth_features('{"vis": [NaN%s]}' % (", 0.5" * 63)),
     "scores-not-utf8": lambda w, tmp: ["mos", "--scores", _file(tmp / "s.txt", b"4.0\n\xff\n")],
     "align-float-dims": _eval_align_checkpoint(lambda p, _: p["dims"].update(d_vis=64.0)),
     "align-bool-classes": _eval_align_checkpoint(_one_class_as_true),
@@ -676,6 +696,9 @@ REASON = {
     "features-int-past-float": "malformed field 'vis'",
     "features-array": "is not a JSON object of modality -> vector",
     "manifest-int-past-float": "malformed field 'feat_vis'",
+    "manifest-empty": "empty manifest",
+    "manifest-nan-feature": "malformed field 'feat_vis'",
+    "features-nan": "malformed field 'vis'",
     "align-float-dims": "malformed field 'dims.d_vis'",
     "align-bool-classes": "malformed field 'n_classes'",
     "align-zero-classes": "malformed field 'n_classes'",

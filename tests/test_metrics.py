@@ -326,14 +326,6 @@ def test_dtw_skewed_shapes_match_reference_dp():
         assert dtw_align(a, b) == reference_dtw_path(a, b), (ta, tb)
 
 
-def test_dtw_rejects_non_finite_features():
-    for bad in (np.array([[0.0], [np.nan], [1.0]]), np.array([[0.0], [np.inf]])):
-        with pytest.raises(DataError, match="finite features"):
-            dtw_align(bad, np.zeros((4, 1)))
-        with pytest.raises(DataError, match="finite features"):
-            dtw_align(np.zeros((4, 1)), bad)
-
-
 def test_dtw_diagonal_upper_bound():
     rng = rng_stream(7, "dtwbound")
     a = rng.standard_normal((6, 4))
@@ -341,13 +333,6 @@ def test_dtw_diagonal_upper_bound():
     path = dtw_align(a, b)
     diagonal = sum(np.linalg.norm(a[i] - b[i]) for i in range(6))
     assert path_cost(path, a, b) <= diagonal + 1e-12
-
-
-def test_dtw_shape_errors():
-    with pytest.raises(DataError, match="feature dims differ"):
-        dtw_align(np.zeros((3, 2)), np.zeros((3, 5)))
-    with pytest.raises(DataError, match="non-empty 2-D sequences"):
-        dtw_align(np.zeros((0, 2)), np.zeros((3, 2)))
 
 
 # -- MCD -------------------------------------------------------------------------
@@ -510,8 +495,3 @@ def test_report_pools_and_serializes(tmp_path):
         assert key in payload
     assert payload["mos"] is None  # opinion scores go through `emoforge mos`
     assert payload["n_utts"] == len(payload["utterances"]) == 2
-
-
-def test_report_requires_rows():
-    with pytest.raises(DataError, match="no utterances to aggregate"):
-        aggregate_report([])
