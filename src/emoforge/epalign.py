@@ -148,10 +148,10 @@ def train_epalign(dataset, config):
     """Train alignment on corpus utterances (rows with `feat_vis`,
     `feat_audio`, `feat_text` and `emotion`); returns (params, loss curve).
 
-    Batches hold distinct emotion classes whenever the batch fits in the
-    classes present (stratified draw), which keeps the diagonal-positive
-    contrastive target coherent; larger batches fall back to plain shuffled
-    chunks where same-class pairs act as ordinary in-batch negatives.
+    Each epoch is one shuffled pass cut into whole batches; the shuffle's
+    last `len(dataset) % batch` rows sit that epoch out. Same-class rows in a
+    batch share one prompt row, so the loss cannot fall below 2 x the mean
+    over rows of ln(rows of that row's class in the batch).
     """
     if config.batch > len(dataset):
         raise ConfigError("batch size %d out of range for %d samples" % (config.batch, len(dataset)))
@@ -167,24 +167,12 @@ def train_epalign(dataset, config):
     theta = params.theta
     state = AdamState.zeros(theta.size)
     rng = rng_stream(config.seed, "epalign:batches")
-    # only the class ids some utterance carries: an unused id has no member to draw
-    by_class = [np.flatnonzero(labels == c) for c in np.unique(labels)]
     log_t_at = params.layout.offset("log_t")
 
-    steps_per_epoch = max(1, n // config.batch)
     curve = []
     for _ in range(config.epochs):
         epoch_losses = []
-        if config.batch <= len(by_class):
-            batches = []
-            for _ in range(steps_per_epoch):
-                classes = rng.choice(len(by_class), size=config.batch, replace=False)
-                batches.append([by_class[c][rng.integers(len(by_class[c]))] for c in classes])
-        else:
-            perm = rng.permutation(n)
-            batches = [perm[i:i + config.batch] for i in range(0, n - config.batch + 1, config.batch)]
-        for idx in batches:
-            idx = np.asarray(idx)
+        for idx in rng.permutation(n)[:n - n % config.batch].reshape(-1, config.batch):
             feats = {mu: np.stack([getattr(dataset[i], _FEAT_ATTR[mu]) for i in idx])
                      for mu in MODALITIES}
             blab = labels[idx]

@@ -972,8 +972,9 @@ def test_train_tts_reads_corpus_wavs(workdir, tmp_path):
 
 @pytest.mark.parametrize("batch", [3, 5])
 def test_train_align_skips_unused_class_ids(batch, workdir, tmp_path):
-    # one utterance of class 7 leaves ids 3..6 without utterances; batches
-    # of up to 4 draw distinct classes, larger ones shuffle
+    # one utterance of class 7 leaves ids 3..6 without utterances; the
+    # prompt table still holds a row for each id up to the largest, whether
+    # a batch is smaller or larger than the 4 classes present
     argv = _train_align_manifest(_first_row(emotion=7))(workdir, tmp_path)
     argv[argv.index("--batch") + 1] = str(batch)
     assert main(argv) == 0
@@ -1030,12 +1031,17 @@ def test_mos_output(tmp_path, capsys):
 
 # -- the README session -----------------------------------------------------------
 
+def _readme_fence(heading, lang):
+    """The first ```lang fence under README's `heading`, without its fence lines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index(heading):]
+    block = section[section.index("```%s\n" % lang) + len("```%s\n" % lang):]
+    return block[:block.index("```")]
+
+
 def test_readme_walkthrough_commands_parse():
     # a flag the CLI drops or makes required cannot linger in the docs
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    walkthrough = readme[readme.index("## CLI walkthrough"):]
-    block = walkthrough[walkthrough.index("```sh\n") + len("```sh\n"):]
-    lines = block[:block.index("```")].replace("\\\n", " ").splitlines()
+    lines = _readme_fence("## CLI walkthrough", "sh").replace("\\\n", " ").splitlines()
     commands = [argv[1:] for argv in (shlex.split(line, comments=True) for line in lines)
                 if argv[:1] == ["emoforge"]]
     assert [argv[0] for argv in commands] == ["gen-data", "train-align", "eval-align",
@@ -1046,6 +1052,16 @@ def test_readme_walkthrough_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail("README command does not parse: emoforge %s" % shlex.join(argv))
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    # the block writes its corpus under the working directory
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(_readme_fence("## Library use", "python"), scope)
+    assert type(scope["c"]) is int and 0 <= scope["c"] < len(scope["prompts"])
+    assert scope["curve"][1] < scope["curve"][0]
+    assert np.isfinite(scope["wav"].samples).all()
 
 
 # -- the README session, byte for byte ---------------------------------------------

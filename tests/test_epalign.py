@@ -303,10 +303,29 @@ def test_train_deterministic(corpus):
     assert np.array_equal(p1.theta, p2.theta)
 
 
-def test_train_loss_drops_to_under_tenth(corpus):
+@pytest.mark.parametrize("batch, epochs, lr", [(5, 40, 1e-2), (16, 30, 1e-3)])
+def test_train_epoch_is_one_shuffled_pass_down_to_the_loss_floor(corpus, monkeypatch,
+                                                                 batch, epochs, lr):
+    # rows of one class share one prompt row, so no logit tells them apart:
+    # the symmetric loss cannot fall below 2 x the mean over rows of
+    # ln(rows of that row's class in the batch), and training reaches it
     train, _ = corpus
-    _, curve = train_epalign(train, AlignTrainConfig(batch=5, epochs=40, lr=1e-2, seed=42))
-    assert curve[-1] < 0.1 * curve[0]
+    seen = []
+
+    def spy(theta_t, params, feats, labels, real=epalign._batch_loss_graph):
+        seen.append((feats["vis"], labels))
+        return real(theta_t, params, feats, labels)
+
+    monkeypatch.setattr(epalign, "_batch_loss_graph", spy)
+    _, curve = train_epalign(train, AlignTrainConfig(batch=batch, epochs=epochs, lr=lr, seed=42))
+    per_epoch = len(train) // batch
+    assert len(seen) == epochs * per_epoch
+    for e in range(epochs):
+        rows = np.concatenate([vis for vis, _ in seen[e * per_epoch:(e + 1) * per_epoch]])
+        assert len(np.unique(rows, axis=0)) == len(rows)  # no utterance twice in an epoch
+    floor = np.mean([2 * np.mean(np.log((labels[:, None] == labels).sum(axis=1)))
+                     for _, labels in seen[-per_epoch:]])
+    assert floor - 1e-9 <= curve[-1] < floor + 0.05
 
 
 def test_train_end_to_end_accuracy_and_fusion_ordering(corpus):
