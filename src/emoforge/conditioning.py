@@ -1,8 +1,8 @@
 """Emotion conditioning blocks of the synthesis pipeline.
 
-Two of the three synthesizer variants inject `tts.condition`'s row u =
-[u_emo; one-hot speaker] through a learned block built on the autodiff
-Tensor graph here; `tts` keeps the blocks' weights in its parameter layout:
+Every synthesizer variant adds `tts.condition`'s row u = [u_emo; one-hot
+speaker] to its decoded mel as u · dec_wc; two of them also inject u through
+a learned block on the autodiff Tensor graph here (weights in `tts`'s layout):
 
   * "vits": an invertible affine coupling flow on explicit channel halves:
     the caller passes the half that goes through and the half to transform,

@@ -4,8 +4,8 @@ The synthesis path is: character encoder -> conditioning (one of three
 variants) -> mel decoder, run once per character -> duration expansion ->
 Griffin-Lim vocoder.  Expanding last relies on no decoder step reading a
 frame's position; a per-frame input (a positional encoding, say) would need
-the old order, expansion first.  The three variants differ only in where
-the condition u = [u_emo; one-hot speaker], built by `condition`, enters:
+the old order, expansion first.  All add u · dec_wc to the decoded mel, for
+the condition u = [u_emo; one-hot speaker] from `condition`; u also enters:
 
   "vits"        affine coupling flow applied to the decoded mel rows
   "fastspeech"  learned condition bias on the text features, h + u W
@@ -93,6 +93,9 @@ def tts_block_shapes(variant, embed, n_speakers):
         "dec_b1": (DEC_HIDDEN,),
         "dec_w2": (DEC_HIDDEN, N_MELS),
         "dec_b2": (N_MELS,),
+        # condition-to-output linear bias so per-emotion spectral offsets
+        # don't have to route through the shared tanh layer
+        "dec_wc": (d_u, N_MELS),
     }
     if variant == "vits":
         # two coupling blocks that take turns at which half of the mel frame
@@ -100,12 +103,8 @@ def tts_block_shapes(variant, embed, n_speakers):
         for prefix in ("flow_a_", "flow_b_"):
             for name, shape in coupling_block_shapes(N_MELS, d_u, COUPLING_GATE).items():
                 shapes[prefix + name] = shape
-    else:
-        # condition-to-output linear bias so per-emotion spectral offsets
-        # don't have to route through the shared tanh layer
-        shapes["dec_wc"] = (d_u, N_MELS)
-        if variant == "fastspeech":
-            shapes["att_w"] = (d_u, CHAR_DIM)
+    if variant == "fastspeech":
+        shapes["att_w"] = (d_u, CHAR_DIM)
     return shapes
 
 
@@ -143,7 +142,7 @@ def _condition_graph(blocks, h_t, u, variant):
         return concat([h_t, constant(np.repeat(u, h_t.shape[0], axis=0))])
     if variant == "fastspeech":
         return attention_graph(blocks, h_t, constant(u))
-    return h_t  # vits conditions the decoder output instead
+    return h_t  # vits conditions only the decoded mel: u · dec_wc, then the flow
 
 
 def _duration_graph(blocks, h_cond_t):
@@ -155,8 +154,8 @@ def _decoder_graph(blocks, h_cond_t, u, variant, durations):
     rows, counts = ((h_cond_t, durations) if h_cond_t.shape[0] > 1
                     else (h_cond_t[[0, 0]], [durations[0], 0]))
     hidden = (rows @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
-    mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
     u = constant(u)
+    mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"] + u @ blocks["dec_wc"]
     if variant == "vits":
         flow_a = {k[len("flow_a_"):]: v for k, v in blocks.items() if k.startswith("flow_a_")}
         flow_b = {k[len("flow_b_"):]: v for k, v in blocks.items() if k.startswith("flow_b_")}
@@ -165,8 +164,6 @@ def _decoder_graph(blocks, h_cond_t, u, variant, durations):
         hi, _ = coupling_graph(flow_a, lo, hi, u)  # each block transforms the half
         lo, _ = coupling_graph(flow_b, hi, lo, u)  # the other one passed through
         mel = concat([lo, hi])
-    else:
-        mel = mel + u @ blocks["dec_wc"]
     return repeat_rows(mel, counts)
 
 

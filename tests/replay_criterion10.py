@@ -10,14 +10,16 @@ corpus, split, alignment model and training, then scores every variant:
     targets from its own `rng_stream`, to show how far the count moves on
     rounding-sized noise.
 
-For each run it prints the wins, the final probe loss and the 10 per-pair
-margins MCD(other) - MCD(match) in dB (positive is a win). The perturbation is
+For each run it prints the wins, the final probe loss, the emotion and speaker
+effects (`mel_spread`: how far text 0's synthesized log-mel moves across the
+five emotions at speaker 0, and across the speakers at emotion 0) and the 10
+per-pair margins MCD(other) - MCD(match) in dB (positive is a win). The perturbation is
 patched in from here; nothing in `emoforge` changes. pytest does not collect
 this file (its name does not start with `test_`). Run it from the repo root:
 
     PYTHONPATH=src python tests/replay_criterion10.py [--replays K] [--variants vits,fastspeech]
 
-One set of replays (3 variants, K = 8) takes about a minute on 2 cores.
+One set of replays (3 variants, K = 8) takes about 1.5 minutes on 2 cores.
 """
 
 import argparse
@@ -26,6 +28,8 @@ import sys
 import tempfile
 import time
 from unittest import mock
+
+import numpy as np
 
 from emoforge import tts
 from emoforge.datagen import CorpusConfig, _TEXT_POOL, gen_corpus, render_reference
@@ -68,12 +72,23 @@ def _margins(params, prompts):
     return out
 
 
+def mel_spread(params, prompts, speakers):
+    """Max |delta log-mel| over (prompt, speaker) pairs for text 0, on the
+    frames every synthesis has (durations may differ with the condition)."""
+    mels = [tts.synthesize(_TEXT_POOL[0], p, spk, params)[1].frames
+            for p in prompts for spk in speakers]
+    n = min(len(m) for m in mels)
+    return float(np.ptp([m[:n] for m in mels], axis=0).max())
+
+
 def _run(corpus, prompts, variant, replay):
     with _noisy_targets(replay) if replay else contextlib.nullcontext():
         params, curve = tts.train_tts(corpus, prompts, variant,
                                       tts.TtsConfig(steps=250, lr=0.05, batch=8, seed=42))
     margins = _margins(params, prompts)
-    return sum(m > 0 for m in margins), curve[-1], margins
+    effects = (mel_spread(params, prompts, [0]),
+               mel_spread(params, prompts[:1], range(params.dims["n_speakers"])))
+    return sum(m > 0 for m in margins), curve[-1], effects, margins
 
 
 def main(argv=None):
@@ -91,12 +106,12 @@ def main(argv=None):
         summary = {}
         for variant in variants:
             for replay in range(args.replays + 1):
-                wins, loss, margins = _run(corpus, prompts, variant, replay)
+                wins, loss, (emo, spk), margins = _run(corpus, prompts, variant, replay)
                 summary.setdefault(variant, []).append(wins)
                 label = "pinned" if replay == 0 else "replay %d" % replay
-                print("%-10s %-9s wins %2d/10  loss %6.2f  margins %s"
-                      % (variant, label, wins, loss, " ".join("%+6.1f" % m for m in margins)),
-                      flush=True)
+                print("%-10s %-9s wins %2d/10  loss %6.2f  effect emo %.3g spk %.3g  margins %s"
+                      % (variant, label, wins, loss, emo, spk,
+                         " ".join("%+6.1f" % m for m in margins)), flush=True)
     for variant, wins in summary.items():
         print("%-10s pinned %d/10; perturbed %s" % (variant, wins[0], wins[1:] or "-"))
     print("%.0f s" % (time.perf_counter() - t0))

@@ -1,9 +1,10 @@
 """Acceptance suite: twelve checks over the whole package.
 
-Each test covers one numbered criterion and writes one PASS/FAIL line to the
+Each numbered test covers one criterion and writes one PASS/FAIL line to the
 real stdout (bypassing capture) so a plain `pytest -v` run shows the verdicts
-inline.  Expensive artifacts (corpus, trained alignment, trained synthesizer)
-are built once per session by fixtures.
+inline; the unnumbered test beside criterion 10 asserts without a line.
+Expensive artifacts (corpus, trained alignment, trained synthesizer) are
+built once per session by fixtures.
 """
 
 import re
@@ -38,8 +39,9 @@ from emoforge.epalign import (
 )
 from emoforge.metrics import dtw_align, edit_distance, mcd, mos_aggregate, secs
 from emoforge.numeric import rng_stream
-from emoforge.tts import TtsConfig, init_tts, synthesize, train_tts
+from emoforge.tts import VARIANTS, TtsConfig, init_tts, synthesize, train_tts
 from gradcheck import finite_diff_check
+from replay_criterion10 import mel_spread
 
 
 @pytest.fixture
@@ -326,6 +328,19 @@ def test_criterion_10_tts_conditioning_effect(verdict, tts_model):
     verdict(10, "matched-emotion MCD wins %d/10 (>= 8); train %.1f s (< 300); loss %.1f -> %.1f"
              % (wins, tts_model["seconds"], tts_model["curve"][0], tts_model["curve"][-1]),
              wins >= 8 and loss_ok and time_ok)
+
+
+# -- beside 10: every variant's synthesis follows the emotion (no verdict line) --------
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_carries_the_emotion_after_training(variant, corpus, tts_model):
+    # criterion 10's training; a variant whose trained output ignores the
+    # condition moves the log-mel by rounding only (about 1e-9)
+    prompts = tts_model["prompts"]
+    params = tts_model["params"] if variant == "fastspeech" else train_tts(
+        corpus, prompts, variant, TtsConfig(steps=250, lr=0.05, batch=8, seed=42))[0]
+    spread = mel_spread(params, prompts, [0])
+    assert spread > 1e-3, "%s: emotion moves the mel by %.3g" % (variant, spread)
 
 
 # -- 11: CLI determinism --------------------------------------------------------------

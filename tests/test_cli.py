@@ -139,6 +139,14 @@ def test_usage_errors(workdir, tmp_path, capsys):
         assert main(argv) == 1, argv
         assert "Traceback" not in capsys.readouterr().err
         assert not os.path.exists(out), argv
+    # the workdir corpus holds 18 utterances
+    for argv, reason in ((train_tts + ["--steps", "0"], "error: steps must be >= 1"),
+                         (align + ["--batch", "1000"],
+                          "error: batch size 1000 out of range for 18 samples")):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err, err
+        assert not os.path.exists(out), argv
 
 
 def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
@@ -404,15 +412,21 @@ def _eval_pairs(content):
                            "--out", str(tmp / "r.json")]
 
 
-def _eval_at_rate(rate):
-    """eval on a pair whose WAV, a.wav, claims `rate` Hz."""
+def _eval_wav(edit, **pair):
+    """eval on one pair, `_PAIR` updated by `pair`, whose WAV a.wav is a copy
+    of the corpus's first that `edit` rewrites in place."""
     def argv(w, tmp):
         shutil.copy(w["data"] / "wav" / "utt_00000.wav", tmp / "a.wav")
-        set_sample_rate(tmp / "a.wav", rate)
+        edit(tmp / "a.wav")
         return ["eval", "--ref-dir", str(tmp), "--syn-dir", str(tmp),
-                "--pairs", _file(tmp / "pairs.jsonl", json.dumps(_PAIR) + "\n"),
+                "--pairs", _file(tmp / "pairs.jsonl", json.dumps(dict(_PAIR, **pair)) + "\n"),
                 "--out", str(tmp / "r.json")]
     return argv
+
+
+def _first_samples(n):
+    """WAV edit: keep the first `n` samples."""
+    return lambda path: wav_write(path, Waveform(wav_read(path).samples[:n]))
 
 
 def _edited_data(w, tmp, edit):
@@ -575,9 +589,9 @@ def _synth_tts_checkpoint(edit):
     return argv
 
 
-def _synth_speaker(speaker):
+def _synth_by_name(text="pack my box.", speaker="0"):
     return lambda w, tmp: ["synth", "--ckpt", str(w["tts"]), "--align-ckpt", str(w["align"]),
-                           "--text", "pack my box.", "--emotion", "sad", "--speaker", speaker,
+                           "--text", text, "--emotion", "sad", "--speaker", speaker,
                            "--out", str(tmp / "x.wav")]
 
 
@@ -607,9 +621,14 @@ MALFORMED = {
     "pairs-not-utf8": _eval_pairs(b'{"id": "\xff"}\n'),
     "pairs-deeply-nested": _eval_pairs("[" * 100000 + "\n"),
     "pairs-ref-nul": _eval_pairs(json.dumps(dict(_PAIR, ref="a\0.wav")) + "\n"),
-    "pairs-wav-0hz": _eval_at_rate(0),
+    "pairs-wav-0hz": _eval_wav(lambda path: set_sample_rate(path, 0)),
     # a 22.05 kHz WAV was once scored by the 16 kHz front end as if it were 16 kHz
-    "pairs-wav-22khz": _eval_at_rate(22050),
+    "pairs-wav-22khz": _eval_wav(lambda path: set_sample_rate(path, 22050)),
+    # 3 mel frames: enough for MCD, too few for SECS's speaker embedding
+    "pairs-wav-300-samples": _eval_wav(_first_samples(300)),
+    # too short for the centered STFT's reflect padding
+    "pairs-wav-100-samples": _eval_wav(_first_samples(100)),
+    "pairs-ref-text-no-letters": _eval_wav(lambda path: None, ref_text="!!!"),
     "manifest-not-utf8": _train_align_manifest(lambda lines: [b"\xff" + lines[0]] + lines[1:]),
     "manifest-deeply-nested": _train_align_manifest(lambda lines: [b"[" * 100000 + b"\n"] + lines),
     "manifest-unequal-features": _train_align_manifest(_vis_features(lambda v: v[:-1])),
@@ -658,8 +677,10 @@ MALFORMED = {
     "align-classes-past-int64": _eval_align_checkpoint(
         lambda p, _: p.update(n_classes=3 + 2 ** 59)),
     # the synthesizer checkpoint is trained on speakers 0 and 1
-    "synth-speaker-past-count": _synth_speaker("2"),
-    "synth-speaker-negative": _synth_speaker("-1"),
+    "synth-speaker-past-count": _synth_by_name(speaker="2"),
+    "synth-speaker-negative": _synth_by_name(speaker="-1"),
+    "synth-text-no-letters": _synth_by_name(text="123"),
+    "features-empty-object": _synth_features("{}"),
     # the checkpoint knows classes 0..2 and 64-dim features
     "align-label-past-classes": _eval_align_data(_first_row(emotion=4)),
     "align-label-negative": _eval_align_data(_first_row(emotion=-1)),
@@ -671,6 +692,8 @@ MALFORMED = {
     "manifest-speaker-string": _train_align_manifest(_first_row(speaker="1")),
     "manifest-duration-float": _train_align_manifest(
         _first_row(durations=lambda row: [float(d) for d in row["durations"]])),
+    "durations-zero": _train_tts_manifest(
+        _first_row(durations=lambda row: [0] + row["durations"][1:])),
     "durations-one-short": _train_tts_manifest(
         _first_row(durations=lambda row: row["durations"][:-1])),
     "durations-off-reference": _train_tts_manifest(
@@ -725,6 +748,8 @@ REASON = {
     "align-classes-past-int64": "22913 parameters, layout wants 18446744073709574529",
     "synth-speaker-past-count": "speaker 2 out of range [0, 2)",
     "synth-speaker-negative": "speaker -1 out of range [0, 2)",
+    "synth-text-no-letters": "text is empty after normalization: '123'",
+    "features-empty-object": "align_infer needs at least one modality",
     "align-label-past-classes": "labels must lie in [0, 3)",
     "align-label-negative": "labels must lie in [0, 3)",
     "align-features-short": "dim 64",
@@ -732,6 +757,10 @@ REASON = {
     "pairs-empty": "empty pairs file",
     "pairs-wav-0hz": "0 Hz",
     "pairs-wav-22khz": "22050 Hz",
+    "pairs-wav-300-samples": "need >= 5 mel frames for a speaker embedding, got 3",
+    "pairs-wav-100-samples": "signal too short: 100 samples < 257",
+    "pairs-ref-text-no-letters": "empty reference transcript for 'u'",
+    "durations-zero": "character durations must be >= 1 frame",
     "durations-one-short": "43 durations for 44 characters",
     "durations-off-reference": "durations sum to",
     "durations-huge": "durations sum to",
@@ -1092,7 +1121,10 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
 # 4 (EMITTS/4, EPALIGN/5: a JSON header line, then θ's raw bytes) re-pinned the
 # four checkpoint files (their "#theta" entries held); the one-JSON-line files
 # of the format before hashed align 73d3837a..., vits 2aa36def..., fastspeech
-# 9d36be86... and tacotron 88a07c83....
+# 9d36be86... and tacotron 88a07c83.... vits' output bias dec_wc re-pinned its
+# checkpoint and "#theta" entries, the WAV it synthesizes and the eval report
+# that scores it (f023e9f7... / 4df7ae29..., syn/ref.wav 98b1c667..., eval.json
+# 870fdfea... before).
 PINNED_SESSION_SHA256 = {
     "align.json": "a05d6ad160f0f2205c21d4eb1500c9195e1b0a877bd444a6d080b227776743dc",
     "align_report.json": "f4ba83f1d8e66934fa36170904e83c2ad1ee746ec66698a36193a65e31b948fd",
@@ -1112,14 +1144,14 @@ PINNED_SESSION_SHA256 = {
     "corpus/wav/utt_00012.wav": "0658939c59578a4ebaa3feb5b2e1a5cd0f14834e62765214135e76744e1c67d1",
     "corpus/wav/utt_00013.wav": "175658e8ad84b55047ac60a1222919523f4026427d46c773200699b4b04624a4",
     "corpus/wav/utt_00014.wav": "b1b51bf958a26611a87e0268506578013e472acff7079831112b07d3002ee9fd",
-    "eval.json": "870fdfeaf42f91c00ae5e287e487cbc9cf520e76c05d176f94b5faf5e1d1526c",
+    "eval.json": "9a32c5ded53dea9f8e4f58fbd7461d685e8be1a6994d28032e2c74324f6392f9",
     "syn/happy.wav": "612638c7c2fe34a60c5d6702320bd427b15db6d5eede09dde49fde562bca450b",
-    "syn/ref.wav": "98b1c66787ce323af5028a7520132baea91a6a56bf5da28ebcd799e33ebeeef1",
+    "syn/ref.wav": "fc6b269a4b0395f471b7445179805353c2dd59243bcc4680e663223cdc657698",
     "tts_fastspeech.json": "68ea1b8561de3d26c34cd9f8bce1244b429ea4627327e59196fc7f4ede6f1c73",
     "tts_tacotron.json": "61f0c3eba93b3484e479cfbdb80f1375cf8bf0332a985416d23ac528208011e9",
-    "tts_vits.json": "f023e9f723a984968a3d4abc6db74bb0c11604f5798c4bebb5fac32f83bd5413",
+    "tts_vits.json": "a2169a0a2902a2d55d24809e614c3b9113cfe69fd96742e3b4d08671bf02d1e5",
     "align.json#theta": "99d85db9d60beb56dcef0c790d72b2325d4d6141334e0c3522e57a9ef576b9c5",
-    "tts_vits.json#theta": "4df7ae29a449dc4586b512cf9aa1b169215de2e4eb932952f5e3b8361c834561",
+    "tts_vits.json#theta": "0870c4989f3befa2244d86ebd843799d6651c1e905b1ce83ce862ab03b02946b",
     "tts_fastspeech.json#theta": "244833bf338b8e7bda3861f1896c9ea9ba7d293f96a35a2fd6d6e1acda1d8666",
     "tts_tacotron.json#theta": "fd0cabbaa728c0581cc8293c666fe8d929e86f0904e65e1979f9e7563155be91",
 }

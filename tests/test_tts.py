@@ -157,11 +157,12 @@ def test_conditioning_sensitivity(variant):
 
 def test_neutralized_variants_agree():
     # a condition bias with W = 0 and coupling with a zeroed conditioner are
-    # both identity injections, so the shared base weights must line up
+    # both identity injections, so with both output biases dec_wc zeroed the
+    # shared base weights must line up
     fs = _zero_blocks(_params("fastspeech", seed=9), ["att_w", "dec_wc"])
-    vi = _zero_blocks(_params("vits", seed=9),
-                      [p + n for p in ("flow_a_", "flow_b_")
-                       for n in ("ewn_wf", "ewn_bf", "ewn_wg", "ewn_bg", "ewn_wo", "ewn_bo")])
+    flow = [p + n for p in ("flow_a_", "flow_b_")
+            for n in ("ewn_wf", "ewn_bf", "ewn_wg", "ewn_bg", "ewn_wo", "ewn_bo")]
+    vi = _zero_blocks(_params("vits", seed=9), ["dec_wc"] + flow)
     u_emo = _unit(7, "eq")
     w_fs, m_fs = synthesize("jovial gnomes waltz.", u_emo, 0, fs)
     w_vi, m_vi = synthesize("jovial gnomes waltz.", u_emo, 0, vi)
@@ -173,9 +174,10 @@ def test_neutralized_variants_agree():
 # recorded before fastspeech's query/key weights were removed: the remaining
 # blocks draw from their own named streams, so all three must hold. Re-pinned
 # once since, when Griffin-Lim's rounds moved to float32; fastspeech once more
-# when its condition bias became one matrix (82dc9d73... before).
+# when its condition bias became one matrix (82dc9d73... before), and vits once
+# more when its decoder gained the output bias dec_wc (caf2799a... before).
 PINNED_WAV_SHA256 = {
-    "vits": "caf2799a6c148a5e0108b7f8935d859df5e42edebd1fe46a2e8058f2eaca82cb",
+    "vits": "50b0be44989798f364f56b7f7a2a542540e1abc007734301676748396cb6f432",
     "fastspeech": "5a3b1fb0c16387895f86f01c1ef3943a6dfd24dec791185d9c8058a74a7ae410",
     "tacotron": "1184a023d134fd715fde2bb5d0874d0865c6e07ce7c151f49ce92e587e87d90e",
 }
@@ -213,12 +215,10 @@ def _per_frame_decoder(blocks, h_cond_t, u, variant, durations):
     character rows to frames first, then decode every frame."""
     h_exp = h_cond_t[np.repeat(np.arange(len(durations)), durations)]
     hidden = (h_exp @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
-    mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
     u = constant(u)
+    mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"] + u @ blocks["dec_wc"]
     if variant == "vits":
         mel = _swap_flow(blocks, mel, u)
-    else:
-        mel = mel + u @ blocks["dec_wc"]
     return mel
 
 
@@ -265,11 +265,9 @@ def _unfused_loss_graph(theta_t, params, batch):
     rows, counts = ((h_cond, durations) if h_cond.shape[0] > 1
                     else (h_cond[[0, 0]], [durations[0], 0]))
     hidden = (rows @ blocks["dec_w1"] + blocks["dec_b1"]).tanh()
-    mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"]
+    mel = hidden @ blocks["dec_w2"] + blocks["dec_b2"] + constant(u) @ blocks["dec_wc"]
     if params.variant == "vits":
         mel = _swap_flow(blocks, mel, constant(u))
-    else:
-        mel = mel + constant(u) @ blocks["dec_wc"]
     mel = repeat_rows(mel, counts)
     mel_err = mel + (-constant(batch["target"]))
     dur_err = dur_soft + (-constant(durations.astype(np.float64)[:, None]))
@@ -406,9 +404,9 @@ def test_train_loss_decreases_and_is_deterministic(tmp_path):
 # condition-bias matrix moved its θ (cc61bc3c... before). Format 4 (EMITTS/4:
 # a JSON header line, then θ's raw bytes) moved only the bytes (the one-line
 # files of format 3: vits 7363bda4..., fastspeech a3e33335..., tacotron
-# 27a6b62d...).
+# 27a6b62d...). vits' output bias dec_wc moved its θ (caca1c06... before).
 PINNED_CKPT_SHA256 = {
-    "vits": "caca1c0678330288d8c4ef126581ef50f555f7fc348c3cb0f30913344da1a42c",
+    "vits": "f92d6db8fe99a0f57427dd63964fb195a3502642dfdb00a339ca6ac9ae981c5e",
     "fastspeech": "a0e1313889ad211e3c1cf590445d7ffc49d10c47e9e1c7d975a99d452d0a1df9",
     "tacotron": "00946e7c428b202ee8fb3f8492bb6e522f95e0267ccce21e3358bfb7dab151a8",
 }
@@ -518,6 +516,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
     payload.update(variant="fastspeech", dims=p.dims, theta=np.zeros(11369))
     bad.write_bytes(encode_checkpoint(payload))
     with pytest.raises(FormatError, match="has 11369 parameters, layout wants 10345"):
+        load_tts(bad)
+    # 11,897 values: the vits layout from before its decoder gained the
+    # (32 + 4) x 40 output bias dec_wc that the other variants have
+    payload.update(variant="vits", theta=np.zeros(11897))
+    bad.write_bytes(encode_checkpoint(payload))
+    with pytest.raises(FormatError, match="has 11897 parameters, layout wants 13337"):
         load_tts(bad)
 
 
