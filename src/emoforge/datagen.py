@@ -123,6 +123,12 @@ def render_reference(text, emotion, speaker):
     Speaker sets base F0 and timbre; emotion sets the F0 multiplier, the
     pitch contour across the utterance and the amplitude. Spaces and
     periods render as silence. Deterministic, no RNG involved.
+
+    Characters of one segment length render together, one row per distinct
+    F0, rows in ascending F0 so that those a partial reaches are a prefix.
+    Each sample takes the same float64 operations, in the same order, as a
+    loop rendering one character at a time: the bytes do not depend on
+    the batching.
     """
     if not text:
         raise DataError("cannot render empty text")
@@ -137,27 +143,33 @@ def render_reference(text, emotion, speaker):
     parts = [(h, h ** -alpha) for h in range(1, max_h + 1, step)]
     total_amp = sum(a for _, a in parts)
 
-    segments = []
-    n_chars = len(text)
-    fade = int(0.008 * SAMPLE_RATE)
+    starts = np.cumsum([0] + [char_frames(ch) * HOP for ch in text])
+    out = np.zeros(starts[-1])  # spaces and periods stay silent
+    by_length = {}  # segment length -> [(f, character index)]
     for k, ch in enumerate(text):
-        n = char_frames(ch) * HOP
-        if ch in " .":
-            segments.append(np.zeros(n))
-            continue
-        p = k / max(1, n_chars - 1)
-        # per-character pitch offset keeps different texts spectrally distinct
-        f = f0 * mult * contour(p) * 2.0 ** ((ord(ch) - ord("m")) / 52.0)
+        if ch not in " .":
+            p = k / max(1, len(text) - 1)
+            # per-character pitch offset keeps different texts spectrally distinct
+            f = f0 * mult * contour(p) * 2.0 ** ((ord(ch) - ord("m")) / 52.0)
+            by_length.setdefault(starts[k + 1] - starts[k], []).append((f, k))
+    fade = int(0.008 * SAMPLE_RATE)
+    ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
+    for n, chars in by_length.items():
+        f, row_of = np.unique([fk for fk, _ in chars], return_inverse=True)
         t = np.arange(n) / SAMPLE_RATE
-        seg = np.zeros(n)
+        seg, tone = np.zeros((len(f), n)), np.empty((len(f), n))
         for h, a in parts:
-            if f * h < 7600.0:  # keep partials below Nyquist
-                seg += (a / total_amp) * np.sin(2.0 * np.pi * f * h * t)
-        ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
-        seg[:fade] *= ramp
-        seg[-fade:] *= ramp[::-1]
-        segments.append(amp * seg)
-    return Waveform(samples=np.concatenate(segments))
+            m = np.count_nonzero(f * h < 7600.0)  # keep partials below Nyquist
+            np.multiply((2.0 * np.pi * f[:m] * h)[:, None], t, out=tone[:m])
+            np.sin(tone[:m], out=tone[:m])
+            tone[:m] *= a / total_amp
+            seg[:m] += tone[:m]
+        seg[:, :fade] *= ramp
+        seg[:, -fade:] *= ramp[::-1]
+        seg *= amp
+        for r, (_, k) in zip(row_of, chars):
+            out[starts[k]:starts[k + 1]] = seg[r]
+    return Waveform(samples=out)
 
 
 def class_directions(rng, n_classes, dim):

@@ -52,9 +52,10 @@ def wav_write(path, w):
     a non-finite sample raises DataError before the file is opened."""
     if not np.isfinite(w.samples).all():
         raise DataError("cannot write non-finite samples to %s" % path)
-    s = np.clip(w.samples, -1.0, 1.0)
-    q = np.clip(np.rint(s * 32768.0), -32768, 32767).astype("<i2")
-    payload = q.tobytes()
+    s = np.clip(w.samples, -1.0, 1.0)  # the one copy; quantized in place
+    s *= 32768.0
+    np.rint(s, out=s)
+    payload = np.clip(s, -32768, 32767, out=s).astype("<i2").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",

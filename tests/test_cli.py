@@ -9,6 +9,7 @@ import os
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -457,6 +458,17 @@ def _train_tts_wav(edit):
     return argv
 
 
+def _header_field(at, fmt, new, keep=None):
+    """WAV edit: set the `fmt` field at byte `at` of wav_write's 44-byte header to
+    `new` (a callable maps the old value), then keep the first `keep` bytes."""
+    def edit(path):
+        blob = bytearray(path.read_bytes())
+        (old,) = struct.unpack_from(fmt, blob, at)
+        struct.pack_into(fmt, blob, at, new(old) if callable(new) else new)
+        path.write_bytes(bytes(blob[:keep]))
+    return edit
+
+
 def _first_row(**change):
     """Manifest edit: set fields of the first line; a callable maps the old row."""
     def edit(lines):
@@ -712,6 +724,16 @@ MALFORMED = {
     "wav-22khz": _train_tts_wav(lambda path: set_sample_rate(path, 22050)),
     "wav-one-hop-short": _train_tts_wav(
         lambda path: wav_write(path, Waveform(wav_read(path).samples[:-HOP]))),
+    # the header refusals of wav_read, each at the field it names
+    "wav-ieee-float": _train_tts_wav(_header_field(20, "<H", 3)),
+    "wav-stereo": _train_tts_wav(_header_field(22, "<H", 2)),
+    "wav-8-bit": _train_tts_wav(_header_field(34, "<H", 8)),
+    "wav-odd-data-size": _train_tts_wav(_header_field(40, "<I", lambda n: n - 1)),
+    "wav-empty-data": _train_tts_wav(_header_field(40, "<I", 0, keep=44)),
+    "manifest-emotion-negative": _train_align_manifest(_first_row(emotion=-1)),
+    # the corpus has 3 classes, as has the alignment checkpoint
+    "tts-emotion-past-classes": _train_tts_manifest(_first_row(emotion=3)),
+    "tts-emotion-negative": _train_tts_manifest(_first_row(emotion=-1)),
 }
 
 # text each case's error must hold, so that it fails for the reason its name gives
@@ -772,6 +794,14 @@ REASON = {
     "wav-not-riff": "RIFF",
     "wav-22khz": "22050 Hz",
     "wav-one-hop-short": "durations sum to",
+    "wav-ieee-float": "unsupported encoding 3 (PCM only) (byte offset 20)",
+    "wav-stereo": "2 channels unsupported (mono only) (byte offset 22)",
+    "wav-8-bit": "8-bit samples unsupported (16-bit only) (byte offset 34)",
+    "wav-odd-data-size": "odd data chunk length (byte offset 40)",
+    "wav-empty-data": "empty data chunk (byte offset 40)",
+    "manifest-emotion-negative": "labels must be non-negative",
+    "tts-emotion-past-classes": "utterance utt_00000: emotion 3 out of range",
+    "tts-emotion-negative": "utterance utt_00000: emotion -1 out of range",
 }
 
 # the WAV file each case's error must name, as a bad file among hundreds would not be found
@@ -783,6 +813,11 @@ WAV_NAMED = {
     "wav-not-riff": "utt_00000.wav",
     "wav-22khz": "utt_00000.wav",
     "wav-one-hop-short": "utt_00000.wav",
+    "wav-ieee-float": "utt_00000.wav",
+    "wav-stereo": "utt_00000.wav",
+    "wav-8-bit": "utt_00000.wav",
+    "wav-odd-data-size": "utt_00000.wav",
+    "wav-empty-data": "utt_00000.wav",
 }
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emoforge import datagen
 from emoforge.datagen import (
     EMOTIONS,
     CorpusConfig,
@@ -79,6 +80,49 @@ def test_render_deterministic():
     a = render_reference("bright vixens jump.", 1, 2)
     b = render_reference("bright vixens jump.", 1, 2)
     assert np.array_equal(a.samples, b.samples)
+
+
+def _render_per_character(text, emotion, speaker):
+    """The renderer as a loop over the characters, one segment at a time: the
+    oracle that the batched `render_reference` must match byte for byte."""
+    mult, contour, amp = datagen._EMOTION_RENDER[EMOTIONS[emotion]]
+    f0 = datagen._SPEAKER_F0[speaker]
+    alpha, max_h, step = datagen._SPEAKER_TIMBRE[speaker]
+    parts = [(h, h ** -alpha) for h in range(1, max_h + 1, step)]
+    total_amp = sum(a for _, a in parts)
+    segments = []
+    fade = int(0.008 * SAMPLE_RATE)
+    for k, ch in enumerate(text):
+        n = char_frames(ch) * HOP
+        if ch in " .":
+            segments.append(np.zeros(n))
+            continue
+        p = k / max(1, len(text) - 1)
+        f = f0 * mult * contour(p) * 2.0 ** ((ord(ch) - ord("m")) / 52.0)
+        t = np.arange(n) / SAMPLE_RATE
+        seg = np.zeros(n)
+        for h, a in parts:
+            if f * h < 7600.0:
+                seg += (a / total_amp) * np.sin(2.0 * np.pi * f * h * t)
+        ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
+        seg[:fade] *= ramp
+        seg[-fade:] *= ramp[::-1]
+        segments.append(amp * seg)
+    return np.concatenate(segments)
+
+
+ORACLE_TEXTS = ["a", "z.", " .a", "zzzz", datagen._TEXT_POOL[0],
+                "abcdefghijklmnopqrstuvwxyz",
+                ("sphinx of black quartz, judge my vow. " * 4)[:150]]
+
+
+@pytest.mark.parametrize("text", ORACLE_TEXTS, ids=range(len(ORACLE_TEXTS)))
+def test_render_matches_the_per_character_loop_byte_for_byte(text):
+    for emotion in range(len(EMOTIONS)):
+        for speaker in range(len(datagen._SPEAKER_F0)):
+            want = _render_per_character(text, emotion, speaker)
+            got = render_reference(text, emotion, speaker).samples
+            assert got.tobytes() == want.tobytes(), (emotion, speaker)
 
 
 def test_render_length_matches_durations():

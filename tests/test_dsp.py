@@ -57,6 +57,20 @@ def test_wav_round_trip(tmp_path):
     assert np.max(np.abs(back.samples - w.samples)) <= 2.0 ** -15
 
 
+def test_wav_write_quantizes_as_the_out_of_place_expression(tmp_path):
+    # ±1, past ±1, the half-LSB ties that rint sends to the even code, and -0.0
+    ties = (np.arange(-40, 40) + 0.5) / 32768.0
+    x = np.concatenate([[1.0, -1.0, 1.5, -1.5, 1e300, -1e300, -0.0, 0.0], ties,
+                        [(32767 + 0.5) / 32768.0, (-32768 + 0.5) / 32768.0]])
+    want = np.clip(np.rint(np.clip(x, -1.0, 1.0) * 32768.0), -32768, 32767).astype("<i2")
+    path = tmp_path / "q.wav"
+    kept = x.copy()
+    wav_write(path, Waveform(samples=x))
+    assert path.read_bytes()[44:] == want.tobytes()
+    assert x.tobytes() == kept.tobytes()  # the caller's samples are not quantized
+    assert want[6] == 0 and want[-2] == 32767  # -0.0 is code 0; +1 clips to the top
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_wav_write_rejects_non_finite(tmp_path, bad):
     path = tmp_path / "a.wav"
