@@ -109,8 +109,6 @@ class Tensor:
         return Tensor(self.data * other.data, (self, other), back)
 
     def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are differentiable")
         return Tensor(self.data ** p, (self,), lambda g: self._accum(g * p * self.data ** (p - 1)))
 
     def __matmul__(self, other):

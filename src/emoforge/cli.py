@@ -38,10 +38,7 @@ def _refuse_out_over_input(args, wavs=()):
 
 def _load_dataset(args):
     """The manifest under --data, once --out is known to name none of the WAVs it lists."""
-    manifest = os.path.join(args.data, "manifest.jsonl")
-    if not os.path.exists(manifest):
-        raise FormatError("no manifest.jsonl under %s" % args.data)
-    dataset = datagen.load_manifest(manifest)
+    dataset = datagen.load_manifest(os.path.join(args.data, "manifest.jsonl"))
     _refuse_out_over_input(args, [u.wav_path for u in dataset])
     return dataset
 

@@ -34,9 +34,6 @@ _WINDOW32 = WINDOW.astype(np.float32)
 class Waveform:
     samples: np.ndarray  # float64 in [-1, 1], at SAMPLE_RATE
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)  # griffin_lim's float32 too
-
 
 @dataclass
 class MelSpectrogram:
@@ -292,4 +289,4 @@ def griffin_lim(m):
         # mag * rebuilt / |rebuilt|: a real division and a product in place cost less than
         # a complex division, and each fresh spectrum-sized temporary pays its page faults
         x = istft(np.multiply(rebuilt, mag / np.maximum(rebuilt_mag, 1e-16), out=rebuilt))
-    return Waveform(samples=np.clip(x, -1.0, 1.0))
+    return Waveform(samples=np.clip(x, -1.0, 1.0).astype(np.float64))

@@ -13,8 +13,12 @@ corpus, split, alignment model and training, then scores every variant:
 For each run it prints the wins, the final probe loss, the emotion and speaker
 effects (`mel_spread`: how far text 0's synthesized log-mel moves across the
 five emotions at speaker 0, and across the speakers at emotion 0) and the 10
-per-pair margins MCD(other) - MCD(match) in dB (positive is a win). The perturbation is
-patched in from here; nothing in `emoforge` changes. pytest does not collect
+per-pair margins MCD(other) - MCD(match) in dB (positive is a win). For each vits
+run it also prints how saturated the conditioner gates of its two couplings
+(flow_a, flow_b) are while text 0 is synthesized at every prompt (speaker 0):
+the share of tanh pre-activations with |x| > 18 and of sigmoid outputs within
+1e-8 of 0 or 1, where each is constant in float64. The perturbation and the
+gate capture are patched in from here; nothing in `emoforge` changes. pytest does not collect
 this file (its name does not start with `test_`). Run it from the repo root:
 
     PYTHONPATH=src python tests/replay_criterion10.py [--replays K] [--variants vits,fastspeech]
@@ -81,6 +85,26 @@ def mel_spread(params, prompts, speakers):
     return float(np.ptp([m[:n] for m in mels], axis=0).max())
 
 
+def gate_saturation(params, prompts):
+    """[(tanh share, sigmoid share)] for flow_a and flow_b: the saturated share of
+    each coupling's conditioner gates while text 0 is synthesized at every prompt."""
+    coupling, calls = tts.coupling_graph, []
+
+    def capture(blocks, h0, h1, u_t, inverse=False):
+        x_t = h0 + u_t @ blocks["cond_proj"]  # the conditioner's input, as in ewn_graph
+        pre = (x_t @ blocks["ewn_wf"] + blocks["ewn_bf"]).data
+        gate = (x_t @ blocks["ewn_wg"] + blocks["ewn_bg"]).sigmoid().data
+        calls.append((np.abs(pre) > 18, np.minimum(gate, 1.0 - gate) < 1e-8))
+        return coupling(blocks, h0, h1, u_t, inverse)
+
+    with mock.patch.object(tts, "coupling_graph", capture):
+        for p in prompts:
+            tts.synthesize(_TEXT_POOL[0], p, 0, params)
+    # each synthesis runs flow_a, then flow_b
+    return [tuple(float(np.concatenate([c[k].ravel() for c in calls[flow::2]]).mean())
+                  for k in (0, 1)) for flow in (0, 1)]
+
+
 def _run(corpus, prompts, variant, replay):
     with _noisy_targets(replay) if replay else contextlib.nullcontext():
         params, curve = tts.train_tts(corpus, prompts, variant,
@@ -88,7 +112,8 @@ def _run(corpus, prompts, variant, replay):
     margins = _margins(params, prompts)
     effects = (mel_spread(params, prompts, [0]),
                mel_spread(params, prompts[:1], range(params.dims["n_speakers"])))
-    return sum(m > 0 for m in margins), curve[-1], effects, margins
+    gates = gate_saturation(params, prompts) if variant == "vits" else None
+    return sum(m > 0 for m in margins), curve[-1], effects, margins, gates
 
 
 def main(argv=None):
@@ -106,12 +131,16 @@ def main(argv=None):
         summary = {}
         for variant in variants:
             for replay in range(args.replays + 1):
-                wins, loss, (emo, spk), margins = _run(corpus, prompts, variant, replay)
+                wins, loss, (emo, spk), margins, gates = _run(corpus, prompts, variant, replay)
                 summary.setdefault(variant, []).append(wins)
                 label = "pinned" if replay == 0 else "replay %d" % replay
                 print("%-10s %-9s wins %2d/10  loss %6.2f  effect emo %.3g spk %.3g  margins %s"
                       % (variant, label, wins, loss, emo, spk,
                          " ".join("%+6.1f" % m for m in margins)), flush=True)
+                if gates:
+                    print("%-10s %-9s saturated gates: flow_a tanh %.3f sigmoid %.3f, "
+                          "flow_b tanh %.3f sigmoid %.3f" % (variant, label, *gates[0], *gates[1]),
+                          flush=True)
     for variant, wins in summary.items():
         print("%-10s pinned %d/10; perturbed %s" % (variant, wins[0], wins[1:] or "-"))
     print("%.0f s" % (time.perf_counter() - t0))

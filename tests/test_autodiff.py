@@ -35,6 +35,11 @@ def test_grad_rejects_non_tensor_result():
         grad(lambda t: float(t.data.sum()), np.array([1.0]))
 
 
+def test_grad_rejects_non_scalar_loss():
+    with pytest.raises(TypeError, match="^backward requires a scalar output$"):
+        grad(lambda t: t * 2.0, np.array([1.0, 2.0]))
+
+
 def test_grad_rejects_foreign_ops():
     with pytest.raises(TypeError, match="outside the tape"):
         grad(lambda t: np.sin(t), np.array([1.0]))

@@ -547,6 +547,12 @@ def _no_speakers(payload):
     payload["theta"] = payload["theta"][:_tts_layout(payload).size]
 
 
+def _embed_16(payload):
+    # dims.embed 16, with theta cut to the size of that layout so the size fits
+    payload["dims"]["embed"] = 16
+    payload["theta"] = payload["theta"][:_tts_layout(payload).size]
+
+
 def _two_matrix_bias(payload):
     # the layout before fastspeech's condition bias became one matrix: a
     # CHAR_DIM x CHAR_DIM block (here I, so the model is the same) ahead of it
@@ -558,6 +564,13 @@ def _two_matrix_bias(payload):
 def _ragged_bytes(payload, params):
     # θ's bytes less the last 3: whole bytes, but not whole float64s
     payload["theta"] = payload["theta"].astype("<f8").tobytes()[:-3]
+
+
+def _scaled_prompt_table(factor):
+    def edit(payload, params):
+        a, b = params.layout.slices["prompt_table"]
+        payload["theta"][a:b] *= factor
+    return edit
 
 
 def _huge_weight(payload, params):
@@ -598,6 +611,17 @@ def _synth_tts_checkpoint(edit):
         payload = decode_checkpoint(w["tts"].read_bytes())
         edit(payload)
         return _synth_tts_on(encode_checkpoint(payload), w, tmp)
+    return argv
+
+
+def _synth_align_checkpoint(edit):
+    """synth by emotion name with the corpus's alignment checkpoint edited by `edit`."""
+    def argv(w, tmp):
+        payload = decode_checkpoint(w["align"].read_bytes())
+        edit(payload, load_epalign(w["align"]))
+        return ["synth", "--ckpt", str(w["tts"]),
+                "--align-ckpt", _file(tmp / "align.json", encode_checkpoint(payload)),
+                "--text", "pack my box.", "--emotion", "sad", "--out", str(tmp / "x.wav")]
     return argv
 
 
@@ -734,6 +758,16 @@ MALFORMED = {
     # the corpus has 3 classes, as has the alignment checkpoint
     "tts-emotion-past-classes": _train_tts_manifest(_first_row(emotion=3)),
     "tts-emotion-negative": _train_tts_manifest(_first_row(emotion=-1)),
+    # the alignment checkpoint's prompts are 32-dim
+    "tts-embed-16": _synth_tts_checkpoint(_embed_16),
+    # rows of norm ~1e-160 square to subnormals, so their normalized rows miss norm 1
+    "align-prompts-1e-160": _synth_align_checkpoint(_scaled_prompt_table(1e-160)),
+    "align-prompts-zero": _eval_align_checkpoint(_scaled_prompt_table(0.0)),
+    "wav-fmt-under-16-bytes": _train_tts_wav(_header_field(16, "<I", 14)),
+    "wav-no-fmt-chunk": _train_tts_wav(_header_field(12, "4s", b"junk")),
+    "wav-no-data-chunk": _train_tts_wav(_header_field(36, "4s", b"junk")),
+    "wav-no-wave-tag": _train_tts_wav(_header_field(8, "4s", b"WAVX")),
+    "wav-truncated-chunk": _train_tts_wav(_header_field(40, "<I", lambda n: n + 2)),
 }
 
 # text each case's error must hold, so that it fails for the reason its name gives
@@ -802,6 +836,14 @@ REASON = {
     "manifest-emotion-negative": "labels must be non-negative",
     "tts-emotion-past-classes": "utterance utt_00000: emotion 3 out of range",
     "tts-emotion-negative": "utterance utt_00000: emotion -1 out of range",
+    "tts-embed-16": "emotion embedding has dim 32, model expects 16",
+    "align-prompts-1e-160": "u_emo must be unit norm",
+    "align-prompts-zero": "cannot normalize an embedding row of zero or non-finite norm",
+    "wav-fmt-under-16-bytes": "fmt chunk too small (byte offset 16)",
+    "wav-no-fmt-chunk": "no fmt chunk found",
+    "wav-no-data-chunk": "no data chunk found",
+    "wav-no-wave-tag": "missing WAVE tag (byte offset 8)",
+    "wav-truncated-chunk": "truncated file while reading chunk b'data' (byte offset 44)",
 }
 
 # the WAV file each case's error must name, as a bad file among hundreds would not be found
@@ -818,6 +860,11 @@ WAV_NAMED = {
     "wav-8-bit": "utt_00000.wav",
     "wav-odd-data-size": "utt_00000.wav",
     "wav-empty-data": "utt_00000.wav",
+    "wav-fmt-under-16-bytes": "utt_00000.wav",
+    "wav-no-fmt-chunk": "utt_00000.wav",
+    "wav-no-data-chunk": "utt_00000.wav",
+    "wav-no-wave-tag": "utt_00000.wav",
+    "wav-truncated-chunk": "utt_00000.wav",
 }
 
 
