@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.fft import dct, irfft, rfft
 
 from .errors import DataError, FormatError
 
@@ -137,6 +136,7 @@ def stft(x):
     T = 1 + (padded_length - N_FFT) // HOP. float32 samples give complex64;
     any other input is float64 and gives complex128.
     """
+    from scipy.fft import rfft  # loads on first use: gen-data and the alignment commands need none
     x = np.asarray(x)
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
@@ -180,6 +180,7 @@ def istft(spec):
     spectrum gives float32 samples, as in `stft`. Its one caller,
     `griffin_lim`, passes (T, N_FFT // 2 + 1) spectra.
     """
+    from scipy.fft import irfft
     frames = irfft(spec, n=N_FFT, axis=1)
     frames *= _WINDOW32 if spec.dtype == np.complex64 else WINDOW
     out = _overlap_add(frames)
@@ -253,6 +254,7 @@ def mel_spectrogram(w):
 def mel_cepstra(m):
     """Mel cepstra: orthonormal DCT-II over the mel bands of each frame of a
     MelSpectrogram, one coefficient per band (c0 first)."""
+    from scipy.fft import dct
     return dct(m.frames, type=2, norm="ortho", axis=1)
 
 

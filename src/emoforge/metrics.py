@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .dsp import mel_cepstra, mel_spectrogram
 from .errors import DataError
@@ -77,67 +76,58 @@ def dtw_align(a, b):
     float64 arrays of 13-column cepstra, 3 or more frames each.
 
     The accumulated cost acc[i, j] = cost[i, j] + min(acc[i-1, j-1],
-    acc[i-1, j], acc[i, j-1]) is filled one anti-diagonal (i + j = d) at a
-    time: the cells of a diagonal depend only on the two before it, so each
-    is one vectorized step over strided views of a (T_a+1)x(T_b+1) buffer
-    whose +inf border stands in for the missing neighbours of row and
-    column 0. Every cell is the same single add of an exact minimum as in a
-    cell-by-cell loop, so acc and the path do not depend on the fill order.
-    The diagonals' bounds are precomputed in numpy and both minima go into one
-    reused buffer. The backtrack reads acc through a memoryview, as Python
+    acc[i-1, j], acc[i, j-1]) overwrites the T_a x T_b costs that `cdist`
+    returns. Row 0 and column 0 have one neighbour each, so they are running
+    sums (`np.add.accumulate` adds in order). The interior fills one
+    anti-diagonal (i + j = d) at a time: its cells depend only on the two
+    diagonals before it, so each is one vectorized step over strided views
+    of the flat buffer. Every cell is the same single add of an exact
+    minimum as in a cell-by-cell loop, so acc and the path do not depend on
+    the fill order. The backtrack reads acc through a memoryview, as Python
     floats, and prefers the diagonal, then up, then left on ties, which fixes
-    the path shape (the cost is the same for every tied path).
+    the path shape (the cost is the same for every tied path); once it meets
+    row 0 or column 0 it walks straight home to (0, 0).
     """
     from scipy.spatial.distance import cdist  # 0.4 s to import: only commands that align pay it
     ta, tb = a.shape[0], b.shape[0]
-    # acc[i + 1, j + 1] holds cell (i, j); acc[0, 0] = 0 starts the path
-    cols = tb + 1
-    acc = np.empty((ta + 1, cols))
-    acc[0, :] = np.inf
-    acc[1:, 0] = np.inf
-    acc[0, 0] = 0.0
-    for r in range(0, ta, _DTW_ROWS):
-        acc[1 + r:1 + r + _DTW_ROWS, 1:] = cdist(a[r:r + _DTW_ROWS], b)
-    flat = acc.reshape(-1)
-    # consecutive cells of an anti-diagonal lie cols - 1 apart in flat;
-    # their diagonal, up and left neighbours lie cols + 1, cols and 1 before
-    step = cols - 1
-    d = np.arange(ta + tb - 1)
-    i0 = np.maximum(0, d - tb + 1)
-    sizes = np.minimum(d, ta - 1) - i0 + 1
-    starts = cols + d + 1 + i0 * step
-    buf = np.empty(min(ta, tb))
+    flat = cdist(a, b).reshape(-1)  # cell (i, j) at i * tb + j
+    np.add.accumulate(flat[:tb], out=flat[:tb])
+    np.add.accumulate(flat[::tb], out=flat[::tb])
+    # consecutive cells of an anti-diagonal lie tb - 1 apart in flat;
+    # their diagonal, up and left neighbours lie tb + 1, tb and 1 before
+    step = tb - 1
+    d = np.arange(2, ta + tb - 1 if min(ta, tb) > 1 else 2)  # diagonals with i, j >= 1
+    i0 = np.maximum(1, d - step)
+    sizes = np.minimum(d - 1, ta - 1) - i0 + 1
+    starts = d + i0 * step
+    buf = np.empty(min(ta, tb) - 1)
     for start, stop, n in zip(starts.tolist(), (starts + (sizes - 1) * step + 1).tolist(),
                               sizes.tolist()):
         best = buf[:n]
-        np.minimum(flat[start - cols - 1:stop - cols - 1:step],
-                   flat[start - cols:stop - cols:step], out=best)
+        np.minimum(flat[start - tb - 1:stop - tb - 1:step],
+                   flat[start - tb:stop - tb:step], out=best)
         np.minimum(best, flat[start - 1:stop - 1:step], out=best)
         flat[start:stop:step] += best
     cell = memoryview(flat)  # Python floats: cheaper to read one at a time
     path = [(ta - 1, tb - 1)]
     i, j = ta - 1, tb - 1
-    while i or j:
-        if i == 0:
-            j -= 1
-        elif j == 0:
+    while i and j:
+        # cells (i-1, j-1), (i-1, j), (i, j-1)
+        k = (i - 1) * tb + j - 1
+        diag, up, left = cell[k], cell[k + 1], cell[k + tb]
+        if diag <= up and diag <= left:
+            i, j = i - 1, j - 1
+        elif up <= left:
             i -= 1
         else:
-            # cells (i-1, j-1), (i-1, j), (i, j-1) in padded coordinates
-            k = i * cols + j
-            diag, up, left = cell[k], cell[k + 1], cell[k + cols]
-            if diag <= up and diag <= left:
-                i, j = i - 1, j - 1
-            elif up <= left:
-                i -= 1
-            else:
-                j -= 1
+            j -= 1
         path.append((i, j))
+    path.extend((0, c) for c in range(j - 1, -1, -1))  # home along row 0 ...
+    path.extend((r, 0) for r in range(i - 1, -1, -1))  # ... or column 0
     path.reverse()
     return path
 
 
-_DTW_ROWS = 256  # cost rows per cdist call in dtw_align: no T_a x T_b temporary
 _MCD_COEFFS = 14  # c0..c13; c0 is dropped before alignment
 
 
@@ -201,6 +191,7 @@ def mos_aggregate(scores):
     Returns the sample mean with a two-sided 95% Student-t half-width
     (sample std, n-1 degrees of freedom).
     """
+    from scipy.special import stdtrit  # loads on first use: only `emoforge mos` needs it
     scores = [float(s) for s in scores]
     if len(scores) < 2:
         raise DataError("need >= 2 ratings, got %d" % len(scores))

@@ -888,18 +888,23 @@ def _src_env(**extra):
 
 def test_cli_import_loads_only_what_every_command_runs():
     # each command is its own process: scipy.stats (about 1 s to import), scipy.spatial
-    # (DTW's cdist, 0.4 s) and the filterbank's SVD (Griffin-Lim's) wait for a caller
+    # (DTW's cdist, 0.4 s), scipy.fft (the STFT's and the cepstra's), scipy.special
+    # (the MOS quantile) and the filterbank's SVD (Griffin-Lim's) wait for a caller, so
+    # gen-data and the alignment commands load no scipy at all
     probe = ("import json, sys, emoforge.cli\n"
              "from emoforge import dsp\n"
              "print(json.dumps([sorted(m for m in sys.modules if m.startswith(p))\n"
-             "                  for p in ('scipy.stats', 'scipy.spatial')]\n"
+             "                  for p in ('scipy.stats', 'scipy.spatial', 'scipy.fft',\n"
+             "                            'scipy.special')]\n"
              "                 + [dsp._mel_pinv_t.cache_info().currsize]))")
     done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    stats, spatial, pinv_entries = json.loads(done.stdout)
+    stats, spatial, fft, special, pinv_entries = json.loads(done.stdout)
     assert stats == []
     assert spatial == []
+    assert fft == []
+    assert special == []
     assert pinv_entries == 0
 
 

@@ -33,13 +33,6 @@ ALLOWED = {
     ("metrics", "edit_distance", "return len(hyp)"): (
         "tests/test_acceptance.py::test_criterion_05_edit_distance_oracle",
         "eval refuses an empty reference transcript before it counts edits"),
-    ("metrics", "dtw_align", "if i == 0: j -= 1"): (
-        "tests/test_acceptance.py::test_criterion_06_dtw_oracle",
-        "every warping path of test_cli.py's eval pairs reaches cell (0, 0) diagonally; "
-        "criterion 6's one-frame sequences run along the first row"),
-    ("metrics", "dtw_align", "elif j == 0: i -= 1"): (
-        "tests/test_acceptance.py::test_criterion_06_dtw_oracle",
-        "as above, along the first column"),
     ("dsp", "wav_write", 'raise DataError("cannot write non-finite samples to %s" % path)'): (
         "tests/test_dsp.py::test_wav_write_rejects_non_finite",
         "under cli.main's np.errstate a NaN or overflow stops a command before it writes, "

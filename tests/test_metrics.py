@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from emoforge import metrics
 from emoforge.datagen import render_reference
 from emoforge.dsp import Waveform
 from emoforge.errors import DataError
@@ -305,8 +304,6 @@ def test_dtw_path_matches_reference_dp():
     rng = rng_stream(7, "dtwpath")
     shapes = [(1, 1), (1, 9), (9, 1), (2, 17), (17, 2), (40, 40), (40, 33)]
     shapes += [tuple(int(t) for t in rng.integers(1, 41, 2)) for _ in range(60)]
-    rows = metrics._DTW_ROWS  # costs enter acc this many rows at a time: edges move no cell
-    shapes += [(rows - 1, 40), (2 * rows + 1, 40), (rows, 40), (rows + 1, 33)]
     for k, (ta, tb) in enumerate(shapes):
         dim = 1 + k % 3
         if k % 3 == 2:
@@ -315,6 +312,12 @@ def test_dtw_path_matches_reference_dp():
             a = rng.integers(0, 3, (ta, dim)).astype(np.float64)
             b = rng.integers(0, 3, (tb, dim)).astype(np.float64)
         assert dtw_align(a, b) == reference_dtw_path(a, b), (ta, tb, dim)
+    # a[0] matches b[0..2]: the backtrack meets row 0 at (0, 2) and walks home along it;
+    # swapped, it meets column 0 at (2, 0)
+    a = np.array([[0.0], [5.0], [5.0]])
+    b = np.array([[0.0], [0.0], [0.0], [5.0]])
+    assert dtw_align(a, b) == [(0, 0), (0, 1), (0, 2), (1, 3), (2, 3)] == reference_dtw_path(a, b)
+    assert dtw_align(b, a) == [(0, 0), (1, 0), (2, 0), (3, 1), (3, 2)] == reference_dtw_path(b, a)
 
 
 def test_dtw_skewed_shapes_match_reference_dp():
