@@ -126,9 +126,12 @@ def render_reference(text, emotion, speaker):
 
     Characters of one segment length render together, one row per distinct
     F0, rows in ascending F0 so that those a partial reaches are a prefix.
-    Each sample takes the same float64 operations, in the same order, as a
-    loop rendering one character at a time: the bytes do not depend on
-    the batching.
+    A row takes one sine and one cosine of its phase x = 2π·f·t and gets
+    each further partial by the recurrence sin((h+step)x) =
+    2cos(step·x)·sin(hx) − sin((h−step)x). Its samples lie within 1e-12 of
+    one `np.sin` per partial, character by character, and quantize to the
+    same 16-bit PCM: `test_every_corpus_reference_writes_the_oracles_wav_bytes`
+    in `tests/test_datagen.py` checks both for every reference of a corpus.
 
     The inputs are not checked here: `CorpusConfig` bounds the ids that
     `gen_corpus` passes, and its texts are non-empty pool sentences. A direct
@@ -153,14 +156,15 @@ def render_reference(text, emotion, speaker):
     ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
     for n, chars in by_length.items():
         f, row_of = np.unique([fk for fk, _ in chars], return_inverse=True)
-        t = np.arange(n) / SAMPLE_RATE
-        seg, tone = np.zeros((len(f), n)), np.empty((len(f), n))
+        x = (2.0 * np.pi * f)[:, None] * (np.arange(n) / SAMPLE_RATE)
+        seg, tone = np.zeros((len(f), n)), np.sin(x)
+        c = 2.0 * np.cos(step * x)
+        below = (1 - step) * tone  # sin((1 - step) x): 0 at step 1, -sin x at step 2
         for h, a in parts:
             m = np.count_nonzero(f * h < 7600.0)  # keep partials below Nyquist
-            np.multiply((2.0 * np.pi * f[:m] * h)[:, None], t, out=tone[:m])
-            np.sin(tone[:m], out=tone[:m])
-            tone[:m] *= a / total_amp
-            seg[:m] += tone[:m]
+            seg[:m] += a / total_amp * tone[:m]
+            # sin((h + step) x) = c sin(h x) - sin((h - step) x)
+            tone, below = c[:m] * tone[:m] - below[:m], tone[:m]
         seg[:, :fade] *= ramp
         seg[:, -fade:] *= ramp[::-1]
         seg *= amp

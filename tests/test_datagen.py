@@ -16,7 +16,7 @@ from emoforge.datagen import (
     render_reference,
     text_durations,
 )
-from emoforge.dsp import HOP, SAMPLE_RATE
+from emoforge.dsp import HOP, SAMPLE_RATE, Waveform, wav_write
 from emoforge.errors import ConfigError, DataError, FormatError
 from emoforge.metrics import secs
 from emoforge.numeric import rng_stream
@@ -83,8 +83,9 @@ def test_render_deterministic():
 
 
 def _render_per_character(text, emotion, speaker):
-    """The renderer as a loop over the characters, one segment at a time: the
-    oracle that the batched `render_reference` must match byte for byte."""
+    """The renderer as a loop over the characters, one segment at a time and
+    one `np.sin` per partial: the oracle whose 16-bit PCM `render_reference`
+    must match byte for byte, with every float64 sample within 1e-12."""
     mult, contour, amp = datagen._EMOTION_RENDER[EMOTIONS[emotion]]
     f0 = datagen._SPEAKER_F0[speaker]
     alpha, max_h, step = datagen._SPEAKER_TIMBRE[speaker]
@@ -116,13 +117,45 @@ ORACLE_TEXTS = ["a", "z.", " .a", "zzzz", datagen._TEXT_POOL[0],
                 ("sphinx of black quartz, judge my vow. " * 4)[:150]]
 
 
+def _assert_matches_the_oracle(text, emotion, speaker, tmp_path):
+    """Same WAV bytes as the oracle, and float64 samples within 1e-12: the
+    harmonic recurrence rounds differently from one sine per partial."""
+    want = _render_per_character(text, emotion, speaker)
+    got = render_reference(text, emotion, speaker).samples
+    wav_write(tmp_path / "want.wav", Waveform(samples=want))
+    wav_write(tmp_path / "got.wav", Waveform(samples=got))
+    where = (text, emotion, speaker)
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes(), where
+    assert np.max(np.abs(got - want)) <= 1e-12, where
+
+
 @pytest.mark.parametrize("text", ORACLE_TEXTS, ids=range(len(ORACLE_TEXTS)))
-def test_render_matches_the_per_character_loop_byte_for_byte(text):
+def test_render_matches_the_per_character_loop_byte_for_byte(text, tmp_path):
     for emotion in range(len(EMOTIONS)):
         for speaker in range(len(datagen._SPEAKER_F0)):
-            want = _render_per_character(text, emotion, speaker)
-            got = render_reference(text, emotion, speaker).samples
-            assert got.tobytes() == want.tobytes(), (emotion, speaker)
+            _assert_matches_the_oracle(text, emotion, speaker, tmp_path)
+
+
+def test_every_corpus_reference_writes_the_oracles_wav_bytes(tmp_path):
+    # gen_corpus renders only (pool text, emotion, speaker) triples, so these
+    # 160 cover every WAV byte of every CorpusConfig
+    for text in datagen._TEXT_POOL:
+        for emotion in range(len(EMOTIONS)):
+            for speaker in range(len(datagen._SPEAKER_F0)):
+                _assert_matches_the_oracle(text, emotion, speaker, tmp_path)
+
+
+def test_new_word_texts_up_to_800_frames_match_the_oracle(tmp_path):
+    # eval-like texts: seeded new words of any letters, 20 to 800 frames long
+    rng = rng_stream(0, "test:render:new-words")
+    letters = list("abcdefghijklmnopqrstuvwxyz")
+    for i, frames in enumerate(np.linspace(20, 800, 32).astype(int)):
+        words = " ".join("".join(rng.choice(letters, size=rng.integers(1, 9)))
+                         for _ in range(60))
+        fits = np.cumsum(text_durations(words)) <= frames - char_frames(".")
+        text = words[:np.count_nonzero(fits)] + "."
+        assert sum(text_durations(text)) > frames - char_frames("a")
+        _assert_matches_the_oracle(text, int(rng.integers(len(EMOTIONS))), i % 4, tmp_path)
 
 
 def test_render_length_matches_durations():
